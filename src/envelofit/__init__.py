@@ -20,21 +20,14 @@ from .kernel import (
     CirculantOperator,
     KernelSpec,
     ToeplitzBand,
-    apply_circulant,
     apply_resolvent,
     apply_toeplitz,
     band_half_width,
     build_band,
     embed_circulant,
 )
-from .prox import ProxParams, prox_r, prox_scalar_q, reflect_g
-from .solver import (
-    SolveParams,
-    SolveResult,
-    residual,
-    solve_constrained_filter,
-    solve_reference_dense,
-)
+from .prox import ProxParams, prox_r, reflect_g
+from .solver import SolveParams, SolveResult, residual, solve_constrained_filter
 from .pipeline import (
     BeatStats,
     CoarseParams,

@@ -28,6 +28,8 @@ from .bench import run_mse_experiment, write_report_csv
 from .core import EnvelofitError, ErrorKind, Signal
 from .io import read_signal_csv, write_json, write_signal_csv
 from .pipeline import (
+    BASIC_STAGES,
+    DEBIASED_STAGES,
     CoarseParams,
     PipelineParams,
     SolverSettings,
@@ -60,31 +62,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    pp, s, c = PipelineParams(), SolverSettings(), CoarseParams()
     g = p.add_argument_group("pipeline / solver overrides")
-    g.add_argument("--lambda0", type=_positive, default=50.0,
-                   help="envelope data-fit weight (default 50)")
-    g.add_argument("--lambda1", type=_positive, default=0.5,
-                   help="smoothing data-fit weight (default 0.5)")
-    g.add_argument("--sigma0", type=_positive, default=5.0,
-                   help="envelope kernel width, samples (default 5)")
-    g.add_argument("--sigma1", type=_positive, default=20.0,
-                   help="smoothing kernel width, samples (default 20)")
-    g.add_argument("--coarse-lambda", type=_positive, default=1.0,
-                   help="coarse envelope weight for --debias (default 1)")
-    g.add_argument("--coarse-sigma", type=_positive, default=50.0,
-                   help="coarse envelope kernel width for --debias (default 50)")
-    g.add_argument("--gamma", type=float, default=0.5,
-                   help="averaging factor in (0,1) (default 0.5)")
-    g.add_argument("--alpha", type=_positive, default=None,
-                   help="splitting step size (default: 2*sqrt(lambda*sigma) "
-                        "per stage)")
-    g.add_argument("--tol", type=_positive, default=1e-6,
-                   help="relative residual tolerance (default 1e-6)")
-    g.add_argument("--max-iters", type=_positive_int, default=10000,
-                   help="iteration cap per solve (default 10000)")
-    g.add_argument("--tau", type=_positive, default=1e-5,
-                   help="kernel truncation threshold; wide-kernel stages need "
-                        "a tight threshold for spectral headroom (default 1e-5)")
+    for flag, kind, default, text in (
+        ("--lambda0", _positive, pp.lambda0, "envelope data-fit weight"),
+        ("--lambda1", _positive, pp.lambda1, "smoothing data-fit weight"),
+        ("--sigma0", _positive, pp.sigma0, "envelope kernel width, samples"),
+        ("--sigma1", _positive, pp.sigma1, "smoothing kernel width, samples"),
+        ("--coarse-lambda", _positive, c.lam, "coarse envelope weight for --debias"),
+        ("--coarse-sigma", _positive, c.sigma,
+         "coarse envelope kernel width for --debias"),
+        ("--gamma", float, s.gamma, "averaging factor in (0,1)"),
+        ("--alpha", _positive, s.alpha, "splitting step size; unset, each "
+         "stage uses 2*sqrt(lambda*sigma)"),
+        ("--tol", _positive, s.tol, "relative residual tolerance"),
+        ("--max-iters", _positive_int, s.max_iters, "iteration cap per solve"),
+        ("--tau", _positive, s.tau, "kernel truncation threshold; wide-kernel "
+         "stages need a tight threshold for spectral headroom"),
+    ):
+        g.add_argument(flag, type=kind, default=default,
+                       help=f"{text} (default %(default)s)")
 
 
 def _pipeline_from_args(args, with_coarse: bool) -> PipelineParams:
@@ -104,21 +101,22 @@ def _pipeline_from_args(args, with_coarse: bool) -> PipelineParams:
     )
 
 
-def _pipeline_meta(args, with_coarse: bool) -> dict:
+def _pipeline_meta(p: PipelineParams) -> dict:
+    s = p.solver
     meta = {
-        "lambda0": args.lambda0,
-        "lambda1": args.lambda1,
-        "sigma0": args.sigma0,
-        "sigma1": args.sigma1,
-        "gamma": args.gamma,
-        "alpha": args.alpha,
-        "tol": args.tol,
-        "max_iters": args.max_iters,
-        "tau": args.tau,
+        "lambda0": p.lambda0,
+        "lambda1": p.lambda1,
+        "sigma0": p.sigma0,
+        "sigma1": p.sigma1,
+        "gamma": s.gamma,
+        "alpha": s.alpha,
+        "tol": s.tol,
+        "max_iters": s.max_iters,
+        "tau": s.tau,
     }
-    if with_coarse:
-        meta["coarse_lambda"] = args.coarse_lambda
-        meta["coarse_sigma"] = args.coarse_sigma
+    if p.coarse is not None:
+        meta["coarse_lambda"] = p.coarse.lam
+        meta["coarse_sigma"] = p.coarse.sigma
     return meta
 
 
@@ -130,7 +128,9 @@ def _out(args, name: str) -> str:
 def cmd_decompose(args) -> int:
     sig = read_signal_csv(args.input, fs_override=args.fs)
     pipeline = _pipeline_from_args(args, with_coarse=args.debias)
-    dec = (decompose_debiased if args.debias else decompose_basic)(sig, pipeline)
+    decompose, names = ((decompose_debiased, DEBIASED_STAGES) if args.debias
+                        else (decompose_basic, BASIC_STAGES))
+    dec = decompose(sig, pipeline)
 
     prefix = args.prefix or os.path.splitext(os.path.basename(args.input))[0]
     write_signal_csv(_out(args, f"{prefix}_smooth.csv"), dec.smooth)
@@ -145,23 +145,26 @@ def cmd_decompose(args) -> int:
         "input": os.path.abspath(args.input),
         "debias": args.debias,
         "fs_hz": sig.sample_rate_hz,
-        "parameters": _pipeline_meta(args, with_coarse=args.debias),
+        "parameters": _pipeline_meta(pipeline),
         "stages": [
             {
+                "stage": name,
                 "iters": r.iters,
                 "residual_inf": r.residual_inf,
                 "converged": r.converged,
             }
-            for r in dec.diagnostics
+            for name, r in zip(names, dec.diagnostics)
         ],
     }
     write_json(_out(args, f"{prefix}_diagnostics.json"), diagnostics)
     if not args.quiet:
         print(f"wrote {prefix}_smooth.csv / _transient.csv / _envelopes.csv "
               f"/ _diagnostics.json in {args.output_dir}")
-    if not all(r.converged for r in dec.diagnostics):
+    failed = [name for name, r in zip(names, dec.diagnostics) if not r.converged]
+    if failed:
         # flagged, not fatal: results are still feasible and usable
-        print("warning: at least one solve did not reach tolerance", file=sys.stderr)
+        print(f"warning: stage(s) did not reach tolerance: {', '.join(failed)}",
+              file=sys.stderr)
     return 0
 
 
@@ -218,7 +221,7 @@ def cmd_bench(args) -> int:
         "fs_hz": args.fs,
         "duration_s": args.duration,
         "baseline_lengths": list(args.baseline_lengths),
-        "parameters": _pipeline_meta(args, with_coarse=True),
+        "parameters": _pipeline_meta(pipeline),
         "ordering": list(report.ordering),
     }
     write_json(_out(args, "meta.json"), meta)

@@ -1,11 +1,11 @@
 """Truncated squared-exponential Toeplitz covariance and its circulant embedding.
 
 The covariance of the smoothness prior is a banded symmetric Toeplitz matrix
-with first row ``r[0] = 1 + eps``, ``r[k] = exp(-k^2 / sigma^2)`` for lags up
-to a half-width ``K`` set by the truncation threshold ``tau``.  Embedding that
-band into an ``(N + K) x (N + K)`` circulant makes both the matrix-vector
-product and the resolvent ``(I + alpha C)^-1`` diagonal in the Fourier basis,
-so each costs one FFT pair.
+with first row ``r[k] = exp(-k^2 / sigma^2)`` for lags up to a half-width
+``K`` set by the truncation threshold ``tau``.  Embedding that band into an
+``(N + K) x (N + K)`` circulant makes both the matrix-vector product and the
+resolvent ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs
+one FFT pair.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "band_half_width",
     "build_band",
     "embed_circulant",
-    "apply_circulant",
     "apply_resolvent",
     "apply_toeplitz",
 ]
@@ -38,29 +37,22 @@ __all__ = [
 #: Resolvent denominators 1 + alpha*lambda_i below this are treated as singular.
 SPECTRUM_FLOOR = 1e-12
 
-#: Default truncation threshold / diagonal jitter (not pinned by the model;
-#: see CLI help).
+#: Default truncation threshold (not pinned by the model; see CLI help).
 DEFAULT_TAU = 1e-3
-DEFAULT_EPSILON = 0.0
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Width ``sigma`` (in samples), truncation threshold ``tau``, jitter ``epsilon``."""
+    """Width ``sigma`` (in samples) and truncation threshold ``tau``."""
 
     sigma: float
     tau: float = DEFAULT_TAU
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if not (self.sigma > 0):
             raise NonPositiveParameterError(f"sigma must be > 0, got {self.sigma}")
         if not (0 < self.tau <= 1):
             raise NonPositiveParameterError(f"tau must be in (0, 1], got {self.tau}")
-        if not (self.epsilon >= 0):
-            raise NonPositiveParameterError(
-                f"epsilon must be >= 0, got {self.epsilon}"
-            )
 
 
 @dataclass(frozen=True)
@@ -80,19 +72,15 @@ class ToeplitzBand:
 
 @dataclass(frozen=True)
 class CirculantOperator:
-    """Spectral form of the minimal circulant extension of a ToeplitzBand."""
+    """Spectral form of the circulant extension of a ToeplitzBand.
+
+    ``eigenvalues`` is the rfft half of the spectrum (length ``size // 2 + 1``);
+    the even-symmetric first row makes the other half its mirror image, so the
+    half holds every distinct eigenvalue.
+    """
 
     size: int
-    eigenvalues: np.ndarray  # real, length size
-
-    def first_row(self) -> np.ndarray:
-        """Recover the circulant's first row from the spectrum."""
-        return scipy.fft.irfft(self._rfft_eigs(), n=self.size)
-
-    def _rfft_eigs(self) -> np.ndarray:
-        # eigenvalues are the full DFT of an even-symmetric real row, so the
-        # rfft half-spectrum is just a prefix
-        return self.eigenvalues[: self.size // 2 + 1]
+    eigenvalues: np.ndarray
 
 
 def band_half_width(spec: KernelSpec) -> int:
@@ -120,7 +108,6 @@ def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
         )
     lags = np.arange(k + 1, dtype=float)
     row = np.exp(-(lags**2) / spec.sigma**2)
-    row[0] = 1.0 + spec.epsilon
     return ToeplitzBand(first_row=row, half_width=k, n=n)
 
 
@@ -142,47 +129,23 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     row[: k + 1] = band.first_row
     if k > 0:
         row[-k:] = band.first_row[1:][::-1]
-    eig = scipy.fft.rfft(row)
     # even-symmetric row => real spectrum; discard round-off imaginary part
-    half = eig.real
-    if m % 2 == 0:
-        full = np.concatenate([half, half[-2:0:-1]])
-    else:
-        full = np.concatenate([half, half[-1:0:-1]])
-    full.flags.writeable = False
-    return CirculantOperator(size=m, eigenvalues=full)
+    eig = scipy.fft.rfft(row).real.copy()
+    eig.flags.writeable = False
+    return CirculantOperator(size=m, eigenvalues=eig)
 
 
-def _check_length(op: CirculantOperator, v: np.ndarray) -> np.ndarray:
+def apply_resolvent(op: CirculantOperator, alpha: float, v) -> np.ndarray:
+    """Spectral solve ``(I + alpha C~)^-1 v``."""
+    if alpha < 0:
+        raise NonPositiveParameterError(f"alpha must be >= 0, got {alpha}")
     v = np.asarray(v, dtype=float)
     if v.shape != (op.size,):
         raise LengthMismatchError(
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
-    return v
-
-
-def apply_circulant(op: CirculantOperator, v) -> np.ndarray:
-    """Spectral matrix-vector product ``C~ v``."""
-    v = _check_length(op, v)
-    return scipy.fft.irfft(scipy.fft.rfft(v) * op._rfft_eigs(), n=op.size)
-
-
-def apply_resolvent(
-    op: CirculantOperator, alpha: float, v, *, clamp: bool = False
-) -> np.ndarray:
-    """Spectral solve ``(I + alpha C~)^-1 v``.
-
-    With ``clamp=True`` near-singular spectral denominators are floored
-    instead of raising; exploratory use only.
-    """
-    if alpha < 0:
-        raise NonPositiveParameterError(f"alpha must be >= 0, got {alpha}")
-    v = _check_length(op, v)
-    denom = 1.0 + alpha * op.eigenvalues[: op.size // 2 + 1]
-    if clamp:
-        denom = np.maximum(denom, SPECTRUM_FLOOR)
-    elif np.min(denom) <= SPECTRUM_FLOOR:
+    denom = 1.0 + alpha * op.eigenvalues
+    if np.min(denom) <= SPECTRUM_FLOOR:
         raise SpectrumNotPositiveError(
             f"resolvent denominator min {np.min(denom):.3e} <= {SPECTRUM_FLOOR:.0e}; "
             f"kernel spectrum too negative for alpha={alpha}"

@@ -26,6 +26,8 @@ from .kernel import KernelSpec
 from .solver import SolveParams, SolveResult, solve_constrained_filter
 
 __all__ = [
+    "BASIC_STAGES",
+    "DEBIASED_STAGES",
     "SolverSettings",
     "PipelineParams",
     "Decomposition",
@@ -34,6 +36,10 @@ __all__ = [
     "decompose_debiased",
     "detect_peaks",
 ]
+
+#: Stage names of each pipeline, in ``Decomposition.diagnostics`` order.
+BASIC_STAGES = ("tight_lower", "tight_upper", "smooth")
+DEBIASED_STAGES = ("coarse_lower", "coarse_upper", "tight_lower", "tight_upper", "smooth")
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,21 @@ def _stage(y: Signal, lam: float, sigma: float, lower, upper,
     return solve_constrained_filter(params)
 
 
-def _repair(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
+              stages: tuple[SolveResult, ...], **extra) -> Decomposition:
     # solver tolerance can leave the envelopes crossed by O(tol); restore
-    # elementwise ordering without moving either beyond that slack
-    return np.minimum(lo, hi), np.maximum(lo, hi)
+    # elementwise ordering without moving either beyond that slack, then fit
+    # the smooth component in between
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    sm = _stage(y, p.lambda1, p.sigma1, lo, hi, p.solver)
+    return Decomposition(
+        smooth=sm.x_hat,
+        transient=y.with_samples(y.samples - sm.x_hat.samples),
+        lower_env=y.with_samples(lo),
+        upper_env=y.with_samples(hi),
+        diagnostics=(*stages, sm),
+        **extra,
+    )
 
 
 def decompose_basic(y: Signal, p: PipelineParams) -> Decomposition:
@@ -148,17 +165,7 @@ def decompose_basic(y: Signal, p: PipelineParams) -> Decomposition:
     ys = y.samples
     low = _stage(y, p.lambda0, p.sigma0, np.min(ys), ys, s)
     up = _stage(y, p.lambda0, p.sigma0, ys, np.max(ys), s)
-    lo, hi = _repair(low.x_hat.samples, up.x_hat.samples)
-    sm = _stage(y, p.lambda1, p.sigma1, lo, hi, s)
-    smooth = sm.x_hat
-    transient = y.with_samples(ys - smooth.samples)
-    return Decomposition(
-        smooth=smooth,
-        transient=transient,
-        lower_env=low.x_hat,
-        upper_env=up.x_hat,
-        diagnostics=(low, up, sm),
-    )
+    return _sandwich(y, p, low.x_hat.samples, up.x_hat.samples, (low, up))
 
 
 def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
@@ -178,20 +185,12 @@ def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
     w_up = y.with_samples(ys - l0)  # >= 0
     low = _stage(w_low, p.lambda0, p.sigma0, -np.inf, w_low.samples, s)
     up = _stage(w_up, p.lambda0, p.sigma0, w_up.samples, np.inf, s)
-    lo, hi = _repair(u0 + low.x_hat.samples, l0 + up.x_hat.samples)
-
-    sm = _stage(y, p.lambda1, p.sigma1, lo, hi, s)
-    smooth = sm.x_hat
-    transient = y.with_samples(ys - smooth.samples)
-    return Decomposition(
-        smooth=smooth,
-        transient=transient,
-        lower_env=y.with_samples(lo),
-        upper_env=y.with_samples(hi),
+    return _sandwich(
+        y, p, u0 + low.x_hat.samples, l0 + up.x_hat.samples,
+        (c_low, c_up, low, up),
         coarse_lower=c_low.x_hat,
         coarse_upper=c_up.x_hat,
         trend=y.with_samples(0.5 * (l0 + u0)),
-        diagnostics=(c_low, c_up, low, up, sm),
     )
 
 

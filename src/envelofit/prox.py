@@ -1,10 +1,10 @@
 """Closed-form proximity and reflected-proximity maps for the dual splitting.
 
 The dual objective couples a circulant quadratic with a separable piecewise
-quadratic; this module implements the scalar proximity operator of that
-piecewise term, its vectorized change-of-variables form ``prox_r``, and the
-reflected map ``reflect_g`` used inside the iteration.  All maps are pure and
-elementwise.
+quadratic; this module implements the proximity operator of that piecewise
+term in its change-of-variables form.  The reflected map ``reflect_g`` used
+inside the iteration holds the one case table; ``prox_r = (reflect_g + I)/2``
+is derived from it.  All maps are pure and elementwise.
 
 A note on case ordering: with thresholds ``c = lam*(y - (1 + alpha/lam)*a)``
 and ``d = lam*(y - (1 + alpha/lam)*b)`` and ``a <= b``, we always have
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import BoxConstraint, InfeasibleBoundsError, LengthMismatchError
 
-__all__ = ["ProxParams", "prox_scalar_q", "prox_r", "reflect_g"]
+__all__ = ["ProxParams", "prox_r", "reflect_g"]
 
 
 @dataclass(frozen=True)
@@ -57,33 +57,6 @@ class ProxParams:
         object.__setattr__(self, "d", d)
 
 
-def prox_scalar_q(s: float, a: float, b: float, alpha: float) -> float:
-    """Proximity operator of the scalar piecewise-quadratic penalty.
-
-    Returns ``s - alpha*a`` below the interval, ``s / (1 + alpha)`` inside
-    ``[(1+alpha)*a, (1+alpha)*b]``, and ``s - alpha*b`` above; infinite
-    bounds drop the corresponding outer branch.
-    """
-    if a > b:
-        raise InfeasibleBoundsError(f"need a <= b, got a={a}, b={b}")
-    if np.isfinite(a) and s < (1.0 + alpha) * a:
-        return s - alpha * a
-    if np.isfinite(b) and s > (1.0 + alpha) * b:
-        return s - alpha * b
-    return s / (1.0 + alpha)
-
-
-def prox_r(t, p: ProxParams) -> np.ndarray:
-    """Vectorized prox of the dual data/constraint term at ``t``."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != p.y.shape:
-        raise LengthMismatchError(f"t length {t.shape} != {p.y.shape}")
-    mid = (p.alpha * p.y + t) / (1.0 + p.alpha / p.lam)
-    low = t + p.alpha * p.box.upper  # fires when t < d, i.e. b finite
-    high = t + p.alpha * p.box.lower  # fires when t > c, i.e. a finite
-    return np.select([t < p.d, t > p.c], [low, high], default=mid)
-
-
 def reflect_g(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]:
     """Reflected prox ``(2 J - I)`` of the separable dual term.
 
@@ -100,3 +73,8 @@ def reflect_g(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]:
     high = t + 2.0 * p.alpha * p.box.lower
     v = np.select([t < p.d, t > p.c], [low, high], default=mid)
     return v, -np.asarray(t_tilde, dtype=float)
+
+
+def prox_r(t, p: ProxParams) -> np.ndarray:
+    """Vectorized prox of the dual data/constraint term at ``t``."""
+    return 0.5 * (reflect_g(t, (), p)[0] + np.asarray(t, dtype=float))

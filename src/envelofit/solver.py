@@ -6,26 +6,21 @@ The primal problem
 
 is attacked through a dual in the variable ``z`` (with ``x = P_B(y - z/lam)``
 at the optimum), reformulated over the circulant extension of ``C`` so every
-iteration costs one FFT pair.  A dense projected-gradient reference solver is
-provided as an independent oracle for testing.
+iteration costs one FFT pair.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.optimize
 
 from .core import (
     BoxConstraint,
-    InfeasibleBoundsError,
     LengthMismatchError,
     NonPositiveParameterError,
     Signal,
-    SpectrumNotPositiveError,
     project_box,
 )
 from .kernel import (
@@ -42,11 +37,8 @@ __all__ = [
     "SolveParams",
     "SolveResult",
     "solve_constrained_filter",
-    "solve_reference_dense",
     "residual",
 ]
-
-DENSE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -106,40 +98,27 @@ def residual(z, p: SolveParams, band: ToeplitzBand | None = None) -> float:
     if z.shape != (len(p.y),):
         raise LengthMismatchError(f"z length {z.shape} != {len(p.y)}")
     if band is None:
-        band = build_band(_solver_kernel(p.kernel), len(p.y))
+        band = build_band(p.kernel, len(p.y))
     lhs = apply_toeplitz(band, z)
     rhs = project_box(p.y.samples - z / p.lam, p.box)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _solver_kernel(spec: KernelSpec) -> KernelSpec:
-    # the dual never inverts C, so the diagonal jitter is unnecessary; drop it
-    # and guard the resolvent spectrum instead
-    if spec.epsilon == 0.0:
-        return spec
-    return dataclasses.replace(spec, epsilon=0.0)
-
-
-def solve_constrained_filter(p: SolveParams, *, fft_pad: bool = True) -> SolveResult:
+def solve_constrained_filter(p: SolveParams) -> SolveResult:
     """Run the splitting iteration on the circulant-extended dual.
 
-    ``fft_pad=True`` enlarges the circulant to an FFT-friendly size (still an
-    exact embedding); set False to force the minimal extension.
+    The circulant is enlarged from the minimal ``N + K`` to an FFT-friendly
+    size, which still embeds the band exactly.
     """
     n = len(p.y)
-    band = build_band(_solver_kernel(p.kernel), n)
-    m_min = n + band.half_width
-    size = scipy.fft.next_fast_len(m_min) if fft_pad else m_min
-    op = embed_circulant(band, size=size)
-    m = op.size
+    band = build_band(p.kernel, n)
+    op = embed_circulant(band, size=scipy.fft.next_fast_len(n + band.half_width))
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
 
-    u = np.zeros(m)
+    u = np.zeros(op.size)
     trace: list[tuple[int, float]] = []
-    res = np.inf
-    converged = False
     iters = 0
     check = p.trace_every if p.trace_every > 0 else 0
     while iters < p.max_iters:
@@ -153,14 +132,14 @@ def solve_constrained_filter(p: SolveParams, *, fft_pad: bool = True) -> SolveRe
             res = residual(z, p, band)
             trace.append((iters, res))
             if res < tol_abs:
-                converged = True
                 break
 
-    z = apply_resolvent(op, p.alpha, u)[:n]
-    res = residual(z, p, band)
-    if not trace or trace[-1][0] != iters:
+    # a checkpoint always falls on the last iteration, so only with checks
+    # off (or a zero cap) are z and its residual still to compute
+    if not trace:
+        z = apply_resolvent(op, p.alpha, u)[:n]
+        res = residual(z, p, band)
         trace.append((iters, res))
-    converged = res < tol_abs
     x_hat = project_box(p.y.samples - z / p.lam, p.box)
     return SolveResult(
         x_hat=p.y.with_samples(x_hat),
@@ -168,67 +147,5 @@ def solve_constrained_filter(p: SolveParams, *, fft_pad: bool = True) -> SolveRe
         iters=iters,
         residual_inf=res,
         residual_trace=tuple(trace),
-        converged=converged,
-    )
-
-
-def solve_reference_dense(p: SolveParams) -> SolveResult:
-    """Dense bound-constrained solve of the primal; test oracle only.
-
-    Minimizes ``lam/2 ||y - x||^2 + 1/2 x^T C^-1 x`` over the box with
-    L-BFGS-B (analytic gradient, explicit ``C^-1``), then polishes with
-    projected-gradient steps so the fixed-point gap is tiny.
-    """
-    n = len(p.y)
-    if n > DENSE_LIMIT:
-        raise LengthMismatchError(
-            f"dense reference limited to N <= {DENSE_LIMIT}, got {n}"
-        )
-    band = build_band(_solver_kernel(p.kernel), n)
-    c_dense = band.dense()
-    w, vecs = np.linalg.eigh(c_dense)
-    if np.min(w) <= 0:
-        raise SpectrumNotPositiveError(
-            f"dense covariance not positive definite (min eig {np.min(w):.3e})"
-        )
-    c_inv = (vecs / w) @ vecs.T
-    c_inv = 0.5 * (c_inv + c_inv.T)
-    y = p.y.samples
-
-    def fun(x):
-        d = x - y
-        return 0.5 * p.lam * d @ d + 0.5 * x @ (c_inv @ x)
-
-    def grad(x):
-        return p.lam * (x - y) + c_inv @ x
-
-    x0 = project_box(y, p.box)
-    res_opt = scipy.optimize.minimize(
-        fun,
-        x0,
-        jac=grad,
-        method="L-BFGS-B",
-        bounds=list(zip(p.box.lower, p.box.upper)),
-        options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    x = project_box(res_opt.x, p.box)
-
-    # polish: projected gradient with exact Lipschitz constant
-    lip = p.lam + 1.0 / np.min(w)
-    for _ in range(2000):
-        x_next = project_box(x - grad(x) / lip, p.box)
-        if np.max(np.abs(x_next - x)) < 1e-15 * max(1.0, np.max(np.abs(x))):
-            x = x_next
-            break
-        x = x_next
-
-    z = np.linalg.solve(c_dense, x)
-    res = residual(z, p, band)
-    return SolveResult(
-        x_hat=p.y.with_samples(x),
-        z=z,
-        iters=int(res_opt.nit),
-        residual_inf=res,
-        residual_trace=((int(res_opt.nit), res),),
-        converged=res < max(p.tol_abs, 1e-7),
+        converged=res < tol_abs,
     )

@@ -17,17 +17,17 @@ from envelofit.cli import main as cli_main
 from envelofit.core import BoxConstraint, Signal, mse
 from envelofit.kernel import (
     KernelSpec,
-    apply_circulant,
     apply_resolvent,
     band_half_width,
     build_band,
     embed_circulant,
 )
 from envelofit.pipeline import CoarseParams, PipelineParams, decompose_debiased
-from envelofit.prox import ProxParams, prox_r, prox_scalar_q
-from envelofit.solver import SolveParams, solve_constrained_filter, solve_reference_dense
+from envelofit.prox import ProxParams, prox_r
+from envelofit.solver import SolveParams, solve_constrained_filter
 from envelofit.synth import TrialSpec, generate_trial
 
+from oracles import apply_circulant, prox_scalar_q, solve_reference_dense
 from test_prox import brute_prox_q, brute_prox_r, random_bounds
 from test_solver import pd_instance
 

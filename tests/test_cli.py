@@ -78,6 +78,19 @@ class TestDecompose:
         assert all({"iters", "residual_inf", "converged"} <= set(s)
                    for s in diag["stages"])
 
+    def test_unconverged_stages_named(self, sine_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["decompose", sine_csv, "--debias", "--max-iters", 1,
+                    "--output-dir", out, "--quiet"]) == 0
+        diag = json.loads((out / "sine_diagnostics.json").read_text())
+        names = ["coarse_lower", "coarse_upper", "tight_lower", "tight_upper",
+                 "smooth"]
+        assert [s["stage"] for s in diag["stages"]] == names
+        failed = [s["stage"] for s in diag["stages"] if not s["converged"]]
+        assert failed
+        err = capsys.readouterr().err
+        assert "did not reach tolerance: " + ", ".join(failed) in err
+
     def test_additivity_of_written_files(self, sine_csv, tmp_path):
         out = tmp_path / "out"
         assert run(["decompose", sine_csv, "--output-dir", out, "--quiet",

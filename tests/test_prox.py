@@ -3,7 +3,9 @@ import pytest
 import scipy.optimize
 
 from envelofit.core import BoxConstraint, InfeasibleBoundsError, LengthMismatchError
-from envelofit.prox import ProxParams, prox_r, prox_scalar_q, reflect_g
+from envelofit.prox import ProxParams, prox_r, reflect_g
+
+from oracles import prox_scalar_q
 
 
 def penalty_q(x, a, b):
