@@ -76,11 +76,12 @@ class CirculantOperator:
 
     ``eigenvalues`` is the rfft half of the spectrum (length ``size // 2 + 1``);
     the even-symmetric first row makes the other half its mirror image, so the
-    half holds every distinct eigenvalue.
+    half holds every distinct eigenvalue; ``eig_min`` is their minimum.
     """
 
     size: int
     eigenvalues: np.ndarray
+    eig_min: float
 
 
 def band_half_width(spec: KernelSpec) -> int:
@@ -132,7 +133,7 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     # even-symmetric row => real spectrum; discard round-off imaginary part
     eig = scipy.fft.rfft(row).real.copy()
     eig.flags.writeable = False
-    return CirculantOperator(size=m, eigenvalues=eig)
+    return CirculantOperator(size=m, eigenvalues=eig, eig_min=float(np.min(eig)))
 
 
 def apply_resolvent(op: CirculantOperator, alpha: float, v) -> np.ndarray:
@@ -144,13 +145,16 @@ def apply_resolvent(op: CirculantOperator, alpha: float, v) -> np.ndarray:
         raise LengthMismatchError(
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
-    denom = 1.0 + alpha * op.eigenvalues
-    if np.min(denom) <= SPECTRUM_FLOOR:
+    # x -> 1 + alpha*x rounds monotonically for alpha >= 0: the exact minimum
+    denom_min = 1.0 + alpha * op.eig_min
+    if denom_min <= SPECTRUM_FLOOR:
         raise SpectrumNotPositiveError(
-            f"resolvent denominator min {np.min(denom):.3e} <= {SPECTRUM_FLOOR:.0e}; "
+            f"resolvent denominator min {denom_min:.3e} <= {SPECTRUM_FLOOR:.0e}; "
             f"kernel spectrum too negative for alpha={alpha}"
         )
-    return scipy.fft.irfft(scipy.fft.rfft(v) / denom, n=op.size)
+    spec = scipy.fft.rfft(v)
+    spec /= 1.0 + alpha * op.eigenvalues
+    return scipy.fft.irfft(spec, n=op.size)
 
 
 def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:

@@ -24,11 +24,12 @@ __all__ = ["ProxParams", "prox_r", "reflect_g"]
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Precomputed per-sample thresholds for the separable dual prox.
+    """Precomputed per-sample thresholds and loop constants for the dual prox.
 
     ``c[n]`` is ``+inf`` where the lower bound is ``-inf``; ``d[n]`` is
     ``-inf`` where the upper bound is ``+inf``, so one-sided boxes simply
-    disable the corresponding outer branch.
+    disable the corresponding outer branch.  ``has_lower``/``has_upper`` say
+    whether that branch can fire anywhere; ``reflect_g`` skips it if not.
     """
 
     lam: float
@@ -37,6 +38,13 @@ class ProxParams:
     box: BoxConstraint
     c: np.ndarray = field(init=False)
     d: np.ndarray = field(init=False)
+    two_alpha_y: np.ndarray = field(init=False)
+    two_alpha_a: np.ndarray = field(init=False)
+    two_alpha_b: np.ndarray = field(init=False)
+    shrink: float = field(init=False)
+    scale: float = field(init=False)
+    has_lower: bool = field(init=False)
+    has_upper: bool = field(init=False)
 
     def __post_init__(self):
         if not (self.lam > 0 and self.alpha > 0):
@@ -52,26 +60,34 @@ class ProxParams:
         scale = 1.0 + self.alpha / self.lam
         c = np.where(np.isfinite(a), self.lam * (y - scale * a), np.inf)
         d = np.where(np.isfinite(b), self.lam * (y - scale * b), -np.inf)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        two_alpha = 2.0 * self.alpha
+        derived = dict(
+            y=y, c=c, d=d, scale=scale, shrink=1.0 - self.alpha / self.lam,
+            two_alpha_y=two_alpha * y, two_alpha_a=two_alpha * a,
+            two_alpha_b=two_alpha * b, has_lower=bool(np.any(c != np.inf)),
+            has_upper=bool(np.any(d != -np.inf)),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
-def reflect_g(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]:
+def reflect_g(t, t_tilde, p: ProxParams, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Reflected prox ``(2 J - I)`` of the separable dual term.
 
     The tail block's prox is the zero map, so its reflection is plain
-    negation: the second return value is ``-t_tilde``.
+    negation: the second return value is ``-t_tilde``.  The head block is
+    written to ``out`` when given (it must not overlap ``t``).
     """
     t = np.asarray(t, dtype=float)
     if t.shape != p.y.shape:
         raise LengthMismatchError(f"t length {t.shape} != {p.y.shape}")
-    mid = (2.0 * p.alpha * p.y + (1.0 - p.alpha / p.lam) * t) / (
-        1.0 + p.alpha / p.lam
-    )
-    low = t + 2.0 * p.alpha * p.box.upper
-    high = t + 2.0 * p.alpha * p.box.lower
-    v = np.select([t < p.d, t > p.c], [low, high], default=mid)
+    v = np.multiply(p.shrink, t, out=out)
+    v += p.two_alpha_y
+    v /= p.scale
+    if p.has_lower:
+        np.add(t, p.two_alpha_a, out=v, where=t > p.c)
+    if p.has_upper:
+        np.add(t, p.two_alpha_b, out=v, where=t < p.d)
     return v, -np.asarray(t_tilde, dtype=float)
 
 

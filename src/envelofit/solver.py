@@ -108,7 +108,8 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     """Run the splitting iteration on the circulant-extended dual.
 
     The circulant is enlarged from the minimal ``N + K`` to an FFT-friendly
-    size, which still embeds the band exactly.
+    size, which still embeds the band exactly.  An iteration is one resolvent
+    and one reflected prox, the rest in place; a checkpoint reuses the resolvent.
     """
     n = len(p.y)
     band = build_band(p.kernel, n)
@@ -118,17 +119,24 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     tol_abs = p.tol_abs
 
     u = np.zeros(op.size)
+    t = np.empty(op.size)
+    w = np.empty(op.size)
     trace: list[tuple[int, float]] = []
     iters = 0
     check = p.trace_every if p.trace_every > 0 else 0
+    r = apply_resolvent(op, p.alpha, u)
     while iters < p.max_iters:
-        t_full = 2.0 * apply_resolvent(op, p.alpha, u) - u
-        v, v_tilde = reflect_g(t_full[:n], t_full[n:], prox_params)
-        u[:n] = p.gamma * u[:n] + (1.0 - p.gamma) * v
-        u[n:] = p.gamma * u[n:] + (1.0 - p.gamma) * v_tilde
+        np.multiply(2.0, r, out=t)
+        t -= u
+        reflect_g(t[:n], (), prox_params, out=w[:n])
+        np.negative(t[n:], out=w[n:])  # the tail's reflection (see reflect_g)
+        u *= p.gamma
+        w *= 1.0 - p.gamma
+        u += w
         iters += 1
+        r = apply_resolvent(op, p.alpha, u)
         if check and (iters % check == 0 or iters == p.max_iters):
-            z = apply_resolvent(op, p.alpha, u)[:n]
+            z = r[:n]
             res = residual(z, p, band)
             trace.append((iters, res))
             if res < tol_abs:
@@ -137,7 +145,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     # a checkpoint always falls on the last iteration, so only with checks
     # off (or a zero cap) are z and its residual still to compute
     if not trace:
-        z = apply_resolvent(op, p.alpha, u)[:n]
+        z = r[:n]
         res = residual(z, p, band)
         trace.append((iters, res))
     x_hat = project_box(p.y.samples - z / p.lam, p.box)

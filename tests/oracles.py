@@ -1,8 +1,10 @@
 """Independent oracles the tests check the package against.
 
 None of these run in the pipeline: a scalar prox with its own case table, a
-circulant product straight from the spectrum, and a dense solve of the
-primal problem with a generic bound-constrained minimiser.
+circulant product straight from the spectrum, a dense solve of the
+primal problem with a generic bound-constrained minimiser, and the unfused
+splitting loop (with its ``np.select`` prox and full-spectrum resolvent
+check) that the package's in-place loop must reproduce bit for bit.
 """
 
 import numpy as np
@@ -12,10 +14,17 @@ import scipy.optimize
 from envelofit.core import (
     InfeasibleBoundsError,
     LengthMismatchError,
+    NonPositiveParameterError,
     SpectrumNotPositiveError,
     project_box,
 )
-from envelofit.kernel import CirculantOperator, build_band
+from envelofit.kernel import (
+    SPECTRUM_FLOOR,
+    CirculantOperator,
+    build_band,
+    embed_circulant,
+)
+from envelofit.prox import ProxParams
 from envelofit.solver import SolveParams, SolveResult, residual
 
 DENSE_LIMIT = 2048
@@ -106,4 +115,82 @@ def solve_reference_dense(p: SolveParams) -> SolveResult:
         residual_inf=res,
         residual_trace=((int(res_opt.nit), res),),
         converged=res < max(p.tol_abs, 1e-7),
+    )
+
+
+def apply_resolvent_reference(op: CirculantOperator, alpha: float, v) -> np.ndarray:
+    """Spectral solve ``(I + alpha C~)^-1 v`` with the full-spectrum floor check."""
+    if alpha < 0:
+        raise NonPositiveParameterError(f"alpha must be >= 0, got {alpha}")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (op.size,):
+        raise LengthMismatchError(
+            f"vector length {v.shape} does not match circulant size {op.size}"
+        )
+    denom = 1.0 + alpha * op.eigenvalues
+    if np.min(denom) <= SPECTRUM_FLOOR:
+        raise SpectrumNotPositiveError(
+            f"resolvent denominator min {np.min(denom):.3e} <= {SPECTRUM_FLOOR:.0e}; "
+            f"kernel spectrum too negative for alpha={alpha}"
+        )
+    return scipy.fft.irfft(scipy.fft.rfft(v) / denom, n=op.size)
+
+
+def reflect_g_select(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]:
+    """Reflected prox of the separable dual term as one ``np.select`` case table."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != p.y.shape:
+        raise LengthMismatchError(f"t length {t.shape} != {p.y.shape}")
+    mid = (2.0 * p.alpha * p.y + (1.0 - p.alpha / p.lam) * t) / (
+        1.0 + p.alpha / p.lam
+    )
+    low = t + 2.0 * p.alpha * p.box.upper
+    high = t + 2.0 * p.alpha * p.box.lower
+    v = np.select([t < p.d, t > p.c], [low, high], default=mid)
+    return v, -np.asarray(t_tilde, dtype=float)
+
+
+def solve_reference_loop(p: SolveParams) -> SolveResult:
+    """The splitting iteration in its unfused form.
+
+    Fresh temporaries every iteration, the ``np.select`` prox, and a second
+    resolvent at every checkpoint; the package's fused loop must match it
+    bit for bit.
+    """
+    n = len(p.y)
+    band = build_band(p.kernel, n)
+    op = embed_circulant(band, size=scipy.fft.next_fast_len(n + band.half_width))
+
+    prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
+    tol_abs = p.tol_abs
+
+    u = np.zeros(op.size)
+    trace: list[tuple[int, float]] = []
+    iters = 0
+    check = p.trace_every if p.trace_every > 0 else 0
+    while iters < p.max_iters:
+        t_full = 2.0 * apply_resolvent_reference(op, p.alpha, u) - u
+        v, v_tilde = reflect_g_select(t_full[:n], t_full[n:], prox_params)
+        u[:n] = p.gamma * u[:n] + (1.0 - p.gamma) * v
+        u[n:] = p.gamma * u[n:] + (1.0 - p.gamma) * v_tilde
+        iters += 1
+        if check and (iters % check == 0 or iters == p.max_iters):
+            z = apply_resolvent_reference(op, p.alpha, u)[:n]
+            res = residual(z, p, band)
+            trace.append((iters, res))
+            if res < tol_abs:
+                break
+
+    if not trace:
+        z = apply_resolvent_reference(op, p.alpha, u)[:n]
+        res = residual(z, p, band)
+        trace.append((iters, res))
+    x_hat = project_box(p.y.samples - z / p.lam, p.box)
+    return SolveResult(
+        x_hat=p.y.with_samples(x_hat),
+        z=z,
+        iters=iters,
+        residual_inf=res,
+        residual_trace=tuple(trace),
+        converged=res < tol_abs,
     )

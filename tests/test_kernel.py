@@ -7,6 +7,7 @@ import scipy.linalg
 
 from envelofit.core import LengthMismatchError, SpectrumNotPositiveError
 from envelofit.kernel import (
+    SPECTRUM_FLOOR,
     KernelSpec,
     apply_resolvent,
     apply_toeplitz,
@@ -15,7 +16,7 @@ from envelofit.kernel import (
     embed_circulant,
 )
 
-from oracles import apply_circulant
+from oracles import apply_circulant, apply_resolvent_reference
 
 
 def first_row(op):
@@ -225,6 +226,36 @@ class TestApplyResolvent:
         huge = 2.0 / abs(np.min(op.eigenvalues))
         with pytest.raises(SpectrumNotPositiveError):
             apply_resolvent(op, huge, np.ones(op.size))
+
+    @pytest.mark.parametrize("sigma,tau,n", [
+        (5.0, 1e-5, 300), (20.0, 1e-5, 400), (20.0, 1e-3, 200), (50.0, 1e-5, 600),
+    ])
+    def test_floor_check_matches_full_spectrum(self, sigma, tau, n):
+        # the O(1) check on eig_min must raise exactly when the full
+        # denominator's minimum is at or below the floor, ulp for ulp
+        op = embed_circulant(build_band(KernelSpec(sigma=sigma, tau=tau), n))
+        assert op.eig_min == np.min(op.eigenvalues) < 0
+        v = np.random.default_rng(n).standard_normal(op.size)
+        edges = (-1.0 / op.eig_min, (SPECTRUM_FLOOR - 1.0) / op.eig_min)
+        alphas = [0.0, 1e-3, 1.0]
+        for edge in edges:
+            alphas += [edge]
+            for direction in (-np.inf, np.inf):
+                a = edge
+                for _ in range(3):
+                    a = np.nextafter(a, direction)
+                    alphas.append(a)
+        outcomes = set()
+        for alpha in alphas:
+            singular = np.min(1.0 + alpha * op.eigenvalues) <= SPECTRUM_FLOOR
+            outcomes.add(singular)
+            if singular:
+                with pytest.raises(SpectrumNotPositiveError):
+                    apply_resolvent(op, alpha, v)
+            else:
+                got = apply_resolvent(op, alpha, v)
+                assert np.array_equal(got, apply_resolvent_reference(op, alpha, v))
+        assert outcomes == {True, False}
 
 
 class TestApplyToeplitz:

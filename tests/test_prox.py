@@ -5,7 +5,7 @@ import scipy.optimize
 from envelofit.core import BoxConstraint, InfeasibleBoundsError, LengthMismatchError
 from envelofit.prox import ProxParams, prox_r, reflect_g
 
-from oracles import prox_scalar_q
+from oracles import prox_scalar_q, reflect_g_select
 
 
 def penalty_q(x, a, b):
@@ -199,3 +199,45 @@ class TestReflectG:
             v1, _ = reflect_g(t1, np.zeros(0), p)
             v2, _ = reflect_g(t2, np.zeros(0), p)
             assert np.linalg.norm(v1 - v2) <= np.linalg.norm(t1 - t2) * (1 + 1e-10)
+
+
+class TestReflectGMatchesSelect:
+    """The masked in-place prox against the ``np.select`` case table, bit for bit."""
+
+    @staticmethod
+    def bounds(rng, n, kind):
+        y = rng.normal(size=n)
+        a = y - rng.exponential(1.0, n)
+        b = y + rng.exponential(1.0, n)
+        if kind in ("lower_inf", "both_inf"):
+            a[:] = -np.inf
+        if kind in ("upper_inf", "both_inf"):
+            b[:] = np.inf
+        if kind == "mixed":
+            a[rng.random(n) < 0.4] = -np.inf
+            b[rng.random(n) < 0.4] = np.inf
+        return y, BoxConstraint(a, b)
+
+    @pytest.mark.parametrize("kind", ["finite", "lower_inf", "upper_inf", "both_inf", "mixed"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal(self, kind, seed):
+        rng = np.random.default_rng(seed + 60)
+        n = 64
+        y, box = self.bounds(rng, n, kind)
+        p = ProxParams(lam=float(rng.uniform(0.2, 5.0)),
+                       alpha=float(rng.uniform(0.2, 8.0)), y=y, box=box)
+        assert p.has_lower == (kind not in ("lower_inf", "both_inf"))
+        assert p.has_upper == (kind not in ("upper_inf", "both_inf"))
+        t = rng.normal(scale=6.0, size=n)
+        t[:3] = [np.nan, np.inf, -np.inf]
+        t_tilde = rng.normal(size=5)
+        with np.errstate(invalid="ignore"):  # inf - inf in unselected branches
+            want, want_tilde = reflect_g_select(t, t_tilde, p)
+            got, got_tilde = reflect_g(t, t_tilde, p)
+            buf = np.full(n, 7.0)
+            got_out, _ = reflect_g(t, t_tilde, p, out=buf)
+        assert np.isnan(want[0])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_tilde, want_tilde)
+        assert got_out is buf
+        assert np.array_equal(buf, want, equal_nan=True)

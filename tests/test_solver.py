@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
-from envelofit.core import BoxConstraint, NonPositiveParameterError, Signal
-from envelofit.kernel import KernelSpec, build_band
+import envelofit.solver
+from envelofit.core import (
+    BoxConstraint,
+    NonPositiveParameterError,
+    Signal,
+    SpectrumNotPositiveError,
+)
+from envelofit.kernel import KernelSpec, build_band, embed_circulant
 from envelofit.solver import SolveParams, residual, solve_constrained_filter
 
-from oracles import solve_reference_dense
+from oracles import solve_reference_dense, solve_reference_loop
 
 
 def pd_instance(rng, n_range=(8, 64)):
@@ -150,3 +157,93 @@ class TestFeasibility:
         res = solve_constrained_filter(p)
         assert np.all(res.x_hat.samples >= p.box.lower)
         assert np.all(res.x_hat.samples <= p.box.upper)
+
+
+def loop_instance(box_kind, n=200, sigma=20.0, tau=1e-5, seed=0, **kw):
+    """Pipeline-shaped instance: wide truncated kernel, default step size."""
+    rng = np.random.default_rng(seed)
+    y = Signal(np.cumsum(rng.normal(size=n)) * 0.2, 10.0)
+    s = y.samples
+    if box_kind == "two_sided":
+        lo, hi = s - rng.exponential(0.5, n), s + rng.exponential(0.5, n)
+    elif box_kind == "lower":
+        lo, hi = np.full(n, -np.inf), s
+    elif box_kind == "upper":
+        lo, hi = s, np.full(n, np.inf)
+    else:  # "mixed": a lower bound with finite and -inf entries
+        lo, hi = s - rng.exponential(0.5, n), s + rng.exponential(0.5, n)
+        lo[rng.random(n) < 0.5] = -np.inf
+    lam = kw.pop("lam", 0.5)
+    return SolveParams(y=y, lam=lam, kernel=KernelSpec(sigma, tau=tau),
+                       box=BoxConstraint(lo, hi),
+                       alpha=kw.pop("alpha", 2.0 * np.sqrt(lam * sigma)), **kw)
+
+
+class TestFusedLoopMatchesReference:
+    """The in-place loop reproduces the unfused loop of ``tests/oracles.py`` bit for bit."""
+
+    @staticmethod
+    def assert_identical(p):
+        got, want = solve_constrained_filter(p), solve_reference_loop(p)
+        assert np.array_equal(got.x_hat.samples, want.x_hat.samples)
+        assert np.array_equal(got.z, want.z)
+        assert got.iters == want.iters
+        assert got.residual_trace == want.residual_trace
+        assert got.residual_inf == want.residual_inf
+        assert got.converged == want.converged
+        return got
+
+    @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper", "mixed"])
+    def test_box_shapes(self, box_kind):
+        self.assert_identical(loop_instance(box_kind, max_iters=300))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_two_sided(self, seed):
+        rng = np.random.default_rng(seed + 90)
+        self.assert_identical(loop_instance(
+            "two_sided", n=int(rng.integers(300, 600)), sigma=float(rng.uniform(1.0, 30.0)),
+            lam=float(rng.uniform(0.2, 20.0)), seed=seed, max_iters=400))
+
+    def test_production_scale(self):
+        self.assert_identical(loop_instance("two_sided", n=2000, max_iters=150))
+
+    def test_trace_every_zero(self):
+        res = self.assert_identical(loop_instance("mixed", max_iters=40, trace_every=0))
+        assert res.residual_trace[0][0] == 40
+
+    def test_zero_cap(self):
+        res = self.assert_identical(loop_instance("two_sided", max_iters=0))
+        assert res.iters == 0 and not np.any(res.z)
+
+    def test_cap_not_multiple_of_trace_every(self):
+        res = self.assert_identical(loop_instance("lower", max_iters=107, trace_every=25))
+        assert [k for k, _ in res.residual_trace] == [25, 50, 75, 100, 107]
+
+    def test_converges_early(self):
+        p = loop_instance("two_sided", sigma=2.0, tau=1e-3, lam=5.0, max_iters=20000)
+        res = self.assert_identical(p)
+        assert res.converged and res.iters < p.max_iters
+
+    def test_one_resolvent_per_iteration(self, monkeypatch):
+        calls = []
+        original = envelofit.solver.apply_resolvent
+        monkeypatch.setattr(envelofit.solver, "apply_resolvent",
+                            lambda *a: calls.append(1) or original(*a))
+        res = solve_constrained_filter(loop_instance("upper", max_iters=60, trace_every=7))
+        assert len(calls) == res.iters + 1
+
+
+class TestSpectrumGuard:
+    def test_raises_before_first_iteration(self, monkeypatch):
+        p = loop_instance("two_sided", sigma=20.0, tau=1e-3)
+        band = build_band(p.kernel, len(p.y))
+        eig_min = embed_circulant(band, next_fast_len(len(p.y) + band.half_width)).eig_min
+        assert eig_min < 0  # truncation ripple
+        q = SolveParams(**{**p.__dict__, "alpha": 2.0 / -eig_min})
+        called = []
+        for name in ("reflect_g", "residual"):
+            monkeypatch.setattr(envelofit.solver, name,
+                                lambda *a, _n=name, **k: called.append(_n))
+        with pytest.raises(SpectrumNotPositiveError):
+            solve_constrained_filter(q)
+        assert called == []
