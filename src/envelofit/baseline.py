@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from .core import LengthMismatchError, NonPositiveParameterError, Signal
 
@@ -61,7 +61,7 @@ class FirFilter:
         )
 
 
-_WINDOWS = {"hamming": "hamming", "rect": "boxcar"}
+_WINDOWS = ("hamming", "rect")
 
 
 def design_fir(kind: str, cutoffs_hz, fs_hz: float, length: int,
@@ -78,13 +78,11 @@ def design_fir(kind: str, cutoffs_hz, fs_hz: float, length: int,
     if kind == "lowpass":
         if len(cutoffs) != 1:
             raise NonPositiveParameterError("lowpass takes exactly one cutoff")
-        pass_zero = True
     elif kind == "bandpass":
         if len(cutoffs) != 2 or not cutoffs[0] < cutoffs[1]:
             raise NonPositiveParameterError(
                 f"bandpass needs two increasing cutoffs, got {cutoffs}"
             )
-        pass_zero = False
     else:
         raise NonPositiveParameterError(f"unknown filter kind {kind!r}")
     if not all(0 < c < fs_hz / 2 for c in cutoffs):
@@ -94,16 +92,33 @@ def design_fir(kind: str, cutoffs_hz, fs_hz: float, length: int,
     if length == 1:
         taps = np.ones(1)
     else:
-        taps = scipy.signal.firwin(
-            length, cutoffs, window=_WINDOWS[window], pass_zero=pass_zero, fs=fs_hz
-        )
+        taps = _windowed_sinc(cutoffs, fs_hz, length, window)
     return FirFilter(
         taps=taps, kind=kind, cutoffs_hz=cutoffs, window=window, fs_hz=fs_hz
     )
 
 
+def _windowed_sinc(cutoffs, fs_hz: float, length: int, window: str) -> np.ndarray:
+    """Taps equal to ``scipy.signal.firwin`` bit for bit: one passband
+    ``[left, right]`` (``left = 0`` for lowpass), scaled to unit gain at DC
+    or at the band centre."""
+    edges = np.asarray(cutoffs, dtype=float) / (0.5 * fs_hz)
+    left, right = (0.0, edges[0]) if edges.size == 1 else edges
+    m = np.arange(length, dtype=float) - 0.5 * (length - 1)
+    h = right * np.sinc(right * m) - left * np.sinc(left * m)
+    if window == "hamming":
+        h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, length))
+    centre = 0.0 if left == 0 else 0.5 * (left + right)
+    return h / np.sum(h * np.cos(np.pi * m * centre))
+
+
 def filter_zero_delay(f: FirFilter, x: Signal) -> Signal:
-    """Convolve with symmetric edge extension and undo the group delay."""
+    """Convolve with symmetric edge extension and undo the group delay.
+
+    The linear convolution runs through one real FFT pair at
+    ``next_fast_len``; its "valid" part equals
+    ``scipy.signal.fftconvolve(padded, taps, mode="valid")`` bit for bit.
+    """
     g = f.group_delay
     if len(x) <= g:
         raise LengthMismatchError(
@@ -112,8 +127,9 @@ def filter_zero_delay(f: FirFilter, x: Signal) -> Signal:
     if g == 0:
         return x.with_samples(f.taps[0] * x.samples)
     padded = np.pad(x.samples, g, mode="symmetric")
-    out = scipy.signal.fftconvolve(padded, f.taps, mode="valid")
-    return x.with_samples(out)
+    size = scipy.fft.next_fast_len(padded.size + f.length - 1, real=True)
+    spec = scipy.fft.rfft(padded, size) * scipy.fft.rfft(f.taps, size)
+    return x.with_samples(scipy.fft.irfft(spec, size)[f.length - 1 : padded.size])
 
 
 def lti_smooth_estimate(y: Signal, f: FirFilter) -> tuple[Signal, Signal]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from .core import (
     LengthMismatchError,
@@ -65,6 +64,8 @@ class ToeplitzBand:
 
     def dense(self) -> np.ndarray:
         """Full N x N matrix; test/diagnostic use only."""
+        import scipy.linalg
+
         col = np.zeros(self.n)
         col[: self.half_width + 1] = self.first_row
         return scipy.linalg.toeplitz(col)

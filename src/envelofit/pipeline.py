@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .core import (
     BoxConstraint,
@@ -199,8 +198,11 @@ def detect_peaks(t: Signal, min_separation_s: float = 0.33,
     """Prominent local maxima thinned to a minimum separation (highest kept).
 
     ``min_prominence=None`` uses a quarter of the 95th percentile of the
-    absolute signal.
+    absolute signal.  ``scipy.signal`` is imported on first use, so importing
+    the package does not pay for it.
     """
+    import scipy.signal
+
     if not (min_separation_s > 0):
         raise NonPositiveParameterError(
             f"min_separation_s must be > 0, got {min_separation_s}"

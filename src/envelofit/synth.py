@@ -9,6 +9,7 @@ draw order is warp, magnitude, transient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,9 @@ def sample_gp(p: GpParams, n: int, fs: float,
     """One draw from the zero-mean GP on the uniform grid ``t_i = i / fs``.
 
     ``rng`` is a seed or an existing generator.  Dense Cholesky; the ``c2``
-    jitter keeps the factorization well posed at desk scale.
+    jitter keeps the factorization well posed at desk scale.  The read-only
+    factor is cached per ``(p, n, fs)`` for the three GPs of the last spec
+    (``3 * n * n * 8`` bytes), so repeated trials of one spec skip it.
     """
     rng = np.random.default_rng(rng)
     if n < 1:
@@ -92,16 +95,29 @@ def sample_gp(p: GpParams, n: int, fs: float,
         raise LengthMismatchError(
             f"dense GP sampling limited to n <= {DENSE_GP_LIMIT}, got {n}"
         )
+    return _gp_factor(p, n, fs) @ rng.standard_normal(n)
+
+
+@functools.lru_cache(maxsize=3)
+def _gp_factor(p: GpParams, n: int, fs: float) -> np.ndarray:
+    """Lower Cholesky factor of ``c0 * exp(-dt^2 / c1) + c2 * I``, built in
+    one n x n buffer with the same rounding as the out-of-place expression."""
     t = np.arange(n) / fs
-    dt = t[:, None] - t[None, :]
-    cov = p.c0 * np.exp(-(dt * dt) / p.c1) + p.c2 * np.eye(n)
+    cov = np.subtract.outer(t, t)
+    np.square(cov, out=cov)
+    np.negative(cov, out=cov)
+    cov /= p.c1
+    np.exp(cov, out=cov)
+    cov *= p.c0
+    cov.flat[:: n + 1] += p.c2
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SpectrumNotPositiveError(
             f"GP covariance factorization failed (c0={p.c0}, c1={p.c1}, c2={p.c2})"
         ) from exc
-    return chol @ rng.standard_normal(n)
+    chol.flags.writeable = False
+    return chol
 
 
 def make_smooth(s, m, fs: float) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 None of these run in the pipeline: a scalar prox with its own case table, a
 circulant product straight from the spectrum, a dense solve of the
-primal problem with a generic bound-constrained minimiser, and the unfused
+primal problem with a generic bound-constrained minimiser, the unfused
 splitting loop (with its ``np.select`` prox and full-spectrum resolvent
-check) that the package's in-place loop must reproduce bit for bit.
+check) that the package's in-place loop must reproduce bit for bit, and the
+uncached out-of-place GP sampler the cached one must reproduce bit for bit.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from envelofit.kernel import (
 )
 from envelofit.prox import ProxParams
 from envelofit.solver import SolveParams, SolveResult, residual
+from envelofit.synth import DENSE_GP_LIMIT, GpParams
 
 DENSE_LIMIT = 2048
 
@@ -194,3 +196,26 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
         residual_trace=tuple(trace),
         converged=res < tol_abs,
     )
+
+
+def sample_gp_dense(p: GpParams, n: int, fs: float,
+                    rng: int | np.random.Generator = 0) -> np.ndarray:
+    """The GP sampler before its factor was cached: it builds the covariance
+    out of place and factors it on every call."""
+    rng = np.random.default_rng(rng)
+    if n < 1:
+        raise NonPositiveParameterError(f"n must be >= 1, got {n}")
+    if n > DENSE_GP_LIMIT:
+        raise LengthMismatchError(
+            f"dense GP sampling limited to n <= {DENSE_GP_LIMIT}, got {n}"
+        )
+    t = np.arange(n) / fs
+    dt = t[:, None] - t[None, :]
+    cov = p.c0 * np.exp(-(dt * dt) / p.c1) + p.c2 * np.eye(n)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumNotPositiveError(
+            f"GP covariance factorization failed (c0={p.c0}, c1={p.c1}, c2={p.c2})"
+        ) from exc
+    return chol @ rng.standard_normal(n)

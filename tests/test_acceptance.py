@@ -215,7 +215,7 @@ def test_criterion_7_mse_symmetry(experiment):
 
 def test_criterion_8_scaling():
     sizes = [2 ** k for k in range(12, 17)]
-    table = run_scaling(sizes, iters=20, repeats=3)
+    table = run_scaling(sizes, iters=20, repeats=7)
     times = [t for _, t in table]
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     ok = all(r < 2.6 for r in ratios)

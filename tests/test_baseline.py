@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from envelofit.baseline import (
     FirFilter,
@@ -124,3 +125,42 @@ class TestDefaultBaselines:
         assert all(f.kind == "lowpass" for f in filters)
         assert all(f.cutoffs_hz == (0.45,) for f in filters)
         assert all(f.window == "hamming" for f in filters)
+
+
+FIR_LENGTHS = (3, 5, 7, 11, 31, 101, 257, 501, 1001, 1499, 2001)
+FIR_DESIGNS = [
+    ("lowpass", (0.45,)),
+    ("lowpass", (3.1,)),
+    ("bandpass", (0.2, 1.1)),
+    ("bandpass", (0.05, 4.9)),
+]
+
+
+class TestMatchesScipySignal:
+    """The package's FIR design and filtering equal ``scipy.signal``'s bit for bit."""
+
+    @pytest.mark.parametrize("window,scipy_window", [("hamming", "hamming"), ("rect", "boxcar")])
+    @pytest.mark.parametrize("kind,cutoffs", FIR_DESIGNS)
+    def test_taps_and_output(self, kind, cutoffs, window, scipy_window):
+        rng = np.random.default_rng(len(cutoffs))
+        for length in FIR_LENGTHS:
+            f = design_fir(kind, cutoffs, 10.0, length, window)
+            want = scipy.signal.firwin(length, cutoffs, window=scipy_window,
+                                       pass_zero=kind == "lowpass", fs=10.0)
+            assert f.taps.dtype == want.dtype and f.taps.tobytes() == want.tobytes()
+
+            x = rng.standard_normal(length + int(rng.integers(1, 700)))
+            out = filter_zero_delay(f, Signal(x, 10.0)).samples
+            padded = np.pad(x, f.group_delay, mode="symmetric")
+            want_out = scipy.signal.fftconvolve(padded, want, mode="valid")
+            assert out.shape == want_out.shape
+            assert out.tobytes() == want_out.tobytes()
+
+    def test_default_baselines_on_a_trial_length_signal(self):
+        x = np.random.default_rng(7).standard_normal(2000)
+        for f in default_baselines(10.0):
+            want = scipy.signal.firwin(f.length, f.cutoffs_hz, fs=10.0)
+            assert f.taps.tobytes() == want.tobytes()
+            padded = np.pad(x, f.group_delay, mode="symmetric")
+            want_out = scipy.signal.fftconvolve(padded, want, mode="valid")
+            assert filter_zero_delay(f, Signal(x, 10.0)).samples.tobytes() == want_out.tobytes()

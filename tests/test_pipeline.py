@@ -1,8 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from envelofit.core import NonPositiveParameterError, Signal
 from envelofit.pipeline import (
+    BASIC_STAGES,
+    DEBIASED_STAGES,
     CoarseParams,
     PipelineParams,
     SolverSettings,
@@ -168,3 +174,16 @@ class TestDetectPeaks:
         np.testing.assert_allclose(
             stats.intervals_s, np.diff(stats.peak_indices) / 10.0
         )
+
+
+def test_benchmark_stage_names_match_pipeline(monkeypatch):
+    """``perfbench/workloads.py`` keeps its own copy of the stage tuples."""
+    bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench_dir))  # for its ``import longgen``
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", bench_dir / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.DEBIASED_STAGES == DEBIASED_STAGES
+    assert workloads.BASIC_STAGES == BASIC_STAGES

@@ -1,7 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from envelofit.core import LengthMismatchError, NonPositiveParameterError
+from envelofit import synth
+from envelofit.core import (
+    LengthMismatchError,
+    NonPositiveParameterError,
+    SpectrumNotPositiveError,
+)
 from envelofit.synth import (
     GpParams,
     TrialSpec,
@@ -10,6 +18,22 @@ from envelofit.synth import (
     nonlinearity_q,
     sample_gp,
 )
+from oracles import sample_gp_dense
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+SMALL_GP_CASES = [
+    (GpParams(1.0, 4.0, 1e-6), 64, 10.0, 5),
+    (GpParams(2.0, 0.3, 0.0), 17, 3.0, 9),
+    (GpParams(1.0, 1.0, 0.5), 1, 1.0, 0),
+    (GpParams(0.7, 12.5, 1e-4), 333, 7.5, 123),
+    (GpParams(3.0, 2.0, 1e-3), 1024, 20.0, 2**40 + 1),
+]
 
 
 class TestGpParams:
@@ -61,6 +85,83 @@ class TestSampleGp:
         rng = np.random.default_rng(1)
         draws = np.array([sample_gp(p, 64, 10.0, rng) for _ in range(600)])
         assert draws.var(axis=0).mean() == pytest.approx(1.5, rel=0.15)
+
+
+class TestCachedFactorMatchesDense:
+    @pytest.mark.parametrize("p,n,fs,seed", SMALL_GP_CASES)
+    def test_small_cases(self, p, n, fs, seed):
+        synth._gp_factor.cache_clear()
+        assert_bits_equal(sample_gp(p, n, fs, seed), sample_gp_dense(p, n, fs, seed))
+        # a warm cache gives the same bits again
+        assert_bits_equal(sample_gp(p, n, fs, seed), sample_gp_dense(p, n, fs, seed))
+
+    def test_trial_spec_defaults_at_n_2000(self):
+        spec = TrialSpec(seed=17)
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        for p in (spec.warp, spec.mag, spec.transient):
+            assert_bits_equal(sample_gp(p, spec.n, spec.fs_hz, rng_a),
+                              sample_gp_dense(p, spec.n, spec.fs_hz, rng_b))
+
+    @pytest.mark.parametrize("spec", [TrialSpec(seed=1), TrialSpec(seed=20),
+                                      TrialSpec(seed=5, duration_s=31.7, fs_hz=3.0)])
+    def test_generate_trial(self, spec):
+        rng = np.random.default_rng(spec.seed)
+        s, m, f = (sample_gp_dense(p, spec.n, spec.fs_hz, rng)
+                   for p in (spec.warp, spec.mag, spec.transient))
+        smooth = make_smooth(s, m, spec.fs_hz)
+        transient = nonlinearity_q(f)
+        tr = generate_trial(spec)
+        assert_bits_equal(tr.smooth.samples, smooth)
+        assert_bits_equal(tr.transient.samples, transient)
+        assert_bits_equal(tr.observation.samples, smooth + transient)
+
+    def test_cache_holds_three_read_only_factors(self):
+        synth._gp_factor.cache_clear()
+        for i in range(4):
+            generate_trial(TrialSpec(seed=i, duration_s=5.0 + i))
+        info = synth._gp_factor.cache_info()
+        assert info.currsize == 3 and info.maxsize == 3
+        spec = TrialSpec(duration_s=8.0)  # the last spec's three factors
+        for p in (spec.warp, spec.mag, spec.transient):
+            factor = synth._gp_factor(p, spec.n, spec.fs_hz)
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+        assert synth._gp_factor.cache_info().misses == 12
+
+    def test_cold_threads_give_same_draws(self):
+        p, n, fs = GpParams(1.5, 6.0, 1e-5), 400, 10.0
+        want = [sample_gp_dense(p, n, fs, seed) for seed in range(4)]
+        synth._gp_factor.cache_clear()
+        start = threading.Barrier(4, timeout=60)
+        got = [None] * 4
+
+        def draw(seed):
+            start.wait()
+            got[seed] = sample_gp(p, n, fs, seed)
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for a, b in zip(got, want):
+            assert_bits_equal(a, b)
+
+    def test_factorization_failure_raises_and_is_not_cached(self):
+        p = GpParams(1.0, 1e4, 0.0)  # numerically singular without jitter
+        with pytest.raises(SpectrumNotPositiveError):
+            sample_gp_dense(p, 200, 10.0)
+        synth._gp_factor.cache_clear()
+        with pytest.raises(SpectrumNotPositiveError):
+            sample_gp(p, 200, 10.0)
+        assert synth._gp_factor.cache_info().currsize == 0
 
 
 class TestMakeSmooth:
