@@ -11,7 +11,7 @@ one FFT pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -83,6 +83,30 @@ class CirculantOperator:
     size: int
     eigenvalues: np.ndarray
     eig_min: float
+    _denominators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def resolvent_denominators(self, alpha: float) -> np.ndarray:
+        """Read-only ``1 + alpha * eigenvalues``, kept for the last ``alpha``.
+
+        Raises unless ``alpha >= 0`` and every denominator clears the floor.
+        Threads that share an operator at worst compute the array twice.
+        """
+        denom = self._denominators.get(alpha)
+        if denom is None:
+            if alpha < 0:
+                raise NonPositiveParameterError(f"alpha must be >= 0, got {alpha}")
+            # x -> 1 + alpha*x rounds monotonically for alpha >= 0: the exact minimum
+            denom_min = 1.0 + alpha * self.eig_min
+            if denom_min <= SPECTRUM_FLOOR:
+                raise SpectrumNotPositiveError(
+                    f"resolvent denominator min {denom_min:.3e} <= {SPECTRUM_FLOOR:.0e}; "
+                    f"kernel spectrum too negative for alpha={alpha}"
+                )
+            denom = 1.0 + alpha * self.eigenvalues
+            denom.flags.writeable = False
+            self._denominators.clear()
+            self._denominators[alpha] = denom
+        return denom
 
 
 def band_half_width(spec: KernelSpec) -> int:
@@ -137,25 +161,24 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     return CirculantOperator(size=m, eigenvalues=eig, eig_min=float(np.min(eig)))
 
 
-def apply_resolvent(op: CirculantOperator, alpha: float, v) -> np.ndarray:
-    """Spectral solve ``(I + alpha C~)^-1 v``."""
-    if alpha < 0:
-        raise NonPositiveParameterError(f"alpha must be >= 0, got {alpha}")
+def apply_resolvent(op: CirculantOperator, alpha: float, v, out=None,
+                    spec=None) -> np.ndarray:
+    """Spectral solve ``(I + alpha C~)^-1 v``.
+
+    ``out`` (real, ``op.size``) receives the result and ``spec`` (complex,
+    ``op.size // 2 + 1``) the spectrum; with both given a call allocates
+    nothing but the FFT's own scratch.  ``numpy.fft`` takes these buffers,
+    which ``scipy.fft`` does not, and gives the same bits.
+    """
+    denom = op.resolvent_denominators(alpha)
     v = np.asarray(v, dtype=float)
     if v.shape != (op.size,):
         raise LengthMismatchError(
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
-    # x -> 1 + alpha*x rounds monotonically for alpha >= 0: the exact minimum
-    denom_min = 1.0 + alpha * op.eig_min
-    if denom_min <= SPECTRUM_FLOOR:
-        raise SpectrumNotPositiveError(
-            f"resolvent denominator min {denom_min:.3e} <= {SPECTRUM_FLOOR:.0e}; "
-            f"kernel spectrum too negative for alpha={alpha}"
-        )
-    spec = scipy.fft.rfft(v)
-    spec /= 1.0 + alpha * op.eigenvalues
-    return scipy.fft.irfft(spec, n=op.size)
+    spec = np.fft.rfft(v, out=spec)
+    spec /= denom
+    return np.fft.irfft(spec, n=op.size, out=out)
 
 
 def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:

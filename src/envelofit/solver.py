@@ -118,13 +118,15 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
 
-    u = np.zeros(op.size)
-    t = np.empty(op.size)
-    w = np.empty(op.size)
+    # the four work vectors share one block: freeing it raises glibc's
+    # dynamic mmap threshold past the FFT scratch of this size, so later
+    # solves neither map nor trim that scratch on every resolvent
+    u, t, w, r = np.zeros((4, op.size))
+    spec = np.empty(op.size // 2 + 1, dtype=complex)
     trace: list[tuple[int, float]] = []
     iters = 0
     check = p.trace_every if p.trace_every > 0 else 0
-    r = apply_resolvent(op, p.alpha, u)
+    apply_resolvent(op, p.alpha, u, r, spec)
     while iters < p.max_iters:
         np.multiply(2.0, r, out=t)
         t -= u
@@ -134,20 +136,19 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         w *= 1.0 - p.gamma
         u += w
         iters += 1
-        r = apply_resolvent(op, p.alpha, u)
+        apply_resolvent(op, p.alpha, u, r, spec)
         if check and (iters % check == 0 or iters == p.max_iters):
-            z = r[:n]
-            res = residual(z, p, band)
+            res = residual(r[:n], p, band)
             trace.append((iters, res))
             if res < tol_abs:
                 break
 
     # a checkpoint always falls on the last iteration, so only with checks
-    # off (or a zero cap) are z and its residual still to compute
+    # off (or a zero cap) is the residual still to compute
     if not trace:
-        z = r[:n]
-        res = residual(z, p, band)
+        res = residual(r[:n], p, band)
         trace.append((iters, res))
+    z = r[:n].copy()  # the work block is freed with the solve
     x_hat = project_box(p.y.samples - z / p.lam, p.box)
     return SolveResult(
         x_hat=p.y.with_samples(x_hat),

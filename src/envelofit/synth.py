@@ -86,7 +86,8 @@ def sample_gp(p: GpParams, n: int, fs: float,
     ``rng`` is a seed or an existing generator.  Dense Cholesky; the ``c2``
     jitter keeps the factorization well posed at desk scale.  The read-only
     factor is cached per ``(p, n, fs)`` for the three GPs of the last spec
-    (``3 * n * n * 8`` bytes), so repeated trials of one spec skip it.
+    (``3 * n * n * 8`` bytes), so repeated trials of one spec skip it.  The
+    cache lives as long as the process; ``_gp_factor.cache_clear()`` frees it.
     """
     rng = np.random.default_rng(rng)
     if n < 1:

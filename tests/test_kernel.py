@@ -258,6 +258,36 @@ class TestApplyResolvent:
         assert outcomes == {True, False}
 
 
+class TestResolventBuffers:
+    # numpy.fft with output buffers must give the bits of the scipy.fft reference
+    @pytest.mark.parametrize("size", [3, 64, 65, 2049, 2160, 4158, 32928, 65610])
+    def test_buffers_match_reference(self, size):
+        op = embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
+        v = np.random.default_rng(size).standard_normal(size)
+        out = np.empty(size)
+        spec = np.empty(size // 2 + 1, dtype=complex)
+        want = apply_resolvent_reference(op, 0.7, v)
+        assert apply_resolvent(op, 0.7, v, out, spec) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(apply_resolvent(op, 0.7, v), want)
+
+    def test_denominators_cached_read_only(self):
+        op = embed_circulant(build_band(KernelSpec(sigma=3.0), 100))
+        d = op.resolvent_denominators(0.5)
+        assert not d.flags.writeable
+        assert op.resolvent_denominators(0.5) is d
+        assert np.array_equal(d, 1.0 + 0.5 * op.eigenvalues)
+        assert np.array_equal(op.resolvent_denominators(2.0), 1.0 + 2.0 * op.eigenvalues)
+        assert op.resolvent_denominators(0.5) is not d  # only the last alpha is kept
+
+    def test_floor_raises_every_call(self):
+        op = embed_circulant(build_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
+        huge = 2.0 / abs(op.eig_min)
+        for _ in range(2):
+            with pytest.raises(SpectrumNotPositiveError):
+                op.resolvent_denominators(huge)
+
+
 class TestApplyToeplitz:
     def test_unit_vector_first_column(self):
         band = build_band(KernelSpec(sigma=2.0, tau=1e-2), 10)

@@ -232,6 +232,15 @@ class TestFusedLoopMatchesReference:
         res = solve_constrained_filter(loop_instance("upper", max_iters=60, trace_every=7))
         assert len(calls) == res.iters + 1
 
+    def test_resolvent_reuses_its_buffers(self, monkeypatch):
+        buffers = set()
+        original = envelofit.solver.apply_resolvent
+        monkeypatch.setattr(envelofit.solver, "apply_resolvent",
+                            lambda *a: buffers.add((id(a[3]), id(a[4]))) or original(*a))
+        res = solve_constrained_filter(loop_instance("lower", max_iters=30))
+        assert len(buffers) == 1
+        assert res.z.base is None  # z holds no view of the solve's work block
+
 
 class TestSpectrumGuard:
     def test_raises_before_first_iteration(self, monkeypatch):
