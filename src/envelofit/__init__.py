@@ -11,7 +11,8 @@ every iteration runs at FFT speed.
 from .core import (
     BoxConstraint,
     EnvelofitError,
-    ErrorKind,
+    InputError,
+    NumericalError,
     Signal,
     mse,
     project_box,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import LengthMismatchError, NonPositiveParameterError, Signal
+from .core import InputError, Signal
 
 __all__ = [
     "FirFilter",
@@ -70,23 +70,23 @@ def design_fir(kind: str, cutoffs_hz, fs_hz: float, length: int,
     the passband center (bandpass)."""
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
     if fs_hz <= 0:
-        raise NonPositiveParameterError(f"fs_hz must be > 0, got {fs_hz}")
+        raise InputError(f"fs_hz must be > 0, got {fs_hz}")
     if length < 1 or length % 2 == 0:
-        raise NonPositiveParameterError(f"length must be a positive odd integer, got {length}")
+        raise InputError(f"length must be a positive odd integer, got {length}")
     if window not in _WINDOWS:
-        raise NonPositiveParameterError(f"unknown window {window!r}")
+        raise InputError(f"unknown window {window!r}")
     if kind == "lowpass":
         if len(cutoffs) != 1:
-            raise NonPositiveParameterError("lowpass takes exactly one cutoff")
+            raise InputError("lowpass takes exactly one cutoff")
     elif kind == "bandpass":
         if len(cutoffs) != 2 or not cutoffs[0] < cutoffs[1]:
-            raise NonPositiveParameterError(
+            raise InputError(
                 f"bandpass needs two increasing cutoffs, got {cutoffs}"
             )
     else:
-        raise NonPositiveParameterError(f"unknown filter kind {kind!r}")
+        raise InputError(f"unknown filter kind {kind!r}")
     if not all(0 < c < fs_hz / 2 for c in cutoffs):
-        raise NonPositiveParameterError(
+        raise InputError(
             f"cutoffs must lie in (0, fs/2) = (0, {fs_hz / 2}), got {cutoffs}"
         )
     if length == 1:
@@ -121,7 +121,7 @@ def filter_zero_delay(f: FirFilter, x: Signal) -> Signal:
     """
     g = f.group_delay
     if len(x) <= g:
-        raise LengthMismatchError(
+        raise InputError(
             f"signal length {len(x)} must exceed filter group delay {g}"
         )
     if g == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import FirFilter, lti_smooth_estimate
-from .core import BoxConstraint, NonPositiveParameterError, Signal, mse
+from .core import BoxConstraint, InputError, Signal, mse
 from .kernel import KernelSpec, build_band
 from .pipeline import PipelineParams, decompose_debiased
 from .solver import SolveParams, solve_constrained_filter
@@ -70,7 +70,7 @@ def run_mse_experiment(
 ) -> BenchReport:
     """Smooth-component MSE of the pipeline vs each baseline on fresh trials."""
     if n_trials < 1:
-        raise NonPositiveParameterError(f"n_trials must be >= 1, got {n_trials}")
+        raise InputError(f"n_trials must be >= 1, got {n_trials}")
     template = trial_spec if trial_spec is not None else TrialSpec()
 
     def one(i: int):
@@ -120,9 +120,13 @@ def run_scaling(
     repeats: int = 5,
     seed: int = 0,
 ) -> list[tuple[int, float]]:
-    """Median per-iteration solver wall time for each signal length."""
+    """Median per-iteration solver wall time for each signal length.
+
+    Each repeat times every size once, in turn, so a slow phase of the host
+    spreads over the sizes instead of landing on one of them.
+    """
     rng = np.random.default_rng(seed)
-    out = []
+    problems = []
     for n in n_list:
         spec = KernelSpec(sigma=sigma)
         build_band(spec, n)  # raises if the band does not fit
@@ -130,21 +134,21 @@ def run_scaling(
         y = Signal(np.sin(0.5 * t) + 0.1 * rng.standard_normal(n), 10.0)
         box_lo = y.samples - 1.0
         box_hi = y.samples + 1.0
-        params = SolveParams(
+        problems.append(SolveParams(
             y=y,
             lam=lam,
             kernel=spec,
             box=BoxConstraint(box_lo, box_hi),
             max_iters=iters,
             trace_every=0,
-        )
-        times = []
-        for _ in range(repeats):
+        ))
+    times = np.empty((repeats, len(problems)))
+    for rep in range(repeats):
+        for j, params in enumerate(problems):
             t0 = time.perf_counter()
             solve_constrained_filter(params)
-            times.append((time.perf_counter() - t0) / iters)
-        out.append((n, float(np.median(times))))
-    return out
+            times[rep, j] = (time.perf_counter() - t0) / iters
+    return [(n, float(m)) for n, m in zip(n_list, np.median(times, axis=0))]
 
 
 def write_report_csv(path, report: BenchReport) -> None:

@@ -9,13 +9,16 @@ Subcommands::
     envelofit filter INPUT.csv      FIR baseline filtering
 
 Every successful run writes a metadata JSON holding the resolved parameters,
-enough to reproduce the outputs exactly.  Exit codes: 0 success, 1 numerical
-failure, 2 usage or I/O error.
+enough to reproduce the outputs exactly.  Exit codes: 0 success; 1 numerical
+failure (``NumericalError``: a factorization or spectral solve failed on valid
+input); 2 usage or input error (``InputError``: an invalid argument, length,
+bound, signal or file).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -23,9 +26,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baseline import default_baselines, design_fir, filter_zero_delay
+from .baseline import (
+    DEFAULT_BASELINE_LENGTHS,
+    default_baselines,
+    design_fir,
+    filter_zero_delay,
+)
 from .bench import run_mse_experiment, write_report_csv
-from .core import EnvelofitError, ErrorKind, Signal
+from .core import EnvelofitError, InputError, Signal
 from .io import read_signal_csv, write_json, write_signal_csv
 from .pipeline import (
     BASIC_STAGES,
@@ -39,7 +47,8 @@ from .pipeline import (
 )
 from .synth import GpParams, TrialSpec, generate_trial
 
-_USAGE_KINDS = (ErrorKind.IO_OR_FORMAT,)
+_GPS = ("warp", "mag", "transient")
+_GP_COEFFS = ("c0", "c1", "c2")
 
 
 def _positive(value: str) -> float:
@@ -169,32 +178,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = TrialSpec(
-        seed=args.seed,
-        fs_hz=args.fs,
-        duration_s=args.duration,
-        warp=GpParams(args.warp_c0, args.warp_c1, args.warp_c2),
-        mag=GpParams(args.mag_c0, args.mag_c1, args.mag_c2),
-        transient=GpParams(args.transient_c0, args.transient_c1, args.transient_c2),
-    )
+    gps = {gp: GpParams(*(getattr(args, f"{gp}_{c}") for c in _GP_COEFFS))
+           for gp in _GPS}
+    spec = TrialSpec(seed=args.seed, fs_hz=args.fs, duration_s=args.duration, **gps)
     trial = generate_trial(spec)
     write_signal_csv(_out(args, "observation.csv"), trial.observation)
     write_signal_csv(_out(args, "smooth_truth.csv"), trial.smooth)
     write_signal_csv(_out(args, "transient_truth.csv"), trial.transient)
-    meta = {
-        "command": "synth",
-        "seed": spec.seed,
-        "fs_hz": spec.fs_hz,
-        "duration_s": spec.duration_s,
-        "warp": {"c0": spec.warp.c0, "c1": spec.warp.c1, "c2": spec.warp.c2},
-        "mag": {"c0": spec.mag.c0, "c1": spec.mag.c1, "c2": spec.mag.c2},
-        "transient": {
-            "c0": spec.transient.c0,
-            "c1": spec.transient.c1,
-            "c2": spec.transient.c2,
-        },
-    }
-    write_json(_out(args, "spec.json"), meta)
+    write_json(_out(args, "spec.json"), {"command": "synth", **dataclasses.asdict(spec)})
     if not args.quiet:
         print(f"wrote observation/smooth_truth/transient_truth CSVs "
               f"({spec.n} rows) in {args.output_dir}")
@@ -285,29 +276,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
+    ts = TrialSpec()
     p = sub.add_parser("synth", help="generate a synthetic trial")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fs", type=_positive, default=10.0)
-    p.add_argument("--duration", type=_positive, default=200.0)
-    p.add_argument("--warp-c0", type=_positive, default=25.0)
-    p.add_argument("--warp-c1", type=_positive, default=500.0)
-    p.add_argument("--warp-c2", type=float, default=1e-3)
-    p.add_argument("--mag-c0", type=_positive, default=25.0)
-    p.add_argument("--mag-c1", type=_positive, default=2500.0)
-    p.add_argument("--mag-c2", type=float, default=5e-4)
-    p.add_argument("--transient-c0", type=_positive, default=0.1)
-    p.add_argument("--transient-c1", type=_positive, default=10.0)
-    p.add_argument("--transient-c2", type=float, default=1e-5)
+    p.add_argument("--seed", type=int, default=ts.seed)
+    p.add_argument("--fs", type=_positive, default=ts.fs_hz)
+    p.add_argument("--duration", type=_positive, default=ts.duration_s)
+    for gp in _GPS:
+        for c in _GP_COEFFS:
+            # c2 is white jitter: zero is allowed
+            p.add_argument(f"--{gp}-{c}", type=float if c == "c2" else _positive,
+                           default=getattr(getattr(ts, gp), c))
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="run the multi-trial MSE benchmark")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--fs", type=_positive, default=10.0)
-    p.add_argument("--duration", type=_positive, default=200.0)
+    p.add_argument("--fs", type=_positive, default=ts.fs_hz)
+    p.add_argument("--duration", type=_positive, default=ts.duration_s)
     p.add_argument("--baseline-lengths", type=_positive_int, nargs="+",
-                   default=[101, 501, 1001, 2001],
+                   default=list(DEFAULT_BASELINE_LENGTHS),
                    help="Hamming lowpass lengths to compare against")
     _add_solver_flags(p)
     _add_common(p)
@@ -345,7 +333,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except EnvelofitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if exc.kind in _USAGE_KINDS else 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

@@ -9,21 +9,14 @@ that side".
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ErrorKind",
     "EnvelofitError",
-    "LengthMismatchError",
-    "EmptySignalError",
-    "InfeasibleBoundsError",
-    "NonPositiveParameterError",
-    "SpectrumNotPositiveError",
-    "NoConvergenceError",
-    "IoOrFormatError",
+    "InputError",
+    "NumericalError",
     "Signal",
     "BoxConstraint",
     "mse",
@@ -31,54 +24,22 @@ __all__ = [
 ]
 
 
-class ErrorKind(enum.Enum):
-    LENGTH_MISMATCH = "length_mismatch"
-    EMPTY_SIGNAL = "empty_signal"
-    INFEASIBLE_BOUNDS = "infeasible_bounds"
-    NON_POSITIVE_PARAMETER = "non_positive_parameter"
-    SPECTRUM_NOT_POSITIVE = "spectrum_not_positive"
-    NO_CONVERGENCE = "no_convergence"
-    IO_OR_FORMAT = "io_or_format"
-
-
 class EnvelofitError(Exception):
-    """Base class; every failure carries exactly one :class:`ErrorKind`."""
-
-    kind: ErrorKind
+    """Base class of every failure the package raises on purpose."""
 
 
-class LengthMismatchError(EnvelofitError):
-    kind = ErrorKind.LENGTH_MISMATCH
+class InputError(EnvelofitError):
+    """The caller supplied an invalid argument, length, bound, signal or file."""
 
 
-class EmptySignalError(EnvelofitError):
-    kind = ErrorKind.EMPTY_SIGNAL
-
-
-class InfeasibleBoundsError(EnvelofitError):
-    kind = ErrorKind.INFEASIBLE_BOUNDS
-
-
-class NonPositiveParameterError(EnvelofitError):
-    kind = ErrorKind.NON_POSITIVE_PARAMETER
-
-
-class SpectrumNotPositiveError(EnvelofitError):
-    kind = ErrorKind.SPECTRUM_NOT_POSITIVE
-
-
-class NoConvergenceError(EnvelofitError):
-    kind = ErrorKind.NO_CONVERGENCE
-
-
-class IoOrFormatError(EnvelofitError):
-    kind = ErrorKind.IO_OR_FORMAT
+class NumericalError(EnvelofitError):
+    """Valid input hit a failed factorization or spectral solve."""
 
 
 def _frozen_array(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 1:
-        raise IoOrFormatError(f"{name} must be one-dimensional, got shape {a.shape}")
+        raise InputError(f"{name} must be one-dimensional, got shape {a.shape}")
     a = a.copy()
     a.flags.writeable = False
     return a
@@ -105,11 +66,11 @@ class Signal:
     def __post_init__(self):
         a = _frozen_array(self.samples, "samples")
         if a.size < 1:
-            raise EmptySignalError("signal must contain at least one sample")
+            raise InputError("signal must contain at least one sample")
         if not np.all(np.isfinite(a)):
-            raise IoOrFormatError("signal samples must all be finite")
+            raise InputError("signal samples must all be finite")
         if not (self.sample_rate_hz > 0):
-            raise NonPositiveParameterError(
+            raise InputError(
                 f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
             )
         object.__setattr__(self, "samples", a)
@@ -143,14 +104,14 @@ class BoxConstraint:
         lo = np.asarray(self.lower, dtype=float).copy()
         hi = np.asarray(self.upper, dtype=float).copy()
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise LengthMismatchError(
+            raise InputError(
                 f"bound shapes differ: {lo.shape} vs {hi.shape}"
             )
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise InfeasibleBoundsError("bounds must not contain NaN")
+            raise InputError("bounds must not contain NaN")
         if np.any(lo > hi):
             n = int(np.argmax(lo > hi))
-            raise InfeasibleBoundsError(
+            raise InputError(
                 f"lower[{n}]={lo[n]} exceeds upper[{n}]={hi[n]}"
             )
         lo.flags.writeable = False
@@ -170,7 +131,7 @@ class BoxConstraint:
 def mse(a: Signal, b: Signal) -> float:
     """Mean of squared sample differences."""
     if len(a) != len(b):
-        raise LengthMismatchError(f"lengths differ: {len(a)} vs {len(b)}")
+        raise InputError(f"lengths differ: {len(a)} vs {len(b)}")
     d = a.samples - b.samples
     return float(np.mean(d * d))
 
@@ -179,7 +140,7 @@ def project_box(v, box: BoxConstraint) -> np.ndarray:
     """Clamp each entry of ``v`` into its interval; infinite bounds are inert."""
     v = np.asarray(v, dtype=float)
     if v.shape != box.lower.shape:
-        raise LengthMismatchError(
+        raise InputError(
             f"vector length {v.shape} does not match bounds {box.lower.shape}"
         )
     return np.clip(v, box.lower, box.upper)

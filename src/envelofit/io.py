@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .core import IoOrFormatError, Signal
+from .core import InputError, Signal
 
 __all__ = ["read_signal_csv", "write_signal_csv", "write_json", "read_json"]
 
@@ -35,17 +35,17 @@ def read_signal_csv(path, fs_override: float | None = None) -> Signal:
     overridden.  Non-uniform time beyond a small relative jitter is an error.
     """
     if not os.path.exists(path):
-        raise IoOrFormatError(f"no such file: {path}")
+        raise InputError(f"no such file: {path}")
     try:
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
     except (ValueError, OSError) as exc:
-        raise IoOrFormatError(f"cannot parse {path}: {exc}") from exc
+        raise InputError(f"cannot parse {path}: {exc}") from exc
     if data.ndim == 1:
         data = data.reshape(1, -1)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 1:
-        raise IoOrFormatError(f"{path}: expected two columns 't,value'")
+        raise InputError(f"{path}: expected two columns 't,value'")
     if np.any(np.isnan(data)):
-        raise IoOrFormatError(f"{path}: non-numeric or missing entries")
+        raise InputError(f"{path}: non-numeric or missing entries")
     t, v = data[:, 0], data[:, 1]
     if fs_override is not None:
         fs = fs_override
@@ -53,9 +53,9 @@ def read_signal_csv(path, fs_override: float | None = None) -> Signal:
         dt = np.diff(t)
         med = float(np.median(dt))
         if med <= 0:
-            raise IoOrFormatError(f"{path}: time column must be increasing")
+            raise InputError(f"{path}: time column must be increasing")
         if np.max(np.abs(dt - med)) > UNIFORMITY_TOL * max(abs(med), 1e-300):
-            raise IoOrFormatError(
+            raise InputError(
                 f"{path}: non-uniform sampling (jitter beyond {UNIFORMITY_TOL:g} relative)"
             )
         fs = 1.0 / med
@@ -72,9 +72,9 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     if not os.path.exists(path):
-        raise IoOrFormatError(f"no such file: {path}")
+        raise InputError(f"no such file: {path}")
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise IoOrFormatError(f"cannot parse {path}: {exc}") from exc
+        raise InputError(f"cannot parse {path}: {exc}") from exc

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .core import (
-    LengthMismatchError,
-    NonPositiveParameterError,
-    SpectrumNotPositiveError,
-)
+from .core import InputError, NumericalError
 
 __all__ = [
     "KernelSpec",
@@ -49,9 +45,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if not (self.sigma > 0):
-            raise NonPositiveParameterError(f"sigma must be > 0, got {self.sigma}")
+            raise InputError(f"sigma must be > 0, got {self.sigma}")
         if not (0 < self.tau <= 1):
-            raise NonPositiveParameterError(f"tau must be in (0, 1], got {self.tau}")
+            raise InputError(f"tau must be in (0, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -61,14 +57,6 @@ class ToeplitzBand:
     first_row: np.ndarray  # length half_width + 1
     half_width: int
     n: int
-
-    def dense(self) -> np.ndarray:
-        """Full N x N matrix; test/diagnostic use only."""
-        import scipy.linalg
-
-        col = np.zeros(self.n)
-        col[: self.half_width + 1] = self.first_row
-        return scipy.linalg.toeplitz(col)
 
 
 @dataclass(frozen=True)
@@ -94,11 +82,11 @@ class CirculantOperator:
         denom = self._denominators.get(alpha)
         if denom is None:
             if alpha < 0:
-                raise NonPositiveParameterError(f"alpha must be >= 0, got {alpha}")
+                raise InputError(f"alpha must be >= 0, got {alpha}")
             # x -> 1 + alpha*x rounds monotonically for alpha >= 0: the exact minimum
             denom_min = 1.0 + alpha * self.eig_min
             if denom_min <= SPECTRUM_FLOOR:
-                raise SpectrumNotPositiveError(
+                raise NumericalError(
                     f"resolvent denominator min {denom_min:.3e} <= {SPECTRUM_FLOOR:.0e}; "
                     f"kernel spectrum too negative for alpha={alpha}"
                 )
@@ -125,10 +113,10 @@ def band_half_width(spec: KernelSpec) -> int:
 def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
     """Banded first row of the covariance for a length-``n`` signal."""
     if n < 1:
-        raise NonPositiveParameterError(f"signal length must be >= 1, got {n}")
+        raise InputError(f"signal length must be >= 1, got {n}")
     k = band_half_width(spec)
     if k >= n:
-        raise LengthMismatchError(
+        raise InputError(
             f"kernel band half-width {k} does not fit signal length {n}; "
             f"reduce sigma or increase tau"
         )
@@ -148,7 +136,7 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     m_min = band.n + k
     m = m_min if size is None else int(size)
     if m < m_min:
-        raise LengthMismatchError(
+        raise InputError(
             f"circulant size {m} below minimal embedding size {m_min}"
         )
     row = np.zeros(m)
@@ -173,7 +161,7 @@ def apply_resolvent(op: CirculantOperator, alpha: float, v, out=None,
     denom = op.resolvent_denominators(alpha)
     v = np.asarray(v, dtype=float)
     if v.shape != (op.size,):
-        raise LengthMismatchError(
+        raise InputError(
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
     spec = np.fft.rfft(v, out=spec)
@@ -185,7 +173,7 @@ def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:
     """Banded product ``C z`` (zero boundary, direct convolution over the band)."""
     z = np.asarray(z, dtype=float)
     if z.shape != (band.n,):
-        raise LengthMismatchError(
+        raise InputError(
             f"vector length {z.shape} does not match band size {band.n}"
         )
     kern = np.concatenate([band.first_row[1:][::-1], band.first_row])

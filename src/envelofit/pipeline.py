@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    BoxConstraint,
-    EmptySignalError,
-    NonPositiveParameterError,
-    Signal,
-)
+from .core import BoxConstraint, InputError, Signal
 from .kernel import KernelSpec
 from .solver import SolveParams, SolveResult, solve_constrained_filter
 
@@ -86,15 +81,15 @@ class PipelineParams:
 
     def __post_init__(self):
         if not (0 < self.lambda1 < self.lambda0):
-            raise NonPositiveParameterError(
+            raise InputError(
                 f"need 0 < lambda1 < lambda0, got {self.lambda1}, {self.lambda0}"
             )
         if not (0 < self.sigma0 <= self.sigma1):
-            raise NonPositiveParameterError(
+            raise InputError(
                 f"need 0 < sigma0 <= sigma1, got {self.sigma0}, {self.sigma1}"
             )
         if self.coarse is not None and not (self.sigma1 <= self.coarse.sigma):
-            raise NonPositiveParameterError(
+            raise InputError(
                 f"need sigma1 <= coarse sigma, got {self.sigma1}, {self.coarse.sigma}"
             )
 
@@ -171,7 +166,7 @@ def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
     """Coarse one-sided envelopes first, so the tight stages see a
     single-signed input; also yields a trend estimate."""
     if p.coarse is None:
-        raise NonPositiveParameterError("debiased pipeline requires coarse params")
+        raise InputError("debiased pipeline requires coarse params")
     s = p.solver
     ys = y.samples
     c_low = _stage(y, p.coarse.lam, p.coarse.sigma, -np.inf, ys, s)
@@ -204,12 +199,12 @@ def detect_peaks(t: Signal, min_separation_s: float = 0.33,
     import scipy.signal
 
     if not (min_separation_s > 0):
-        raise NonPositiveParameterError(
+        raise InputError(
             f"min_separation_s must be > 0, got {min_separation_s}"
         )
     x = t.samples
     if x.size == 0:
-        raise EmptySignalError("cannot detect peaks on an empty signal")
+        raise InputError("cannot detect peaks on an empty signal")
     if min_prominence is None:
         min_prominence = 0.25 * float(np.percentile(np.abs(x), 95))
     distance = max(1, int(round(min_separation_s * t.sample_rate_hz)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxConstraint, InfeasibleBoundsError, LengthMismatchError
+from .core import BoxConstraint, InputError
 
 __all__ = ["ProxParams", "prox_r", "reflect_g"]
 
@@ -48,12 +48,12 @@ class ProxParams:
 
     def __post_init__(self):
         if not (self.lam > 0 and self.alpha > 0):
-            raise InfeasibleBoundsError(
+            raise InputError(
                 f"lam and alpha must be positive, got {self.lam}, {self.alpha}"
             )
         y = np.asarray(self.y, dtype=float)
         if y.shape != self.box.lower.shape:
-            raise LengthMismatchError(
+            raise InputError(
                 f"y length {y.shape} does not match bounds {self.box.lower.shape}"
             )
         a, b = self.box.lower, self.box.upper
@@ -71,16 +71,16 @@ class ProxParams:
             object.__setattr__(self, name, value)
 
 
-def reflect_g(t, t_tilde, p: ProxParams, out=None) -> tuple[np.ndarray, np.ndarray]:
+def reflect_g(t, p: ProxParams, out=None) -> np.ndarray:
     """Reflected prox ``(2 J - I)`` of the separable dual term.
 
-    The tail block's prox is the zero map, so its reflection is plain
-    negation: the second return value is ``-t_tilde``.  The head block is
-    written to ``out`` when given (it must not overlap ``t``).
+    Written to ``out`` when given (it must not overlap ``t``).  The tail
+    block's prox is the zero map, so its reflection, plain negation, is left
+    to the caller.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != p.y.shape:
-        raise LengthMismatchError(f"t length {t.shape} != {p.y.shape}")
+        raise InputError(f"t length {t.shape} != {p.y.shape}")
     v = np.multiply(p.shrink, t, out=out)
     v += p.two_alpha_y
     v /= p.scale
@@ -88,9 +88,9 @@ def reflect_g(t, t_tilde, p: ProxParams, out=None) -> tuple[np.ndarray, np.ndarr
         np.add(t, p.two_alpha_a, out=v, where=t > p.c)
     if p.has_upper:
         np.add(t, p.two_alpha_b, out=v, where=t < p.d)
-    return v, -np.asarray(t_tilde, dtype=float)
+    return v
 
 
 def prox_r(t, p: ProxParams) -> np.ndarray:
     """Vectorized prox of the dual data/constraint term at ``t``."""
-    return 0.5 * (reflect_g(t, (), p)[0] + np.asarray(t, dtype=float))
+    return 0.5 * (reflect_g(t, p) + np.asarray(t, dtype=float))

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import (
-    BoxConstraint,
-    LengthMismatchError,
-    NonPositiveParameterError,
-    Signal,
-    project_box,
-)
+from .core import BoxConstraint, InputError, Signal, project_box
 from .kernel import (
     KernelSpec,
     ToeplitzBand,
@@ -61,15 +55,15 @@ class SolveParams:
 
     def __post_init__(self):
         if not (0 < self.gamma < 1):
-            raise NonPositiveParameterError(f"gamma must be in (0,1), got {self.gamma}")
+            raise InputError(f"gamma must be in (0,1), got {self.gamma}")
         if not (self.alpha > 0):
-            raise NonPositiveParameterError(f"alpha must be > 0, got {self.alpha}")
+            raise InputError(f"alpha must be > 0, got {self.alpha}")
         if not (self.lam > 0):
-            raise NonPositiveParameterError(f"lam must be > 0, got {self.lam}")
+            raise InputError(f"lam must be > 0, got {self.lam}")
         if not (self.tol > 0):
-            raise NonPositiveParameterError(f"tol must be > 0, got {self.tol}")
+            raise InputError(f"tol must be > 0, got {self.tol}")
         if len(self.y) != len(self.box):
-            raise LengthMismatchError(
+            raise InputError(
                 f"signal length {len(self.y)} != bounds length {len(self.box)}"
             )
 
@@ -96,7 +90,7 @@ def residual(z, p: SolveParams, band: ToeplitzBand | None = None) -> float:
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (len(p.y),):
-        raise LengthMismatchError(f"z length {z.shape} != {len(p.y)}")
+        raise InputError(f"z length {z.shape} != {len(p.y)}")
     if band is None:
         band = build_band(p.kernel, len(p.y))
     lhs = apply_toeplitz(band, z)
@@ -130,7 +124,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     while iters < p.max_iters:
         np.multiply(2.0, r, out=t)
         t -= u
-        reflect_g(t[:n], (), prox_params, out=w[:n])
+        reflect_g(t[:n], prox_params, out=w[:n])
         np.negative(t[n:], out=w[n:])  # the tail's reflection (see reflect_g)
         u *= p.gamma
         w *= 1.0 - p.gamma

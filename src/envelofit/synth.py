@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    LengthMismatchError,
-    NonPositiveParameterError,
-    Signal,
-    SpectrumNotPositiveError,
-)
+from .core import InputError, NumericalError, Signal
 
 __all__ = [
     "GpParams",
@@ -47,7 +42,7 @@ class GpParams:
 
     def __post_init__(self):
         if not (self.c0 > 0 and self.c1 > 0 and self.c2 >= 0):
-            raise NonPositiveParameterError(
+            raise InputError(
                 f"need c0 > 0, c1 > 0, c2 >= 0; got {self.c0}, {self.c1}, {self.c2}"
             )
 
@@ -63,7 +58,7 @@ class TrialSpec:
 
     def __post_init__(self):
         if not (self.fs_hz > 0 and self.duration_s > 0):
-            raise NonPositiveParameterError(
+            raise InputError(
                 f"fs_hz and duration_s must be positive, got {self.fs_hz}, {self.duration_s}"
             )
 
@@ -91,9 +86,9 @@ def sample_gp(p: GpParams, n: int, fs: float,
     """
     rng = np.random.default_rng(rng)
     if n < 1:
-        raise NonPositiveParameterError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
     if n > DENSE_GP_LIMIT:
-        raise LengthMismatchError(
+        raise InputError(
             f"dense GP sampling limited to n <= {DENSE_GP_LIMIT}, got {n}"
         )
     return _gp_factor(p, n, fs) @ rng.standard_normal(n)
@@ -114,7 +109,7 @@ def _gp_factor(p: GpParams, n: int, fs: float) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise SpectrumNotPositiveError(
+        raise NumericalError(
             f"GP covariance factorization failed (c0={p.c0}, c1={p.c1}, c2={p.c2})"
         ) from exc
     chol.flags.writeable = False
@@ -126,7 +121,7 @@ def make_smooth(s, m, fs: float) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     m = np.asarray(m, dtype=float)
     if s.shape != m.shape:
-        raise LengthMismatchError(f"warp/magnitude lengths differ: {s.shape} vs {m.shape}")
+        raise InputError(f"warp/magnitude lengths differ: {s.shape} vs {m.shape}")
     t = np.arange(s.size) / fs
     return np.cos(0.5 * np.pi * (t + s)) * (0.05 * m + 1.0)
 

@@ -10,18 +10,14 @@ uncached out-of-place GP sampler the cached one must reproduce bit for bit.
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 import scipy.optimize
 
-from envelofit.core import (
-    InfeasibleBoundsError,
-    LengthMismatchError,
-    NonPositiveParameterError,
-    SpectrumNotPositiveError,
-    project_box,
-)
+from envelofit.core import InputError, NumericalError, project_box
 from envelofit.kernel import (
     SPECTRUM_FLOOR,
     CirculantOperator,
+    ToeplitzBand,
     build_band,
     embed_circulant,
 )
@@ -40,7 +36,7 @@ def prox_scalar_q(s: float, a: float, b: float, alpha: float) -> float:
     bounds drop the corresponding outer branch.
     """
     if a > b:
-        raise InfeasibleBoundsError(f"need a <= b, got a={a}, b={b}")
+        raise InputError(f"need a <= b, got a={a}, b={b}")
     if np.isfinite(a) and s < (1.0 + alpha) * a:
         return s - alpha * a
     if np.isfinite(b) and s > (1.0 + alpha) * b:
@@ -48,11 +44,18 @@ def prox_scalar_q(s: float, a: float, b: float, alpha: float) -> float:
     return s / (1.0 + alpha)
 
 
+def dense_toeplitz(band: ToeplitzBand) -> np.ndarray:
+    """Full N x N symmetric Toeplitz matrix of the band."""
+    col = np.zeros(band.n)
+    col[: band.half_width + 1] = band.first_row
+    return scipy.linalg.toeplitz(col)
+
+
 def apply_circulant(op: CirculantOperator, v) -> np.ndarray:
     """Spectral matrix-vector product ``C~ v``."""
     v = np.asarray(v, dtype=float)
     if v.shape != (op.size,):
-        raise LengthMismatchError(
+        raise InputError(
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
     return scipy.fft.irfft(scipy.fft.rfft(v) * op.eigenvalues, n=op.size)
@@ -67,14 +70,14 @@ def solve_reference_dense(p: SolveParams) -> SolveResult:
     """
     n = len(p.y)
     if n > DENSE_LIMIT:
-        raise LengthMismatchError(
+        raise InputError(
             f"dense reference limited to N <= {DENSE_LIMIT}, got {n}"
         )
     band = build_band(p.kernel, n)
-    c_dense = band.dense()
+    c_dense = dense_toeplitz(band)
     w, vecs = np.linalg.eigh(c_dense)
     if np.min(w) <= 0:
-        raise SpectrumNotPositiveError(
+        raise NumericalError(
             f"dense covariance not positive definite (min eig {np.min(w):.3e})"
         )
     c_inv = (vecs / w) @ vecs.T
@@ -123,15 +126,15 @@ def solve_reference_dense(p: SolveParams) -> SolveResult:
 def apply_resolvent_reference(op: CirculantOperator, alpha: float, v) -> np.ndarray:
     """Spectral solve ``(I + alpha C~)^-1 v`` with the full-spectrum floor check."""
     if alpha < 0:
-        raise NonPositiveParameterError(f"alpha must be >= 0, got {alpha}")
+        raise InputError(f"alpha must be >= 0, got {alpha}")
     v = np.asarray(v, dtype=float)
     if v.shape != (op.size,):
-        raise LengthMismatchError(
+        raise InputError(
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
     denom = 1.0 + alpha * op.eigenvalues
     if np.min(denom) <= SPECTRUM_FLOOR:
-        raise SpectrumNotPositiveError(
+        raise NumericalError(
             f"resolvent denominator min {np.min(denom):.3e} <= {SPECTRUM_FLOOR:.0e}; "
             f"kernel spectrum too negative for alpha={alpha}"
         )
@@ -142,7 +145,7 @@ def reflect_g_select(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]
     """Reflected prox of the separable dual term as one ``np.select`` case table."""
     t = np.asarray(t, dtype=float)
     if t.shape != p.y.shape:
-        raise LengthMismatchError(f"t length {t.shape} != {p.y.shape}")
+        raise InputError(f"t length {t.shape} != {p.y.shape}")
     mid = (2.0 * p.alpha * p.y + (1.0 - p.alpha / p.lam) * t) / (
         1.0 + p.alpha / p.lam
     )
@@ -204,9 +207,9 @@ def sample_gp_dense(p: GpParams, n: int, fs: float,
     out of place and factors it on every call."""
     rng = np.random.default_rng(rng)
     if n < 1:
-        raise NonPositiveParameterError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
     if n > DENSE_GP_LIMIT:
-        raise LengthMismatchError(
+        raise InputError(
             f"dense GP sampling limited to n <= {DENSE_GP_LIMIT}, got {n}"
         )
     t = np.arange(n) / fs
@@ -215,7 +218,7 @@ def sample_gp_dense(p: GpParams, n: int, fs: float,
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise SpectrumNotPositiveError(
+        raise NumericalError(
             f"GP covariance factorization failed (c0={p.c0}, c1={p.c1}, c2={p.c2})"
         ) from exc
     return chol @ rng.standard_normal(n)

@@ -9,7 +9,7 @@ from envelofit.bench import (
     write_report_csv,
 )
 from envelofit.baseline import design_fir
-from envelofit.core import LengthMismatchError, NonPositiveParameterError
+from envelofit.core import InputError
 from envelofit.pipeline import CoarseParams, PipelineParams, SolverSettings
 from envelofit.synth import TrialSpec
 
@@ -60,7 +60,7 @@ class TestRunMseExperiment:
         assert a.trial_mses == b.trial_mses
 
     def test_invalid_count(self):
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             run_mse_experiment(0, 0, FAST_PIPELINE, [identity_filter()], SHORT)
 
     def test_trace_final_residual_consistency(self):
@@ -78,7 +78,7 @@ class TestRunScaling:
 
     def test_too_small_n_rejected(self):
         # sigma=20, tau=1e-3: band half-width ~52 exceeds n
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InputError):
             run_scaling([16], iters=5, repeats=1)
 
 

@@ -23,6 +23,44 @@ def sine_csv(tmp_path):
     return path
 
 
+# argv (an input CSV of `rows` samples goes after the subcommand; rows None:
+# no input), exit code, message on stderr.  InputError exits 2, NumericalError 1.
+EXIT_CODES = {
+    "lambda1": (["decompose", "--lambda1", 60], 300, 2,
+                "need 0 < lambda1 < lambda0, got 60.0, 50.0"),
+    "sigma0": (["decompose", "--sigma0", 30], 300, 2,
+               "need 0 < sigma0 <= sigma1, got 30.0, 20.0"),
+    "gamma": (["decompose", "--gamma", 1.5], 300, 2,
+              "gamma must be in (0,1), got 1.5"),
+    "coarse_sigma": (["decompose", "--debias", "--coarse-sigma", 10], 300, 2,
+                     "need sigma1 <= coarse sigma, got 20.0, 10.0"),
+    "band_fit": (["decompose", "--sigma1", 40], 50, 2,
+                 "kernel band half-width 135 does not fit signal length 50"),
+    "cutoff": (["filter", "--cutoff", 9], 300, 2, "cutoffs must lie in (0, fs/2)"),
+    "even_length": (["filter", "--length", 100], 300, 2,
+                    "length must be a positive odd integer, got 100"),
+    "group_delay": (["filter", "--length", 1001], 300, 2,
+                    "signal length 300 must exceed filter group delay 500"),
+    "dense_gp_limit": (["synth", "--duration", 1000], None, 2,
+                       "dense GP sampling limited to n <= 4096, got 10000"),
+    "resolvent_floor": (["decompose", "--alpha", 1e9], 300, 1,
+                        "resolvent denominator min -1.737e+04 <= 1e-12"),
+    "gp_factor": (["synth", "--warp-c2", 0, "--duration", 100], None, 1,
+                  "GP covariance factorization failed (c0=25.0, c1=500.0, c2=0.0)"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CODES)
+def test_exit_code_follows_error_class(case, tmp_path, capsys):
+    argv, rows, code, message = EXIT_CODES[case]
+    if rows is not None:
+        path = tmp_path / "in.csv"
+        write_signal_csv(path, Signal(np.sin(2.0 * np.pi * np.arange(rows) / 10.0), 10.0))
+        argv = [argv[0], path, *argv[1:]]
+    assert run([*argv, "--output-dir", tmp_path / "out", "--quiet"]) == code
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_bytewise_determinism(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

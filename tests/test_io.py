@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from envelofit.core import IoOrFormatError, Signal
+from envelofit.core import InputError, Signal
 from envelofit.io import read_json, read_signal_csv, write_json, write_signal_csv
 
 
@@ -32,31 +32,31 @@ class TestSignalCsvRoundTrip:
 
 class TestReadSignalCsvErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoOrFormatError, match="nope.csv"):
+        with pytest.raises(InputError, match="nope.csv"):
             read_signal_csv(tmp_path / "nope.csv")
 
     def test_wrong_columns(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t,value,extra\n0.0,1.0,2.0\n")
-        with pytest.raises(IoOrFormatError):
+        with pytest.raises(InputError):
             read_signal_csv(p)
 
     def test_non_numeric(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t,value\n0.0,abc\n0.1,1.0\n")
-        with pytest.raises(IoOrFormatError):
+        with pytest.raises(InputError):
             read_signal_csv(p)
 
     def test_non_uniform_time(self, tmp_path):
         p = tmp_path / "jit.csv"
         p.write_text("t,value\n0.0,1.0\n0.1,1.0\n0.35,1.0\n")
-        with pytest.raises(IoOrFormatError, match="non-uniform"):
+        with pytest.raises(InputError, match="non-uniform"):
             read_signal_csv(p)
 
     def test_decreasing_time(self, tmp_path):
         p = tmp_path / "dec.csv"
         p.write_text("t,value\n0.2,1.0\n0.1,1.0\n0.0,1.0\n")
-        with pytest.raises(IoOrFormatError):
+        with pytest.raises(InputError):
             read_signal_csv(p)
 
     def test_fs_override_skips_jitter_check(self, tmp_path):
@@ -75,11 +75,11 @@ class TestJson:
         assert read_json(p) == obj
 
     def test_missing(self, tmp_path):
-        with pytest.raises(IoOrFormatError):
+        with pytest.raises(InputError):
             read_json(tmp_path / "gone.json")
 
     def test_malformed(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        with pytest.raises(IoOrFormatError):
+        with pytest.raises(InputError):
             read_json(p)

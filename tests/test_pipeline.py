@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from envelofit.core import NonPositiveParameterError, Signal
+from envelofit.core import InputError, Signal
 from envelofit.pipeline import (
     BASIC_STAGES,
     DEBIASED_STAGES,
@@ -37,20 +37,20 @@ def short_trial():
 
 class TestParamValidation:
     def test_lambda_ordering(self):
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             PipelineParams(lambda0=1.0, lambda1=2.0)
 
     def test_sigma_ordering(self):
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             PipelineParams(sigma0=30.0, sigma1=20.0)
 
     def test_coarse_sigma_ordering(self):
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             PipelineParams(sigma1=20.0, coarse=CoarseParams(1.0, 10.0))
 
     def test_debias_requires_coarse(self):
         y = Signal(np.zeros(50) + 1.0, 10.0)
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             decompose_debiased(y, small_params(coarse=False))
 
 
@@ -163,7 +163,7 @@ class TestDetectPeaks:
         assert stats.peak_indices.size == 1
 
     def test_invalid_separation(self):
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             detect_peaks(Signal(np.ones(10), 1.0), min_separation_s=0.0)
 
     def test_indices_strictly_increasing(self):

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from envelofit import synth
-from envelofit.core import (
-    LengthMismatchError,
-    NonPositiveParameterError,
-    SpectrumNotPositiveError,
-)
+from envelofit.core import InputError, NumericalError
 from envelofit.synth import (
     GpParams,
     TrialSpec,
@@ -38,11 +34,11 @@ SMALL_GP_CASES = [
 
 class TestGpParams:
     def test_validation(self):
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             GpParams(0.0, 1.0)
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             GpParams(1.0, -1.0)
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             GpParams(1.0, 1.0, -1e-9)
 
     def test_printed_defaults(self):
@@ -63,9 +59,9 @@ class TestSampleGp:
         np.testing.assert_array_equal(a, b)
 
     def test_size_guard(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InputError):
             sample_gp(GpParams(1.0, 1.0, 1e-6), 5000, 10.0)
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(InputError):
             sample_gp(GpParams(1.0, 1.0, 1e-6), 0, 10.0)
 
     def test_moments_match_covariance(self):
@@ -156,10 +152,10 @@ class TestCachedFactorMatchesDense:
 
     def test_factorization_failure_raises_and_is_not_cached(self):
         p = GpParams(1.0, 1e4, 0.0)  # numerically singular without jitter
-        with pytest.raises(SpectrumNotPositiveError):
+        with pytest.raises(NumericalError):
             sample_gp_dense(p, 200, 10.0)
         synth._gp_factor.cache_clear()
-        with pytest.raises(SpectrumNotPositiveError):
+        with pytest.raises(NumericalError):
             sample_gp(p, 200, 10.0)
         assert synth._gp_factor.cache_info().currsize == 0
 
@@ -185,7 +181,7 @@ class TestMakeSmooth:
         np.testing.assert_allclose(out, 2.0 * base)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InputError):
             make_smooth(np.zeros(4), np.zeros(5), 10.0)
 
 
