@@ -71,16 +71,16 @@ class CirculantOperator:
     size: int
     eigenvalues: np.ndarray
     eig_min: float
-    _denominators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def resolvent_denominators(self, alpha: float) -> np.ndarray:
-        """Read-only ``1 + alpha * eigenvalues``, kept for the last ``alpha``.
+    def resolvent_multipliers(self, alpha: float) -> np.ndarray:
+        """Read-only ``1 / (1 + alpha * eigenvalues)``, kept for the last ``alpha``.
 
         Raises unless ``alpha >= 0`` and every denominator clears the floor.
         Threads that share an operator at worst compute the array twice.
         """
-        denom = self._denominators.get(alpha)
-        if denom is None:
+        recip = self._multipliers.get(alpha)
+        if recip is None:
             if alpha < 0:
                 raise InputError(f"alpha must be >= 0, got {alpha}")
             # x -> 1 + alpha*x rounds monotonically for alpha >= 0: the exact minimum
@@ -90,11 +90,13 @@ class CirculantOperator:
                     f"resolvent denominator min {denom_min:.3e} <= {SPECTRUM_FLOOR:.0e}; "
                     f"kernel spectrum too negative for alpha={alpha}"
                 )
-            denom = 1.0 + alpha * self.eigenvalues
-            denom.flags.writeable = False
-            self._denominators.clear()
-            self._denominators[alpha] = denom
-        return denom
+            recip = np.multiply(alpha, self.eigenvalues)
+            recip += 1.0
+            np.divide(1.0, recip, out=recip)
+            recip.flags.writeable = False
+            self._multipliers.clear()
+            self._multipliers[alpha] = recip
+        return recip
 
 
 def band_half_width(spec: KernelSpec) -> int:
@@ -156,16 +158,18 @@ def apply_resolvent(op: CirculantOperator, alpha: float, v, out=None,
     ``out`` (real, ``op.size``) receives the result and ``spec`` (complex,
     ``op.size // 2 + 1``) the spectrum; with both given a call allocates
     nothing but the FFT's own scratch.  ``numpy.fft`` takes these buffers,
-    which ``scipy.fft`` does not, and gives the same bits.
+    which ``scipy.fft`` does not, and gives the same bits.  Multiplying by
+    the cached reciprocal gives the quotient's bits: numpy divides by a real
+    ``d`` as ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
     """
-    denom = op.resolvent_denominators(alpha)
+    recip = op.resolvent_multipliers(alpha)
     v = np.asarray(v, dtype=float)
     if v.shape != (op.size,):
         raise InputError(
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
     spec = np.fft.rfft(v, out=spec)
-    spec /= denom
+    spec *= recip
     return np.fft.irfft(spec, n=op.size, out=out)
 
 

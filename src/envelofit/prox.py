@@ -6,9 +6,14 @@ term in its change-of-variables form.  The reflected map ``reflect_g`` used
 inside the iteration holds the one case table; ``prox_r = (reflect_g + I)/2``
 is derived from it.  All maps are pure and elementwise.
 
-A note on case ordering: with thresholds ``c = lam*(y - (1 + alpha/lam)*a)``
-and ``d = lam*(y - (1 + alpha/lam)*b)`` and ``a <= b``, we always have
-``d <= c``, so the interior branch fires on ``d <= t <= c``.
+The case table is a clamp.  The interior line
+``m(t) = ((1 - alpha/lam)*t + 2*alpha*y) / (1 + alpha/lam)`` has slope below
+1, and each outer line meets it at its threshold: ``t + 2*alpha*a`` at
+``c = lam*(y - (1 + alpha/lam)*a)`` and ``t + 2*alpha*b`` at
+``d = lam*(y - (1 + alpha/lam)*b)``.  So the lower-bound line lies above
+``m`` exactly where ``t > c`` and the upper-bound line below it exactly where
+``t < d``; with ``a <= b`` (so ``d <= c``) the table is
+``min(max(m(t), t + 2*alpha*a), t + 2*alpha*b)``.
 """
 
 from __future__ import annotations
@@ -24,20 +29,16 @@ __all__ = ["ProxParams", "prox_r", "reflect_g"]
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Precomputed per-sample thresholds and loop constants for the dual prox.
+    """Precomputed per-sample lines and loop constants for the dual prox.
 
-    ``c[n]`` is ``+inf`` where the lower bound is ``-inf``; ``d[n]`` is
-    ``-inf`` where the upper bound is ``+inf``, so one-sided boxes simply
-    disable the corresponding outer branch.  ``has_lower``/``has_upper`` say
-    whether that branch can fire anywhere; ``reflect_g`` skips it if not.
+    ``has_lower``/``has_upper`` say whether that side is bounded anywhere;
+    ``reflect_g`` skips a side that is not.
     """
 
     lam: float
     alpha: float
     y: np.ndarray
     box: BoxConstraint
-    c: np.ndarray = field(init=False)
-    d: np.ndarray = field(init=False)
     two_alpha_y: np.ndarray = field(init=False)
     two_alpha_a: np.ndarray = field(init=False)
     two_alpha_b: np.ndarray = field(init=False)
@@ -57,24 +58,27 @@ class ProxParams:
                 f"y length {y.shape} does not match bounds {self.box.lower.shape}"
             )
         a, b = self.box.lower, self.box.upper
-        scale = 1.0 + self.alpha / self.lam
-        c = np.where(np.isfinite(a), self.lam * (y - scale * a), np.inf)
-        d = np.where(np.isfinite(b), self.lam * (y - scale * b), -np.inf)
         two_alpha = 2.0 * self.alpha
         derived = dict(
-            y=y, c=c, d=d, scale=scale, shrink=1.0 - self.alpha / self.lam,
+            y=y, scale=1.0 + self.alpha / self.lam, shrink=1.0 - self.alpha / self.lam,
             two_alpha_y=two_alpha * y, two_alpha_a=two_alpha * a,
-            two_alpha_b=two_alpha * b, has_lower=bool(np.any(c != np.inf)),
-            has_upper=bool(np.any(d != -np.inf)),
+            two_alpha_b=two_alpha * b, has_lower=bool(np.any(np.isfinite(a))),
+            has_upper=bool(np.any(np.isfinite(b))),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
 
-def reflect_g(t, p: ProxParams, out=None) -> np.ndarray:
-    """Reflected prox ``(2 J - I)`` of the separable dual term.
+def reflect_g(t, p: ProxParams, out=None, work=None) -> np.ndarray:
+    """Reflected prox ``(2 J - I)`` of the separable dual term, as a clamp.
 
-    Written to ``out`` when given (it must not overlap ``t``).  The tail
+    Written to ``out`` when given; ``work`` (length of ``t``) holds each
+    outer line, so with both given a call allocates nothing.  Neither may
+    overlap ``t``.  Off the thresholds ``c`` and ``d`` the result has the
+    case table's bits.  At a threshold, or within rounding of one, it is one
+    of the two lines' computed values, which agree there to the rounding of
+    the interior formula.  ``fmax``/``fmin`` pass NaN in ``t`` through and
+    ignore the NaN that ``inf - inf`` gives on an unbounded side.  The tail
     block's prox is the zero map, so its reflection, plain negation, is left
     to the caller.
     """
@@ -85,9 +89,9 @@ def reflect_g(t, p: ProxParams, out=None) -> np.ndarray:
     v += p.two_alpha_y
     v /= p.scale
     if p.has_lower:
-        np.add(t, p.two_alpha_a, out=v, where=t > p.c)
+        np.fmax(v, np.add(t, p.two_alpha_a, out=work), out=v)
     if p.has_upper:
-        np.add(t, p.two_alpha_b, out=v, where=t < p.d)
+        np.fmin(v, np.add(t, p.two_alpha_b, out=work), out=v)
     return v
 
 

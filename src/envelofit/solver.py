@@ -124,7 +124,8 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     while iters < p.max_iters:
         np.multiply(2.0, r, out=t)
         t -= u
-        reflect_g(t[:n], prox_params, out=w[:n])
+        # r's head is dead until the next resolvent: it holds the outer lines
+        reflect_g(t[:n], prox_params, w[:n], r[:n])
         np.negative(t[n:], out=w[n:])  # the tail's reflection (see reflect_g)
         u *= p.gamma
         w *= 1.0 - p.gamma

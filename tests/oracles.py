@@ -141,6 +141,20 @@ def apply_resolvent_reference(op: CirculantOperator, alpha: float, v) -> np.ndar
     return scipy.fft.irfft(scipy.fft.rfft(v) / denom, n=op.size)
 
 
+def prox_thresholds(p: ProxParams) -> tuple[np.ndarray, np.ndarray]:
+    """Case-table thresholds ``(c, d)`` of the reflected prox.
+
+    ``t > c`` selects the lower-bound line and ``t < d`` the upper-bound one;
+    ``c`` is ``+inf`` where the lower bound is ``-inf`` and ``d`` is ``-inf``
+    where the upper bound is ``+inf``, which disables that branch.
+    """
+    a, b = p.box.lower, p.box.upper
+    scale = 1.0 + p.alpha / p.lam
+    c = np.where(np.isfinite(a), p.lam * (p.y - scale * a), np.inf)
+    d = np.where(np.isfinite(b), p.lam * (p.y - scale * b), -np.inf)
+    return c, d
+
+
 def reflect_g_select(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]:
     """Reflected prox of the separable dual term as one ``np.select`` case table."""
     t = np.asarray(t, dtype=float)
@@ -151,7 +165,8 @@ def reflect_g_select(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]
     )
     low = t + 2.0 * p.alpha * p.box.upper
     high = t + 2.0 * p.alpha * p.box.lower
-    v = np.select([t < p.d, t > p.c], [low, high], default=mid)
+    c, d = prox_thresholds(p)
+    v = np.select([t < d, t > c], [low, high], default=mid)
     return v, -np.asarray(t_tilde, dtype=float)
 
 

@@ -271,21 +271,26 @@ class TestResolventBuffers:
         assert np.array_equal(out, want)
         assert np.array_equal(apply_resolvent(op, 0.7, v), want)
 
-    def test_denominators_cached_read_only(self):
-        op = embed_circulant(build_band(KernelSpec(sigma=3.0), 100))
-        d = op.resolvent_denominators(0.5)
-        assert not d.flags.writeable
-        assert op.resolvent_denominators(0.5) is d
-        assert np.array_equal(d, 1.0 + 0.5 * op.eigenvalues)
-        assert np.array_equal(op.resolvent_denominators(2.0), 1.0 + 2.0 * op.eigenvalues)
-        assert op.resolvent_denominators(0.5) is not d  # only the last alpha is kept
+    def test_multipliers_cached_read_only(self):
+        op = embed_circulant(build_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
+        m = op.resolvent_multipliers(0.5)
+        assert not m.flags.writeable
+        assert op.resolvent_multipliers(0.5) is m
+        assert np.array_equal(m, 1.0 / (1.0 + 0.5 * op.eigenvalues))
+        assert np.array_equal(op.resolvent_multipliers(2.0), 1.0 / (1.0 + 2.0 * op.eigenvalues))
+        assert op.resolvent_multipliers(0.5) is not m  # only the last alpha is kept
+        m = op.resolvent_multipliers(0.5)
+        for _ in range(2):  # a failed floor check is not cached and keeps the last alpha
+            with pytest.raises(NumericalError):
+                op.resolvent_multipliers(2.0 / abs(op.eig_min))
+        assert op.resolvent_multipliers(0.5) is m
 
     def test_floor_raises_every_call(self):
         op = embed_circulant(build_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
         huge = 2.0 / abs(op.eig_min)
         for _ in range(2):
             with pytest.raises(NumericalError):
-                op.resolvent_denominators(huge)
+                op.resolvent_multipliers(huge)
 
 
 class TestApplyToeplitz:

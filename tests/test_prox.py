@@ -5,7 +5,7 @@ import scipy.optimize
 from envelofit.core import BoxConstraint, InputError
 from envelofit.prox import ProxParams, prox_r, reflect_g
 
-from oracles import prox_scalar_q, reflect_g_select
+from oracles import prox_scalar_q, prox_thresholds, reflect_g_select
 
 
 def penalty_q(x, a, b):
@@ -116,13 +116,16 @@ class TestProxParams:
         box = BoxConstraint([-1.0, -3.0], [2.0, 0.0])
         p = ProxParams(lam=2.0, alpha=1.0, y=y, box=box)
         scale = 1.0 + 1.0 / 2.0
-        np.testing.assert_allclose(p.c, 2.0 * (y - scale * box.lower))
-        np.testing.assert_allclose(p.d, 2.0 * (y - scale * box.upper))
+        c, d = prox_thresholds(p)
+        np.testing.assert_allclose(c, 2.0 * (y - scale * box.lower))
+        np.testing.assert_allclose(d, 2.0 * (y - scale * box.upper))
 
     def test_infinite_bounds_disable_branches(self):
         box = BoxConstraint([-np.inf], [np.inf])
         p = ProxParams(lam=1.0, alpha=1.0, y=np.zeros(1), box=box)
-        assert p.c[0] == np.inf and p.d[0] == -np.inf
+        c, d = prox_thresholds(p)
+        assert c[0] == np.inf and d[0] == -np.inf
+        assert not (p.has_lower or p.has_upper)
 
     def test_ordering_d_le_c(self):
         rng = np.random.default_rng(5)
@@ -132,7 +135,8 @@ class TestProxParams:
             b = y + rng.exponential(1.0, 8)
             p = ProxParams(lam=rng.uniform(0.1, 10), alpha=rng.uniform(0.1, 10),
                            y=y, box=BoxConstraint(a, b))
-            assert np.all(p.d <= p.c)
+            c, d = prox_thresholds(p)
+            assert np.all(d <= c)
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
@@ -231,3 +235,32 @@ class TestReflectGMatchesSelect:
         assert np.array_equal(got, want, equal_nan=True)
         assert got_out is buf
         assert np.array_equal(buf, want, equal_nan=True)
+
+
+class TestReflectGClampTies:
+    """At and within an ulp of a threshold the clamp returns one of the two lines."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_thresholds(self, seed):
+        rng = np.random.default_rng(seed + 120)
+        n = 400
+        mag = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        y = rng.normal(size=n) * mag
+        a = y - rng.exponential(1.0, n) * mag
+        b = y + rng.exponential(1.0, n) * mag
+        lam, alpha = float(rng.uniform(0.2, 50.0)), float(rng.uniform(0.2, 40.0))
+        p = ProxParams(lam=lam, alpha=alpha, y=y, box=BoxConstraint(a, b))
+        c, d = prox_thresholds(p)
+        eps = np.finfo(float).eps
+        for thr, bound, two_alpha_bound in ((c, a, p.two_alpha_a), (d, b, p.two_alpha_b)):
+            # magnitude of the terms both lines and the threshold round
+            size = np.abs(thr) + (lam + 2 * alpha) * np.abs(y) + (lam + 3 * alpha) * np.abs(bound)
+            for t in (np.nextafter(thr, -np.inf), thr, np.nextafter(thr, np.inf)):
+                got = reflect_g(t, p)
+                interior = (p.shrink * t + p.two_alpha_y) / p.scale
+                outer = t + two_alpha_bound
+                assert np.all((got == interior) | (got == outer))
+                assert np.all(np.abs(interior - outer) <= 4 * eps * size)
+            for t in (thr - 1e-9 * size, thr + 1e-9 * size):  # off the threshold
+                want, _ = reflect_g_select(t, np.zeros(0), p)
+                assert np.array_equal(reflect_g(t, p), want)

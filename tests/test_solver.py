@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -202,6 +204,10 @@ class TestFusedLoopMatchesReference:
     def test_production_scale(self):
         self.assert_identical(loop_instance("two_sided", n=2000, max_iters=150))
 
+    @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper"])
+    def test_long_signal_scale(self, box_kind):
+        self.assert_identical(loop_instance(box_kind, n=2**15, max_iters=50))
+
     def test_trace_every_zero(self):
         res = self.assert_identical(loop_instance("mixed", max_iters=40, trace_every=0))
         assert res.residual_trace[0][0] == 40
@@ -235,6 +241,45 @@ class TestFusedLoopMatchesReference:
         res = solve_constrained_filter(loop_instance("lower", max_iters=30))
         assert len(buffers) == 1
         assert res.z.base is None  # z holds no view of the solve's work block
+
+
+class TestLoopAllocation:
+    @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper"])
+    def test_iterations_allocate_less_than_a_vector(self, box_kind, monkeypatch):
+        """From the first prox to the last resolvent the solve's traced peak
+        exceeds its fixed buffers by less than one float64 n-vector."""
+        n = 2**15
+        p = loop_instance(box_kind, n=n, max_iters=20, trace_every=0)
+        solve_constrained_filter(p)  # FFT plans and caches warm
+        held, peak, sizes = [], [], []
+        prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
+
+        def first_prox(*a):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return prox(*a)
+
+        def record_sizes(*a):
+            if not sizes:
+                sizes.append((a[0].size, a[4].size, len(a[0].eigenvalues)))
+            return resolvent(*a)
+
+        monkeypatch.setattr(envelofit.solver, "reflect_g", first_prox)
+        monkeypatch.setattr(envelofit.solver, "apply_resolvent", record_sizes)
+        monkeypatch.setattr(envelofit.solver, "residual",  # runs once, after the loop
+                            lambda *a: peak.append(tracemalloc.get_traced_memory()[1]) or 1.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_constrained_filter(p)
+        finally:
+            tracemalloc.stop()
+        m, h, k = sizes[0]
+        # work block, spectrum (complex), eigenvalues, reciprocal, 2*alpha*(y, a, b)
+        fixed = 8 * (4 * m + 2 * h + k + h + 3 * n)
+        assert fixed <= held[0] - start < fixed + 64 * 1024
+        assert peak[0] - held[0] < 8 * n
 
 
 class TestSpectrumGuard:
