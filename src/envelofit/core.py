@@ -94,7 +94,9 @@ class BoxConstraint:
 
     ``lower[n] = -inf`` (resp. ``upper[n] = +inf``) marks the side as
     unbounded; no finite value can collide with the marker, so downstream
-    case logic branches on ``isfinite`` exactly.
+    case logic branches on ``isfinite`` exactly.  A lower bound of ``+inf``
+    or an upper bound of ``-inf`` leaves no finite feasible value and is
+    rejected.
     """
 
     lower: np.ndarray
@@ -113,6 +115,12 @@ class BoxConstraint:
             n = int(np.argmax(lo > hi))
             raise InputError(
                 f"lower[{n}]={lo[n]} exceeds upper[{n}]={hi[n]}"
+            )
+        infeasible = (lo == np.inf) | (hi == -np.inf)
+        if np.any(infeasible):
+            n = int(np.argmax(infeasible))
+            raise InputError(
+                f"bounds [{lo[n]}, {hi[n]}] at index {n} hold no finite value"
             )
         lo.flags.writeable = False
         hi.flags.writeable = False

@@ -5,7 +5,9 @@ with first row ``r[k] = exp(-k^2 / sigma^2)`` for lags up to a half-width
 ``K`` set by the truncation threshold ``tau``.  Embedding that band into an
 ``(N + K) x (N + K)`` circulant makes both the matrix-vector product and the
 resolvent ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs
-one FFT pair.
+one FFT pair.  The transforms are numpy's pocketfft kernels, bound once per
+operator; ``toeplitz_from_resolvent`` reads the banded product off a
+resolvent instead of convolving.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .core import InputError, NumericalError
 
@@ -27,6 +29,7 @@ __all__ = [
     "embed_circulant",
     "apply_resolvent",
     "apply_toeplitz",
+    "toeplitz_from_resolvent",
 ]
 
 #: Resolvent denominators 1 + alpha*lambda_i below this are treated as singular.
@@ -66,12 +69,21 @@ class CirculantOperator:
     ``eigenvalues`` is the rfft half of the spectrum (length ``size // 2 + 1``);
     the even-symmetric first row makes the other half its mirror image, so the
     half holds every distinct eigenvalue; ``eig_min`` is their minimum.
+    ``_rfft`` is the pocketfft kernel for this size and ``_inv_size`` the
+    ``1/size`` that ``np.fft.irfft`` passes to its kernel, bound once so a
+    transform skips ``numpy.fft``'s per-call dispatch.
     """
 
     size: int
     eigenvalues: np.ndarray
     eig_min: float
     _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rfft: np.ufunc = field(init=False, repr=False, compare=False)
+    _inv_size: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rfft", _rfft_kernel(self.size))
+        object.__setattr__(self, "_inv_size", 1.0 / self.size)
 
     def resolvent_multipliers(self, alpha: float) -> np.ndarray:
         """Read-only ``1 / (1 + alpha * eigenvalues)``, kept for the last ``alpha``.
@@ -97,6 +109,11 @@ class CirculantOperator:
             self._multipliers.clear()
             self._multipliers[alpha] = recip
         return recip
+
+
+def _rfft_kernel(m: int) -> np.ufunc:
+    """The pocketfft kernel ``np.fft.rfft`` picks for length ``m``."""
+    return _pocketfft.rfft_n_odd if m % 2 else _pocketfft.rfft_n_even
 
 
 def band_half_width(spec: KernelSpec) -> int:
@@ -146,7 +163,7 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     if k > 0:
         row[-k:] = band.first_row[1:][::-1]
     # even-symmetric row => real spectrum; discard round-off imaginary part
-    eig = scipy.fft.rfft(row).real.copy()
+    eig = _rfft_kernel(m)(row, 1.0, out=np.empty(m // 2 + 1, dtype=complex)).real.copy()
     eig.flags.writeable = False
     return CirculantOperator(size=m, eigenvalues=eig, eig_min=float(np.min(eig)))
 
@@ -157,20 +174,25 @@ def apply_resolvent(op: CirculantOperator, alpha: float, v, out=None,
 
     ``out`` (real, ``op.size``) receives the result and ``spec`` (complex,
     ``op.size // 2 + 1``) the spectrum; with both given a call allocates
-    nothing but the FFT's own scratch.  ``numpy.fft`` takes these buffers,
-    which ``scipy.fft`` does not, and gives the same bits.  Multiplying by
-    the cached reciprocal gives the quotient's bits: numpy divides by a real
-    ``d`` as ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
+    nothing but the FFT's own scratch.  The operator's bound kernels give
+    the bits of ``np.fft.rfft``/``irfft``.  Multiplying by the cached
+    reciprocal gives the quotient's bits: numpy divides by a real ``d`` as
+    ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
     """
     recip = op.resolvent_multipliers(alpha)
     v = np.asarray(v, dtype=float)
-    if v.shape != (op.size,):
+    if spec is None:
+        spec = np.empty(recip.size, dtype=complex)
+    if out is None:
+        out = np.empty(op.size)
+    if v.shape != (op.size,) or out.shape != v.shape or spec.shape != recip.shape:
         raise InputError(
-            f"vector length {v.shape} does not match circulant size {op.size}"
+            f"vector, output and spectrum shapes {v.shape}, {out.shape}, {spec.shape} "
+            f"do not match circulant size {op.size}"
         )
-    spec = np.fft.rfft(v, out=spec)
+    op._rfft(v, 1.0, out=spec)
     spec *= recip
-    return np.fft.irfft(spec, n=op.size, out=out)
+    return _pocketfft.irfft(spec, op._inv_size, out=out)
 
 
 def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:
@@ -183,3 +205,25 @@ def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:
     kern = np.concatenate([band.first_row[1:][::-1], band.first_row])
     k = band.half_width
     return np.convolve(z, kern, mode="full")[k : k + band.n]
+
+
+def toeplitz_from_resolvent(band: ToeplitzBand, alpha: float, u, r,
+                            out=None) -> np.ndarray:
+    """Banded product ``C z`` for ``z = r[:n]``, read off ``r = (I + alpha C~)^-1 u``.
+
+    ``(I + alpha C~) r = u`` gives ``C~ r = (u - r) / alpha``.  Its first
+    ``n`` rows are ``C z`` plus the band's reach into the tail ``r[n:]``,
+    which only the last ``K`` rows (through ``r[n:n+K]``) and the first
+    ``K`` (wrapping round to ``r[M-K:]``) have; subtracting those costs
+    O(n + K^2) where the convolution costs O(nK).  The error is the
+    resolvent's rounding over ``alpha``, of order ``eps * ||u|| / alpha``.
+    ``out`` (length ``n``) may be any buffer that overlaps neither input.
+    """
+    n, k = band.n, band.half_width
+    cz = np.subtract(u[:n], r[:n], out=out)
+    cz /= alpha
+    if k:
+        taps = band.first_row[:0:-1]  # c[K], ..., c[1]
+        cz[n - k:] -= np.convolve(r[n : n + k], taps)[:k]
+        cz[k - 1 :: -1] -= np.convolve(r[: -k - 1 : -1], taps)[:k]
+    return cz

@@ -24,6 +24,7 @@ from .kernel import (
     apply_toeplitz,
     build_band,
     embed_circulant,
+    toeplitz_from_resolvent,
 )
 from .prox import ProxParams, reflect_g
 
@@ -83,19 +84,24 @@ class SolveResult:
     converged: bool
 
 
-def residual(z, p: SolveParams, band: ToeplitzBand | None = None) -> float:
+def residual(z, p: SolveParams, band: ToeplitzBand | None = None,
+             cz=None) -> float:
     """Sup-norm optimality gap ``||C z - P_B(y - z/lam)||_inf``.
 
-    Zero exactly at the dual optimum; drives the convergence check.
+    Zero exactly at the dual optimum; drives the convergence check.  ``cz``
+    is ``C z`` when the caller has it; without it the band is convolved.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (len(p.y),):
         raise InputError(f"z length {z.shape} != {len(p.y)}")
-    if band is None:
-        band = build_band(p.kernel, len(p.y))
-    lhs = apply_toeplitz(band, z)
+    if cz is None:
+        if band is None:
+            band = build_band(p.kernel, len(p.y))
+        cz = apply_toeplitz(band, z)
+    elif np.shape(cz) != z.shape:
+        raise InputError(f"C z length {np.shape(cz)} != {len(p.y)}")
     rhs = project_box(p.y.samples - z / p.lam, p.box)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(cz - rhs)))
 
 
 def solve_constrained_filter(p: SolveParams) -> SolveResult:
@@ -103,7 +109,8 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
 
     The circulant is enlarged from the minimal ``N + K`` to an FFT-friendly
     size, which still embeds the band exactly.  An iteration is one resolvent
-    and one reflected prox, the rest in place; a checkpoint reuses the resolvent.
+    and one reflected prox, the rest in place; a checkpoint reads ``C z``
+    off the resolvent (``toeplitz_from_resolvent``) into the dead ``t``.
     """
     n = len(p.y)
     band = build_band(p.kernel, n)
@@ -111,29 +118,31 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
+    alpha, gamma, keep, cap = p.alpha, p.gamma, 1.0 - p.gamma, p.max_iters
 
     # the four work vectors share one block: freeing it raises glibc's
     # dynamic mmap threshold past the FFT scratch of this size, so later
     # solves neither map nor trim that scratch on every resolvent
     u, t, w, r = np.zeros((4, op.size))
+    t_head, t_tail, w_head, w_tail, r_head = t[:n], t[n:], w[:n], w[n:], r[:n]
     spec = np.empty(op.size // 2 + 1, dtype=complex)
     trace: list[tuple[int, float]] = []
     iters = 0
     check = p.trace_every if p.trace_every > 0 else 0
-    apply_resolvent(op, p.alpha, u, r, spec)
-    while iters < p.max_iters:
+    apply_resolvent(op, alpha, u, r, spec)
+    while iters < cap:
         np.multiply(2.0, r, out=t)
         t -= u
         # r's head is dead until the next resolvent: it holds the outer lines
-        reflect_g(t[:n], prox_params, w[:n], r[:n])
-        np.negative(t[n:], out=w[n:])  # the tail's reflection (see reflect_g)
-        u *= p.gamma
-        w *= 1.0 - p.gamma
+        reflect_g(t_head, prox_params, w_head, r_head)
+        np.negative(t_tail, out=w_tail)  # the tail's reflection (see reflect_g)
+        u *= gamma
+        w *= keep
         u += w
         iters += 1
-        apply_resolvent(op, p.alpha, u, r, spec)
-        if check and (iters % check == 0 or iters == p.max_iters):
-            res = residual(r[:n], p, band)
+        apply_resolvent(op, alpha, u, r, spec)
+        if check and (iters % check == 0 or iters == cap):
+            res = residual(r_head, p, band, toeplitz_from_resolvent(band, alpha, u, r, t_head))
             trace.append((iters, res))
             if res < tol_abs:
                 break
@@ -141,9 +150,9 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     # a checkpoint always falls on the last iteration, so only with checks
     # off (or a zero cap) is the residual still to compute
     if not trace:
-        res = residual(r[:n], p, band)
+        res = residual(r_head, p, band, toeplitz_from_resolvent(band, alpha, u, r, t_head))
         trace.append((iters, res))
-    z = r[:n].copy()  # the work block is freed with the solve
+    z = r_head.copy()  # the work block is freed with the solve
     x_hat = project_box(p.y.samples - z / p.lam, p.box)
     return SolveResult(
         x_hat=p.y.with_samples(x_hat),

@@ -3,9 +3,10 @@
 None of these run in the pipeline: a scalar prox with its own case table, a
 circulant product straight from the spectrum, a dense solve of the
 primal problem with a generic bound-constrained minimiser, the unfused
-splitting loop (with its ``np.select`` prox and full-spectrum resolvent
-check) that the package's in-place loop must reproduce bit for bit, and the
-uncached out-of-place GP sampler the cached one must reproduce bit for bit.
+splitting loop (with its ``np.select`` prox, full-spectrum resolvent check
+and out-of-place checkpoint product) that the package's in-place loop must
+reproduce bit for bit, and the uncached out-of-place GP sampler the cached
+one must reproduce bit for bit.
 """
 
 import numpy as np
@@ -170,12 +171,30 @@ def reflect_g_select(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]
     return v, -np.asarray(t_tilde, dtype=float)
 
 
+def toeplitz_via_resolvent(band: ToeplitzBand, alpha: float, u, r) -> np.ndarray:
+    """``C z`` for ``z = r[:n]`` from ``C~ r = (u - r) / alpha``, out of place.
+
+    Each of the first and last ``K`` rows drops the band's reach into the
+    tail of ``r``, summed by the same ``np.convolve`` calls, in the same
+    order, as the package's in-place form.
+    """
+    n, k = band.n, band.half_width
+    cz = (u[:n] - r[:n]) / alpha
+    if k:
+        taps = band.first_row[1:][::-1]
+        cz[n - k:] = cz[n - k:] - np.convolve(r[n : n + k], taps)[:k]
+        head = np.convolve(r[::-1][:k], taps)[:k]
+        cz[:k] = cz[:k] - head[::-1]
+    return cz
+
+
 def solve_reference_loop(p: SolveParams) -> SolveResult:
     """The splitting iteration in its unfused form.
 
     Fresh temporaries every iteration, the ``np.select`` prox, and a second
-    resolvent at every checkpoint; the package's fused loop must match it
-    bit for bit.
+    resolvent at every checkpoint, whose ``C z`` comes from
+    ``toeplitz_via_resolvent``; the package's fused loop must match it bit
+    for bit.
     """
     n = len(p.y)
     band = build_band(p.kernel, n)
@@ -183,6 +202,11 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
+
+    def checkpoint():
+        r = apply_resolvent_reference(op, p.alpha, u)
+        z = r[:n]
+        return z, residual(z, p, band, toeplitz_via_resolvent(band, p.alpha, u, r))
 
     u = np.zeros(op.size)
     trace: list[tuple[int, float]] = []
@@ -195,15 +219,13 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
         u[n:] = p.gamma * u[n:] + (1.0 - p.gamma) * v_tilde
         iters += 1
         if check and (iters % check == 0 or iters == p.max_iters):
-            z = apply_resolvent_reference(op, p.alpha, u)[:n]
-            res = residual(z, p, band)
+            z, res = checkpoint()
             trace.append((iters, res))
             if res < tol_abs:
                 break
 
     if not trace:
-        z = apply_resolvent_reference(op, p.alpha, u)[:n]
-        res = residual(z, p, band)
+        z, res = checkpoint()
         trace.append((iters, res))
     x_hat = project_box(p.y.samples - z / p.lam, p.box)
     return SolveResult(

@@ -54,6 +54,15 @@ class TestBoxConstraint:
         with pytest.raises(InputError):
             BoxConstraint([0.0, 1.0], [2.0])
 
+    @pytest.mark.parametrize("lower,upper", [
+        ([0.0, np.inf], [3.0, np.inf]),
+        ([0.0, -np.inf], [3.0, -np.inf]),
+    ])
+    def test_infinite_bound_on_the_wrong_side_rejected(self, lower, upper):
+        # no finite value lies in [+inf, +inf] or [-inf, -inf]
+        with pytest.raises(InputError, match="index 1"):
+            BoxConstraint(lower, upper)
+
     def test_degenerate_interval_allowed(self):
         # pinned samples (a == b) are legal
         BoxConstraint([1.0, 2.0], [1.0, 2.0])

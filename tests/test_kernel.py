@@ -14,6 +14,7 @@ from envelofit.kernel import (
     band_half_width,
     build_band,
     embed_circulant,
+    toeplitz_from_resolvent,
 )
 
 from oracles import apply_circulant, apply_resolvent_reference, dense_toeplitz
@@ -259,8 +260,9 @@ class TestApplyResolvent:
 
 
 class TestResolventBuffers:
-    # numpy.fft with output buffers must give the bits of the scipy.fft reference
-    @pytest.mark.parametrize("size", [3, 64, 65, 2049, 2160, 4158, 32928, 65610])
+    # the bound kernels with output buffers must give the bits of the scipy.fft reference
+    @pytest.mark.parametrize("size", [3, 64, 65, 2016, 2049, 2079, 2160, 2178, 4158,
+                                      32928, 65610, 131220, 131250])
     def test_buffers_match_reference(self, size):
         op = embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
         v = np.random.default_rng(size).standard_normal(size)
@@ -291,6 +293,72 @@ class TestResolventBuffers:
         for _ in range(2):
             with pytest.raises(NumericalError):
                 op.resolvent_multipliers(huge)
+
+
+class TestBoundTransforms:
+    """The pocketfft kernels an operator binds give ``numpy.fft``'s bits."""
+
+    @staticmethod
+    def op_of_size(size):
+        return embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
+
+    @pytest.mark.parametrize("size", [3, 64, 65, 2016, 2079, 2178, 32928, 131220, 131250])
+    def test_kernels_match_numpy_fft(self, size):
+        op = self.op_of_size(size)
+        v = np.random.default_rng(size).standard_normal(size)
+        spec = np.empty(size // 2 + 1, dtype=complex)
+        assert op._rfft(v, 1.0, out=spec) is spec
+        assert np.array_equal(spec, np.fft.rfft(v))
+        # alpha = 0: the multipliers are all 1, so the result is irfft(rfft(v))
+        want = np.fft.irfft(np.fft.rfft(v), n=size)
+        out = np.empty(size)
+        assert apply_resolvent(op, 0.0, v, out, spec) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(apply_resolvent(op, 0.0, v), want)
+
+    @pytest.mark.parametrize("n,sigma,tau,pad", [
+        (64, 1.0, 0.1, 0), (257, 3.3, 1e-3, 0), (2000, 5.0, 1e-5, 7),
+        (2000, 20.0, 1e-5, 12), (2000, 50.0, 1e-5, 0), (2**15, 20.0, 1e-5, 25),
+    ])
+    def test_eigenvalues_match_scipy_fft(self, n, sigma, tau, pad):
+        band = build_band(KernelSpec(sigma=sigma, tau=tau), n)
+        op = embed_circulant(band, n + band.half_width + pad)
+        k = band.half_width
+        row = np.zeros(op.size)
+        row[: k + 1] = band.first_row
+        row[op.size - k:] = band.first_row[1:][::-1]
+        assert np.array_equal(op.eigenvalues, scipy.fft.rfft(row).real)
+
+    def test_wrong_buffer_shapes_rejected(self):
+        op = self.op_of_size(65)
+        v = np.ones(65)
+        with pytest.raises(InputError):
+            apply_resolvent(op, 0.7, v, np.empty(64))
+        with pytest.raises(InputError):
+            apply_resolvent(op, 0.7, v, None, np.empty(32, dtype=complex))
+
+
+class TestToeplitzFromResolvent:
+    @pytest.mark.parametrize("n,sigma,tau,extra", [
+        (2000, 20.0, 1e-5, 0), (2000, 20.0, 1e-5, 12), (300, 3.0, 1e-3, 200),
+        (50, 1.0, 0.5, 5),  # K = 0
+        (20, 5.0, 1e-3, 0), (15, 5.0, 1e-3, 31),  # n < 2K: the corrections share rows
+    ])
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 50.0])
+    def test_matches_convolution(self, n, sigma, tau, extra, alpha):
+        band = build_band(KernelSpec(sigma=sigma, tau=tau), n)
+        op = embed_circulant(band, n + band.half_width + extra)
+        u = np.random.default_rng(n + extra).standard_normal(op.size)
+        r = apply_resolvent(op, alpha, u)
+        z = r[:n]
+        out = np.empty(n)
+        assert toeplitz_from_resolvent(band, alpha, u, r, out) is out
+        # the identity carries the resolvent's rounding over alpha, the
+        # convolution its own rounding over the band's row sum
+        row_sum = band.first_row[0] + 2.0 * band.first_row[1:].sum()
+        eps = np.finfo(float).eps
+        bound = 16 * eps * (np.max(np.abs(u)) / alpha + row_sum * np.max(np.abs(z)))
+        assert np.max(np.abs(out - apply_toeplitz(band, z))) <= bound
 
 
 class TestApplyToeplitz:

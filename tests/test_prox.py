@@ -198,7 +198,7 @@ class TestReflectG:
 
 
 class TestReflectGMatchesSelect:
-    """The masked in-place prox against the ``np.select`` case table, bit for bit."""
+    """The in-place clamp prox against the ``np.select`` case table, bit for bit."""
 
     @staticmethod
     def bounds(rng, n, kind):

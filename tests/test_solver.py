@@ -6,7 +6,13 @@ from scipy.fft import next_fast_len
 
 import envelofit.solver
 from envelofit.core import BoxConstraint, InputError, NumericalError, Signal
-from envelofit.kernel import KernelSpec, build_band, embed_circulant
+from envelofit.kernel import (
+    KernelSpec,
+    apply_toeplitz,
+    build_band,
+    embed_circulant,
+    toeplitz_from_resolvent,
+)
 from envelofit.solver import SolveParams, residual, solve_constrained_filter
 
 from oracles import dense_toeplitz, solve_reference_dense, solve_reference_loop
@@ -241,6 +247,44 @@ class TestFusedLoopMatchesReference:
         res = solve_constrained_filter(loop_instance("lower", max_iters=30))
         assert len(buffers) == 1
         assert res.z.base is None  # z holds no view of the solve's work block
+
+
+class TestCheckpointProduct:
+    """The checkpoint's ``C z``, read off the resolvent, against the
+    convolution at the loop's own states."""
+
+    CASES = [
+        *[dict(box_kind=kind, n=n, max_iters=100 if n == 2000 else 30)
+          for kind in ("two_sided", "lower", "upper") for n in (2000, 2**15)],
+        dict(box_kind="two_sided", sigma=1.0, tau=0.5, max_iters=60),  # K = 0
+        dict(box_kind="lower", n=20, sigma=5.0, tau=1e-3, max_iters=60),  # n < 2K
+    ]
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 14.1, 50.0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_convolution_at_checkpoints(self, case, alpha, monkeypatch):
+        p = loop_instance(alpha=alpha, trace_every=10, **case)
+        eps = np.finfo(float).eps
+        seen = []
+
+        def checked(band, alpha_, u, r, out):
+            cz = toeplitz_from_resolvent(band, alpha_, u, r, out)
+            z = r[: band.n]
+            direct = apply_toeplitz(band, z)
+            gap = np.max(np.abs(cz - direct))
+            row_sum = band.first_row[0] + 2.0 * band.first_row[1:].sum()
+            assert gap <= 16 * eps * (np.max(np.abs(u)) / alpha_
+                                      + row_sum * np.max(np.abs(z)))
+            # both gaps are sup-norms against the same projection
+            res_gap = abs(residual(z, p, band, cz) - residual(z, p, band))
+            assert res_gap <= gap * (1 + 1e-12) + 4 * eps * np.max(np.abs(direct))
+            assert res_gap <= 1e-6 * p.tol_abs
+            seen.append(alpha_)
+            return cz
+
+        monkeypatch.setattr(envelofit.solver, "toeplitz_from_resolvent", checked)
+        res = solve_constrained_filter(p)
+        assert seen == [alpha] * len(res.residual_trace)
 
 
 class TestLoopAllocation:
