@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import InputError, Signal
+from .kernel import next_fast_len
 
 __all__ = [
     "FirFilter",
@@ -127,9 +127,9 @@ def filter_zero_delay(f: FirFilter, x: Signal) -> Signal:
     if g == 0:
         return x.with_samples(f.taps[0] * x.samples)
     padded = np.pad(x.samples, g, mode="symmetric")
-    size = scipy.fft.next_fast_len(padded.size + f.length - 1, real=True)
-    spec = scipy.fft.rfft(padded, size) * scipy.fft.rfft(f.taps, size)
-    return x.with_samples(scipy.fft.irfft(spec, size)[f.length - 1 : padded.size])
+    size = next_fast_len(padded.size + f.length - 1, real=True)
+    spec = np.fft.rfft(padded, size) * np.fft.rfft(f.taps, size)
+    return x.with_samples(np.fft.irfft(spec, size)[f.length - 1 : padded.size])
 
 
 def lti_smooth_estimate(y: Signal, f: FirFilter) -> tuple[Signal, Signal]:

@@ -12,6 +12,8 @@ resolvent instead of convolving.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +32,7 @@ __all__ = [
     "apply_resolvent",
     "apply_toeplitz",
     "toeplitz_from_resolvent",
+    "next_fast_len",
 ]
 
 #: Resolvent denominators 1 + alpha*lambda_i below this are treated as singular.
@@ -114,6 +117,25 @@ class CirculantOperator:
 def _rfft_kernel(m: int) -> np.ufunc:
     """The pocketfft kernel ``np.fft.rfft`` picks for length ``m``."""
     return _pocketfft.rfft_n_odd if m % 2 else _pocketfft.rfft_n_even
+
+
+def next_fast_len(target: int, real: bool = False) -> int:
+    """Smallest size ``>= target`` with no prime factor above 11 (above 5
+    with ``real=True``): ``scipy.fft.next_fast_len``'s rule."""
+    if target < 1:
+        raise InputError(f"transform size must be >= 1, got {target}")
+    sizes = _smooth_sizes((target - 1).bit_length(), (2, 3, 5) if real else (2, 3, 5, 7, 11))
+    return sizes[bisect.bisect_left(sizes, target)]
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_sizes(bits: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted sizes up to ``2**bits`` with no prime factor outside ``primes``;
+    one tuple per bit length and prime set in use."""
+    top, sizes = 1 << bits, [1]
+    for p in primes:
+        sizes = [s * p**e for s in sizes for e in range(bits + 1) if s * p**e <= top]
+    return tuple(sorted(sizes))
 
 
 def band_half_width(spec: KernelSpec) -> int:

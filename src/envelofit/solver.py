@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import BoxConstraint, InputError, Signal, project_box
 from .kernel import (
@@ -24,6 +23,7 @@ from .kernel import (
     apply_toeplitz,
     build_band,
     embed_circulant,
+    next_fast_len,
     toeplitz_from_resolvent,
 )
 from .prox import ProxParams, reflect_g
@@ -85,11 +85,13 @@ class SolveResult:
 
 
 def residual(z, p: SolveParams, band: ToeplitzBand | None = None,
-             cz=None) -> float:
+             cz=None, out=None) -> float:
     """Sup-norm optimality gap ``||C z - P_B(y - z/lam)||_inf``.
 
     Zero exactly at the dual optimum; drives the convergence check.  ``cz``
     is ``C z`` when the caller has it; without it the band is convolved.
+    ``out`` (length ``n``, overlapping neither ``z`` nor ``cz``) takes every
+    intermediate, so the gap costs no allocation; the value is the same.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (len(p.y),):
@@ -100,8 +102,14 @@ def residual(z, p: SolveParams, band: ToeplitzBand | None = None,
         cz = apply_toeplitz(band, z)
     elif np.shape(cz) != z.shape:
         raise InputError(f"C z length {np.shape(cz)} != {len(p.y)}")
-    rhs = project_box(p.y.samples - z / p.lam, p.box)
-    return float(np.max(np.abs(cz - rhs)))
+    if out is None:
+        rhs = project_box(p.y.samples - z / p.lam, p.box)
+        return float(np.max(np.abs(cz - rhs)))
+    np.divide(z, p.lam, out=out)
+    np.subtract(p.y.samples, out, out=out)
+    np.clip(out, p.box.lower, p.box.upper, out=out)
+    np.subtract(cz, out, out=out)
+    return float(np.max(np.abs(out, out=out)))
 
 
 def solve_constrained_filter(p: SolveParams) -> SolveResult:
@@ -110,11 +118,12 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     The circulant is enlarged from the minimal ``N + K`` to an FFT-friendly
     size, which still embeds the band exactly.  An iteration is one resolvent
     and one reflected prox, the rest in place; a checkpoint reads ``C z``
-    off the resolvent (``toeplitz_from_resolvent``) into the dead ``t``.
+    off the resolvent (``toeplitz_from_resolvent``) into the dead ``t`` and
+    takes the gap in the dead ``w``.
     """
     n = len(p.y)
     band = build_band(p.kernel, n)
-    op = embed_circulant(band, size=scipy.fft.next_fast_len(n + band.half_width))
+    op = embed_circulant(band, size=next_fast_len(n + band.half_width))
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
@@ -142,7 +151,8 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         iters += 1
         apply_resolvent(op, alpha, u, r, spec)
         if check and (iters % check == 0 or iters == cap):
-            res = residual(r_head, p, band, toeplitz_from_resolvent(band, alpha, u, r, t_head))
+            res = residual(r_head, p, band,
+                           toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
             trace.append((iters, res))
             if res < tol_abs:
                 break
@@ -150,7 +160,8 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     # a checkpoint always falls on the last iteration, so only with checks
     # off (or a zero cap) is the residual still to compute
     if not trace:
-        res = residual(r_head, p, band, toeplitz_from_resolvent(band, alpha, u, r, t_head))
+        res = residual(r_head, p, band,
+                       toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
         trace.append((iters, res))
     z = r_head.copy()  # the work block is freed with the solve
     x_hat = project_box(p.y.samples - z / p.lam, p.box)

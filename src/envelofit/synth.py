@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import InputError, NumericalError, Signal
 
@@ -79,10 +80,12 @@ def sample_gp(p: GpParams, n: int, fs: float,
     """One draw from the zero-mean GP on the uniform grid ``t_i = i / fs``.
 
     ``rng`` is a seed or an existing generator.  Dense Cholesky; the ``c2``
-    jitter keeps the factorization well posed at desk scale.  The read-only
-    factor is cached per ``(p, n, fs)`` for the three GPs of the last spec
-    (``3 * n * n * 8`` bytes), so repeated trials of one spec skip it.  The
-    cache lives as long as the process; ``_gp_factor.cache_clear()`` frees it.
+    jitter keeps the factorization well posed at desk scale.  Building a
+    factor needs one n x n buffer, factored in place, plus LAPACK's own
+    working copy.  The read-only factor is cached per ``(p, n, fs)`` for the
+    three GPs of the last spec (``3 * n * n * 8`` bytes), so repeated trials
+    of one spec skip it.  The cache lives as long as the process;
+    ``_gp_factor.cache_clear()`` frees it.
     """
     rng = np.random.default_rng(rng)
     if n < 1:
@@ -97,7 +100,9 @@ def sample_gp(p: GpParams, n: int, fs: float,
 @functools.lru_cache(maxsize=3)
 def _gp_factor(p: GpParams, n: int, fs: float) -> np.ndarray:
     """Lower Cholesky factor of ``c0 * exp(-dt^2 / c1) + c2 * I``, built in
-    one n x n buffer with the same rounding as the out-of-place expression."""
+    one n x n buffer with the same rounding as the out-of-place expression
+    and factored in that buffer by the gufunc (and under the errstate) that
+    ``np.linalg.cholesky`` uses, which gives its bits."""
     t = np.arange(n) / fs
     cov = np.subtract.outer(t, t)
     np.square(cov, out=cov)
@@ -107,13 +112,14 @@ def _gp_factor(p: GpParams, n: int, fs: float) -> np.ndarray:
     cov *= p.c0
     cov.flat[:: n + 1] += p.c2
     try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            _umath_linalg.cholesky_lo(cov, signature="d->d", out=cov)
+    except FloatingPointError as exc:
         raise NumericalError(
             f"GP covariance factorization failed (c0={p.c0}, c1={p.c1}, c2={p.c2})"
         ) from exc
-    chol.flags.writeable = False
-    return chol
+    cov.flags.writeable = False
+    return cov
 
 
 def make_smooth(s, m, fs: float) -> np.ndarray:

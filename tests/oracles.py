@@ -5,8 +5,9 @@ circulant product straight from the spectrum, a dense solve of the
 primal problem with a generic bound-constrained minimiser, the unfused
 splitting loop (with its ``np.select`` prox, full-spectrum resolvent check
 and out-of-place checkpoint product) that the package's in-place loop must
-reproduce bit for bit, and the uncached out-of-place GP sampler the cached
-one must reproduce bit for bit.
+reproduce bit for bit, and the uncached out-of-place GP factor and sampler
+(``np.linalg.cholesky`` on a second array) that the cached, in-place one
+must reproduce bit for bit.
 """
 
 import numpy as np
@@ -238,6 +239,20 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
     )
 
 
+def gp_factor_dense(p: GpParams, n: int, fs: float) -> np.ndarray:
+    """Lower Cholesky factor of the GP covariance, built out of place and
+    factored by ``np.linalg.cholesky`` into a second array."""
+    t = np.arange(n) / fs
+    dt = t[:, None] - t[None, :]
+    cov = p.c0 * np.exp(-(dt * dt) / p.c1) + p.c2 * np.eye(n)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"GP covariance factorization failed (c0={p.c0}, c1={p.c1}, c2={p.c2})"
+        ) from exc
+
+
 def sample_gp_dense(p: GpParams, n: int, fs: float,
                     rng: int | np.random.Generator = 0) -> np.ndarray:
     """The GP sampler before its factor was cached: it builds the covariance
@@ -249,13 +264,4 @@ def sample_gp_dense(p: GpParams, n: int, fs: float,
         raise InputError(
             f"dense GP sampling limited to n <= {DENSE_GP_LIMIT}, got {n}"
         )
-    t = np.arange(n) / fs
-    dt = t[:, None] - t[None, :]
-    cov = p.c0 * np.exp(-(dt * dt) / p.c1) + p.c2 * np.eye(n)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"GP covariance factorization failed (c0={p.c0}, c1={p.c1}, c2={p.c2})"
-        ) from exc
-    return chol @ rng.standard_normal(n)
+    return gp_factor_dense(p, n, fs) @ rng.standard_normal(n)

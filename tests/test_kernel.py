@@ -14,6 +14,7 @@ from envelofit.kernel import (
     band_half_width,
     build_band,
     embed_circulant,
+    next_fast_len,
     toeplitz_from_resolvent,
 )
 
@@ -394,3 +395,17 @@ class TestApplyToeplitz:
         padded = np.concatenate([z, np.zeros(op.size - 64)])
         via_fft = apply_circulant(op, padded)[:64]
         np.testing.assert_allclose(apply_toeplitz(band, z), via_fft, atol=1e-10)
+
+
+class TestNextFastLen:
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_scipy_up_to_2_18(self, real):
+        targets = range(1, 2**18 + 1)
+        got = [next_fast_len(t, real) for t in targets]
+        want = [scipy.fft.next_fast_len(t, real) for t in targets]
+        assert got == want
+
+    def test_rejects_nonpositive_target(self):
+        for target in (0, -5):
+            with pytest.raises(InputError):
+                next_fast_len(target)

@@ -126,6 +126,27 @@ class TestResidual:
         # z = 0: residual is ||P_B(y)||_inf
         assert residual(np.zeros(3), p) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper", "mixed"])
+    def test_buffered_gap_matches_and_allocates_nothing(self, box_kind):
+        """With ``out`` the gap equals the out-of-place value bit for bit
+        and leaves no n-long temporary behind it."""
+        n = 2**15
+        p = loop_instance(box_kind, n=n)
+        rng = np.random.default_rng(4)
+        z, cz = rng.normal(size=n), rng.normal(size=n)
+        band, out = build_band(p.kernel, n), np.empty(n)
+        want = residual(z, p, band, cz)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = residual(z, p, band, cz, out)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 8 * n // 4
+
     def test_converged_below_tolerance(self):
         rng = np.random.default_rng(1)
         p = pd_instance(rng)

@@ -1,5 +1,7 @@
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from envelofit.synth import (
     nonlinearity_q,
     sample_gp,
 )
-from oracles import sample_gp_dense
+from oracles import gp_factor_dense, sample_gp_dense
 
 
 def assert_bits_equal(a, b):
@@ -155,9 +157,38 @@ class TestCachedFactorMatchesDense:
         with pytest.raises(NumericalError):
             sample_gp_dense(p, 200, 10.0)
         synth._gp_factor.cache_clear()
-        with pytest.raises(NumericalError):
-            sample_gp(p, 200, 10.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError):
+                sample_gp(p, 200, 10.0)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert synth._gp_factor.cache_info().currsize == 0
+
+
+class TestInPlaceFactor:
+    def test_build_holds_one_matrix(self):
+        """The covariance is factored in its own buffer: one build's traced
+        peak is one n x n array, not the two that ``np.linalg.cholesky``
+        returns into (LAPACK's working copy is not numpy's, so untraced)."""
+        p, n = TrialSpec().warp, 1000
+        synth._gp_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            synth._gp_factor(p, n, 10.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+            synth._gp_factor.cache_clear()
+        assert peak <= 1.25 * n * n * 8
+
+    def test_matches_linalg_cholesky_at_n_2000(self):
+        spec = TrialSpec()
+        synth._gp_factor.cache_clear()
+        for p in (spec.warp, spec.mag, spec.transient):
+            assert_bits_equal(synth._gp_factor(p, spec.n, spec.fs_hz),
+                              gp_factor_dense(p, spec.n, spec.fs_hz))
 
 
 class TestMakeSmooth:
