@@ -90,21 +90,25 @@ def residual(z, p: SolveParams, band: ToeplitzBand | None = None,
 
     Zero exactly at the dual optimum; drives the convergence check.  ``cz``
     is ``C z`` when the caller has it; without it the band is convolved.
-    ``out`` (length ``n``, overlapping neither ``z`` nor ``cz``) takes every
-    intermediate, so the gap costs no allocation; the value is the same.
+    Every intermediate is written into one n-long buffer: ``out`` when given
+    (overlapping neither ``z`` nor ``cz``), so the loop's gap allocates
+    nothing, otherwise a fresh one.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (len(p.y),):
-        raise InputError(f"z length {z.shape} != {len(p.y)}")
+    n = len(p.y)
+    if z.shape != (n,):
+        raise InputError(f"z length {z.shape} != {n}")
     if cz is None:
         if band is None:
-            band = build_band(p.kernel, len(p.y))
+            band = build_band(p.kernel, n)
         cz = apply_toeplitz(band, z)
     elif np.shape(cz) != z.shape:
-        raise InputError(f"C z length {np.shape(cz)} != {len(p.y)}")
+        raise InputError(f"C z length {np.shape(cz)} != {n}")
     if out is None:
-        rhs = project_box(p.y.samples - z / p.lam, p.box)
-        return float(np.max(np.abs(cz - rhs)))
+        out = np.empty(n)
+    elif np.shape(out) != z.shape:
+        raise InputError(f"buffer length {np.shape(out)} != {n}")
+    # SolveParams holds len(box) == len(y), so the bounds match z here
     np.divide(z, p.lam, out=out)
     np.subtract(p.y.samples, out, out=out)
     np.clip(out, p.box.lower, p.box.upper, out=out)

@@ -4,7 +4,7 @@ None of these run in the pipeline: a scalar prox with its own case table, a
 circulant product straight from the spectrum, a dense solve of the
 primal problem with a generic bound-constrained minimiser, the unfused
 splitting loop (with its ``np.select`` prox, full-spectrum resolvent check
-and out-of-place checkpoint product) that the package's in-place loop must
+and out-of-place checkpoint product and gap) that the package's in-place loop must
 reproduce bit for bit, and the uncached out-of-place GP factor and sampler
 (``np.linalg.cholesky`` on a second array) that the cached, in-place one
 must reproduce bit for bit.
@@ -24,7 +24,7 @@ from envelofit.kernel import (
     embed_circulant,
 )
 from envelofit.prox import ProxParams
-from envelofit.solver import SolveParams, SolveResult, residual
+from envelofit.solver import SolveParams, SolveResult
 from envelofit.synth import DENSE_GP_LIMIT, GpParams
 
 DENSE_LIMIT = 2048
@@ -61,6 +61,12 @@ def apply_circulant(op: CirculantOperator, v) -> np.ndarray:
             f"vector length {v.shape} does not match circulant size {op.size}"
         )
     return scipy.fft.irfft(scipy.fft.rfft(v) * op.eigenvalues, n=op.size)
+
+
+def residual_reference(z, p: SolveParams, cz) -> float:
+    """Out-of-place optimality gap ``||C z - P_B(y - z/lam)||_inf``."""
+    return float(np.max(np.abs(cz - np.clip(p.y.samples - z / p.lam,
+                                            p.box.lower, p.box.upper))))
 
 
 def solve_reference_dense(p: SolveParams) -> SolveResult:
@@ -114,7 +120,7 @@ def solve_reference_dense(p: SolveParams) -> SolveResult:
         x = x_next
 
     z = np.linalg.solve(c_dense, x)
-    res = residual(z, p, band)
+    res = residual_reference(z, p, c_dense @ z)
     return SolveResult(
         x_hat=p.y.with_samples(x),
         z=z,
@@ -207,7 +213,8 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
     def checkpoint():
         r = apply_resolvent_reference(op, p.alpha, u)
         z = r[:n]
-        return z, residual(z, p, band, toeplitz_via_resolvent(band, p.alpha, u, r))
+        return z, residual_reference(
+            z, p, toeplitz_via_resolvent(band, p.alpha, u, r))
 
     u = np.zeros(op.size)
     trace: list[tuple[int, float]] = []

@@ -15,7 +15,12 @@ from envelofit.kernel import (
 )
 from envelofit.solver import SolveParams, residual, solve_constrained_filter
 
-from oracles import dense_toeplitz, solve_reference_dense, solve_reference_loop
+from oracles import (
+    dense_toeplitz,
+    residual_reference,
+    solve_reference_dense,
+    solve_reference_loop,
+)
 
 
 def pd_instance(rng, n_range=(8, 64)):
@@ -128,14 +133,15 @@ class TestResidual:
 
     @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper", "mixed"])
     def test_buffered_gap_matches_and_allocates_nothing(self, box_kind):
-        """With ``out`` the gap equals the out-of-place value bit for bit
-        and leaves no n-long temporary behind it."""
+        """The gap equals the out-of-place oracle bit for bit, with or
+        without ``out``, and with it leaves no n-long temporary behind."""
         n = 2**15
         p = loop_instance(box_kind, n=n)
         rng = np.random.default_rng(4)
         z, cz = rng.normal(size=n), rng.normal(size=n)
         band, out = build_band(p.kernel, n), np.empty(n)
-        want = residual(z, p, band, cz)
+        want = residual_reference(z, p, cz)
+        assert residual(z, p, band, cz) == want
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -146,6 +152,11 @@ class TestResidual:
             tracemalloc.stop()
         assert got == want
         assert peak < 8 * n // 4
+
+    def test_buffer_of_wrong_length_rejected(self):
+        p = loop_instance("two_sided", n=64)
+        with pytest.raises(InputError):
+            residual(np.zeros(64), p, None, np.zeros(64), np.empty(63))
 
     def test_converged_below_tolerance(self):
         rng = np.random.default_rng(1)
