@@ -8,7 +8,6 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -153,8 +152,6 @@ def run_scaling(
 
 def write_report_csv(path, report: BenchReport) -> None:
     """One row per trial x method; plot-ready."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["trial_id", "method", "mse"])
-        for trial_id, method, m in report.trial_mses:
-            w.writerow([trial_id, method, repr(float(m))])
+    from .io import write_csv  # keeps json off ``import envelofit``
+
+    write_csv(path, ["trial_id", "method", "mse"], report.trial_mses)

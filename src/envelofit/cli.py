@@ -34,7 +34,7 @@ from .baseline import (
 )
 from .bench import run_mse_experiment, write_report_csv
 from .core import EnvelofitError, InputError, Signal
-from .io import read_signal_csv, write_json, write_signal_csv
+from .io import read_signal_csv, write_csv, write_json, write_signal_csv
 from .pipeline import (
     BASIC_STAGES,
     DEBIASED_STAGES,
@@ -49,6 +49,8 @@ from .synth import GpParams, TrialSpec, generate_trial
 
 _GPS = ("warp", "mag", "transient")
 _GP_COEFFS = ("c0", "c1", "c2")
+#: Parameter classes whose knobs are the decompose/bench solver flags.
+_PIPELINE = (PipelineParams, CoarseParams, SolverSettings)
 
 
 def _positive(value: str) -> float:
@@ -70,63 +72,37 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    pp, s, c = PipelineParams(), SolverSettings(), CoarseParams()
-    g = p.add_argument_group("pipeline / solver overrides")
-    for flag, kind, default, text in (
-        ("--lambda0", _positive, pp.lambda0, "envelope data-fit weight"),
-        ("--lambda1", _positive, pp.lambda1, "smoothing data-fit weight"),
-        ("--sigma0", _positive, pp.sigma0, "envelope kernel width, samples"),
-        ("--sigma1", _positive, pp.sigma1, "smoothing kernel width, samples"),
-        ("--coarse-lambda", _positive, c.lam, "coarse envelope weight for --debias"),
-        ("--coarse-sigma", _positive, c.sigma,
-         "coarse envelope kernel width for --debias"),
-        ("--gamma", float, s.gamma, "averaging factor in (0,1)"),
-        ("--alpha", _positive, s.alpha, "splitting step size; unset, each "
-         "stage uses 2*sqrt(lambda*sigma)"),
-        ("--tol", _positive, s.tol, "relative residual tolerance"),
-        ("--max-iters", _positive_int, s.max_iters, "iteration cap per solve"),
-        ("--tau", _positive, s.tau, "kernel truncation threshold; wide-kernel "
-         "stages need a tight threshold for spectral headroom"),
-    ):
-        g.add_argument(flag, type=kind, default=default,
-                       help=f"{text} (default %(default)s)")
+def _knobs(cls):
+    """(name, field) of each ``cls`` field declared with ``core.knob``."""
+    return [(f.metadata["name"] or f.name, f)
+            for f in dataclasses.fields(cls) if "help" in f.metadata]
+
+
+def _add_flags(p, *classes) -> None:
+    for cls in classes:
+        for name, f in _knobs(cls):
+            kind = (float if not f.metadata["positive"]
+                    else _positive_int if isinstance(f.default, int) else _positive)
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=f.default,
+                           help=f.metadata["help"] + " (default %(default)s)")
+
+
+def _from_args(cls, args, **rest):
+    return cls(**{f.name: getattr(args, name) for name, f in _knobs(cls)}, **rest)
 
 
 def _pipeline_from_args(args, with_coarse: bool) -> PipelineParams:
-    return PipelineParams(
-        lambda0=args.lambda0,
-        lambda1=args.lambda1,
-        sigma0=args.sigma0,
-        sigma1=args.sigma1,
-        coarse=CoarseParams(args.coarse_lambda, args.coarse_sigma) if with_coarse else None,
-        solver=SolverSettings(
-            gamma=args.gamma,
-            alpha=args.alpha,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            tau=args.tau,
-        ),
+    return _from_args(
+        PipelineParams, args,
+        coarse=_from_args(CoarseParams, args) if with_coarse else None,
+        solver=_from_args(SolverSettings, args),
     )
 
 
-def _pipeline_meta(p: PipelineParams) -> dict:
-    s = p.solver
-    meta = {
-        "lambda0": p.lambda0,
-        "lambda1": p.lambda1,
-        "sigma0": p.sigma0,
-        "sigma1": p.sigma1,
-        "gamma": s.gamma,
-        "alpha": s.alpha,
-        "tol": s.tol,
-        "max_iters": s.max_iters,
-        "tau": s.tau,
-    }
-    if p.coarse is not None:
-        meta["coarse_lambda"] = p.coarse.lam
-        meta["coarse_sigma"] = p.coarse.sigma
-    return meta
+def _parameters(p: PipelineParams) -> dict:
+    """The ``parameters`` metadata: every knob of ``p``, by name."""
+    return {name: getattr(obj, f.name) for obj in (p, p.coarse, p.solver)
+            if obj is not None for name, f in _knobs(type(obj))}
 
 
 def _out(args, name: str) -> str:
@@ -144,17 +120,14 @@ def cmd_decompose(args) -> int:
     prefix = args.prefix or os.path.splitext(os.path.basename(args.input))[0]
     write_signal_csv(_out(args, f"{prefix}_smooth.csv"), dec.smooth)
     write_signal_csv(_out(args, f"{prefix}_transient.csv"), dec.transient)
-    env_path = _out(args, f"{prefix}_envelopes.csv")
-    with open(env_path, "w", newline="") as fh:
-        fh.write("t,lower,upper\n")
-        for t, lo, hi in zip(sig.times, dec.lower_env.samples, dec.upper_env.samples):
-            fh.write(f"{t!r},{lo!r},{hi!r}\n")
+    write_csv(_out(args, f"{prefix}_envelopes.csv"), ["t", "lower", "upper"],
+              zip(sig.times, dec.lower_env.samples, dec.upper_env.samples))
     diagnostics = {
         "command": "decompose",
         "input": os.path.abspath(args.input),
         "debias": args.debias,
         "fs_hz": sig.sample_rate_hz,
-        "parameters": _pipeline_meta(pipeline),
+        "parameters": _parameters(pipeline),
         "stages": [
             {
                 "stage": name,
@@ -180,7 +153,7 @@ def cmd_decompose(args) -> int:
 def cmd_synth(args) -> int:
     gps = {gp: GpParams(*(getattr(args, f"{gp}_{c}") for c in _GP_COEFFS))
            for gp in _GPS}
-    spec = TrialSpec(seed=args.seed, fs_hz=args.fs, duration_s=args.duration, **gps)
+    spec = _from_args(TrialSpec, args, seed=args.seed, **gps)
     trial = generate_trial(spec)
     write_signal_csv(_out(args, "observation.csv"), trial.observation)
     write_signal_csv(_out(args, "smooth_truth.csv"), trial.smooth)
@@ -194,17 +167,15 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     pipeline = _pipeline_from_args(args, with_coarse=True)
-    spec = TrialSpec(fs_hz=args.fs, duration_s=args.duration)
+    spec = _from_args(TrialSpec, args)
     baselines = default_baselines(args.fs, lengths=tuple(args.baseline_lengths))
     report = run_mse_experiment(
         args.trials, args.seed, pipeline, baselines, trial_spec=spec
     )
     write_report_csv(_out(args, "mse.csv"), report)
-    with open(_out(args, "traces.csv"), "w", newline="") as fh:
-        fh.write("trial_id,iter,residual\n")
-        for trial_id in sorted(report.convergence_traces):
-            for it, res in report.convergence_traces[trial_id]:
-                fh.write(f"{trial_id},{it},{res!r}\n")
+    traces = report.convergence_traces
+    write_csv(_out(args, "traces.csv"), ["trial_id", "iter", "residual"],
+              ((i, it, res) for i in sorted(traces) for it, res in traces[i]))
     meta = {
         "command": "bench",
         "trials": args.trials,
@@ -212,7 +183,7 @@ def cmd_bench(args) -> int:
         "fs_hz": args.fs,
         "duration_s": args.duration,
         "baseline_lengths": list(args.baseline_lengths),
-        "parameters": _pipeline_meta(pipeline),
+        "parameters": _parameters(pipeline),
         "ordering": list(report.ordering),
     }
     write_json(_out(args, "meta.json"), meta)
@@ -225,10 +196,8 @@ def cmd_bench(args) -> int:
 def cmd_peaks(args) -> int:
     sig = read_signal_csv(args.input, fs_override=args.fs)
     stats = detect_peaks(sig, args.min_separation, args.min_prominence)
-    with open(_out(args, "peaks.csv"), "w", newline="") as fh:
-        fh.write("index,time_s\n")
-        for idx in stats.peak_indices:
-            fh.write(f"{idx},{sig.times[idx]!r}\n")
+    idx = stats.peak_indices
+    write_csv(_out(args, "peaks.csv"), ["index", "time_s"], zip(idx, sig.times[idx]))
     payload = {
         "command": "peaks",
         "input": os.path.abspath(args.input),
@@ -272,15 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", type=_positive, default=None,
                    help="override sample rate inferred from the t column")
     p.add_argument("--prefix", default=None, help="output filename prefix")
-    _add_solver_flags(p)
+    _add_flags(p.add_argument_group("pipeline / solver overrides"), *_PIPELINE)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     ts = TrialSpec()
     p = sub.add_parser("synth", help="generate a synthetic trial")
     p.add_argument("--seed", type=int, default=ts.seed)
-    p.add_argument("--fs", type=_positive, default=ts.fs_hz)
-    p.add_argument("--duration", type=_positive, default=ts.duration_s)
+    _add_flags(p, TrialSpec)
     for gp in _GPS:
         for c in _GP_COEFFS:
             # c2 is white jitter: zero is allowed
@@ -292,12 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the multi-trial MSE benchmark")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--fs", type=_positive, default=ts.fs_hz)
-    p.add_argument("--duration", type=_positive, default=ts.duration_s)
+    _add_flags(p, TrialSpec)
     p.add_argument("--baseline-lengths", type=_positive_int, nargs="+",
                    default=list(DEFAULT_BASELINE_LENGTHS),
                    help="Hamming lowpass lengths to compare against")
-    _add_solver_flags(p)
+    _add_flags(p.add_argument_group("pipeline / solver overrides"), *_PIPELINE)
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 

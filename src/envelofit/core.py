@@ -9,7 +9,7 @@ that side".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "BoxConstraint",
     "mse",
     "project_box",
+    "knob",
 ]
 
 
@@ -34,6 +35,17 @@ class InputError(EnvelofitError):
 
 class NumericalError(EnvelofitError):
     """Valid input hit a failed factorization or spectral solve."""
+
+
+def knob(default, help: str, name: str | None = None, positive: bool = True):
+    """A parameter field that the command line exposes as ``--name``.
+
+    ``name`` is the field's own name if unset, and ``_`` in it becomes ``-``
+    in the flag.  The flag parses as an integer when the default is one, else
+    as a float, and rejects values <= 0 when ``positive``.
+    """
+    return field(default=default,
+                 metadata={"help": help, "name": name, "positive": positive})
 
 
 def _frozen_array(x, name: str) -> np.ndarray:

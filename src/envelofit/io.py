@@ -15,19 +15,30 @@ import numpy as np
 
 from .core import InputError, Signal
 
-__all__ = ["read_signal_csv", "write_signal_csv", "write_json", "read_json"]
+__all__ = ["read_signal_csv", "write_csv", "write_signal_csv", "write_json", "read_json"]
 
 #: Maximum relative jitter tolerated in the time column.
 UNIFORMITY_TOL = 1e-6
 
 
-def write_signal_csv(path, sig: Signal) -> None:
-    t = sig.times
+def _cell(x):
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return x if isinstance(x, str) else repr(float(x))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then one line per row.  Integers are written as
+    ``int(x)``, strings as they are and any other cell as ``repr(float(x))``,
+    so every number reads back as the exact value."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "value"])
-        for ti, vi in zip(t, sig.samples):
-            w.writerow([repr(float(ti)), repr(float(vi))])
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in rows)
+
+
+def write_signal_csv(path, sig: Signal) -> None:
+    write_csv(path, ["t", "value"], zip(sig.times, sig.samples))
 
 
 def read_signal_csv(path, fs_override: float | None = None) -> Signal:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxConstraint, InputError, Signal
+from .core import BoxConstraint, InputError, Signal, knob
 from .kernel import KernelSpec
 from .solver import SolveParams, SolveResult, solve_constrained_filter
 
@@ -47,20 +47,24 @@ class SolverSettings:
     because large-``sigma`` stages need the extra spectral headroom.
     """
 
-    gamma: float = 0.5
-    alpha: float | None = None
-    max_iters: int = 10000
-    tol: float = 1e-6
+    gamma: float = knob(0.5, "averaging factor in (0,1)", positive=False)
+    alpha: float | None = knob(
+        None, "splitting step size; unset, each stage uses 2*sqrt(lambda*sigma)")
+    max_iters: int = knob(10000, "iteration cap per solve")
+    tol: float = knob(1e-6, "relative residual tolerance")
     trace_every: int = 25
-    tau: float = 1e-5
+    tau: float = knob(1e-5, "kernel truncation threshold; wide-kernel stages "
+                      "need a tight threshold for spectral headroom")
 
 
 @dataclass(frozen=True)
 class CoarseParams:
     """Weight and (very wide) kernel width for the coarse envelope stage."""
 
-    lam: float = 1.0
-    sigma: float = 50.0
+    lam: float = knob(1.0, "coarse envelope weight for --debias",
+                      name="coarse_lambda")
+    sigma: float = knob(50.0, "coarse envelope kernel width for --debias",
+                        name="coarse_sigma")
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,10 @@ class PipelineParams:
     kernel).  Widths are in samples.
     """
 
-    lambda0: float = 50.0
-    lambda1: float = 0.5
-    sigma0: float = 5.0
-    sigma1: float = 20.0
+    lambda0: float = knob(50.0, "envelope data-fit weight")
+    lambda1: float = knob(0.5, "smoothing data-fit weight")
+    sigma0: float = knob(5.0, "envelope kernel width, samples")
+    sigma1: float = knob(20.0, "smoothing kernel width, samples")
     coarse: CoarseParams | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
 

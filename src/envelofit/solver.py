@@ -40,8 +40,9 @@ __all__ = [
 class SolveParams:
     """Problem data plus splitting hyperparameters.
 
-    ``tol`` is relative to ``max(||y||_inf, 1)``; ``trace_every = 0`` disables
-    intermediate residual checks (the loop then runs to ``max_iters``).
+    ``tol`` is relative to ``max(||y||_inf, 1)``; ``trace_every = 0`` turns
+    intermediate residual checks off (the loop then runs to ``max_iters``).
+    A negative ``max_iters`` or ``trace_every`` is rejected.
     """
 
     y: Signal
@@ -63,6 +64,9 @@ class SolveParams:
             raise InputError(f"lam must be > 0, got {self.lam}")
         if not (self.tol > 0):
             raise InputError(f"tol must be > 0, got {self.tol}")
+        if self.max_iters < 0 or self.trace_every < 0:
+            raise InputError(f"max_iters and trace_every must be >= 0, "
+                             f"got {self.max_iters}, {self.trace_every}")
         if len(self.y) != len(self.box):
             raise InputError(
                 f"signal length {len(self.y)} != bounds length {len(self.box)}"
@@ -141,7 +145,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     spec = np.empty(op.size // 2 + 1, dtype=complex)
     trace: list[tuple[int, float]] = []
     iters = 0
-    check = p.trace_every if p.trace_every > 0 else 0
+    check = p.trace_every
     apply_resolvent(op, alpha, u, r, spec)
     while iters < cap:
         np.multiply(2.0, r, out=t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import InputError, NumericalError, Signal
+from .core import InputError, NumericalError, Signal, knob
 
 __all__ = [
     "GpParams",
@@ -51,8 +51,8 @@ class GpParams:
 @dataclass(frozen=True)
 class TrialSpec:
     seed: int = 0
-    fs_hz: float = 10.0
-    duration_s: float = 200.0
+    fs_hz: float = knob(10.0, "sample rate, Hz", name="fs")
+    duration_s: float = knob(200.0, "trial length, seconds", name="duration")
     warp: GpParams = field(default_factory=lambda: GpParams(25.0, 500.0, 1e-3))
     mag: GpParams = field(default_factory=lambda: GpParams(25.0, 2500.0, 5e-4))
     transient: GpParams = field(default_factory=lambda: GpParams(0.1, 10.0, 1e-5))

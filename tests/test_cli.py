@@ -1,11 +1,18 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from envelofit.cli import main
+from envelofit.cli import build_parser, main
 from envelofit.core import Signal
-from envelofit.io import write_signal_csv
+from envelofit.io import read_signal_csv, write_signal_csv
+from envelofit.pipeline import (
+    CoarseParams,
+    PipelineParams,
+    SolverSettings,
+    decompose_debiased,
+)
 
 FAST = ["--max-iters", "2000"]
 
@@ -59,6 +66,82 @@ def test_exit_code_follows_error_class(case, tmp_path, capsys):
         argv = [argv[0], path, *argv[1:]]
     assert run([*argv, "--output-dir", tmp_path / "out", "--quiet"]) == code
     assert f"error: {message}" in capsys.readouterr().err
+
+
+P, F, I = "_positive", "float", "_positive_int"
+SOLVER_FLAGS = {
+    "--lambda0": (50.0, P), "--lambda1": (0.5, P), "--sigma0": (5.0, P),
+    "--sigma1": (20.0, P), "--coarse-lambda": (1.0, P), "--coarse-sigma": (50.0, P),
+    "--gamma": (0.5, F), "--alpha": (None, P), "--tol": (1e-6, P),
+    "--max-iters": (10000, I), "--tau": (1e-5, P),
+}
+COMMON_FLAGS = {"--output-dir": (".", None), "--quiet": (False, None)}
+# flag -> (default, name of the parse function) of the commands whose flags
+# are derived from the parameter dataclasses; a derivation that adds, drops,
+# renames or retypes a flag, or moves a default, fails here
+SURFACE = {
+    "decompose": {**SOLVER_FLAGS, **COMMON_FLAGS, "--debias": (False, None),
+                  "--fs": (None, P), "--prefix": (None, None)},
+    "bench": {**SOLVER_FLAGS, **COMMON_FLAGS, "--trials": (20, I),
+              "--seed": (1, "int"), "--fs": (10.0, P), "--duration": (200.0, P),
+              "--baseline-lengths": ([101, 501, 1001, 2001], I)},
+    "synth": {**COMMON_FLAGS, "--seed": (0, "int"), "--fs": (10.0, P),
+              "--duration": (200.0, P),
+              "--warp-c0": (25.0, P), "--warp-c1": (500.0, P), "--warp-c2": (1e-3, F),
+              "--mag-c0": (25.0, P), "--mag-c1": (2500.0, P), "--mag-c2": (5e-4, F),
+              "--transient-c0": (0.1, P), "--transient-c1": (10.0, P),
+              "--transient-c2": (1e-5, F)},
+}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_flags_defaults_and_parsers_are_pinned(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {a.option_strings[0]: (a.default, getattr(a.type, "__name__", None))
+           for a in sub.choices[command]._actions
+           if a.option_strings and a.dest != "help"}
+    assert got == SURFACE[command]
+
+
+def _csv_rows(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return header, rows
+
+
+def test_every_csv_cell_is_a_plain_number(tmp_path):
+    def ok(argv):
+        assert run([*argv, "--quiet", "--output-dir", tmp_path / argv[0]]) == 0
+
+    obs = tmp_path / "synth" / "observation.csv"
+    transient = tmp_path / "decompose" / "observation_transient.csv"
+    ok(["synth", "--duration", 60])
+    ok(["decompose", obs, "--debias", *FAST])
+    ok(["peaks", transient])
+    ok(["filter", obs, "--length", 101])
+    ok(["bench", "--trials", 1, "--duration", 120, "--baseline-lengths", 101, *FAST])
+    paths = sorted(tmp_path.rglob("*.csv"))
+    assert len(paths) == 3 + 3 + 1 + 1 + 2
+    for path in paths:
+        header, rows = _csv_rows(path)
+        assert rows
+        for row in rows:
+            for name, cell in zip(header, row, strict=True):
+                if name != "method":
+                    (int if name in ("index", "trial_id", "iter") else float)(cell)
+
+    sig = read_signal_csv(obs)
+    dec = decompose_debiased(sig, PipelineParams(
+        coarse=CoarseParams(), solver=SolverSettings(max_iters=2000)))
+    header, rows = _csv_rows(tmp_path / "decompose" / "observation_envelopes.csv")
+    assert header == ["t", "lower", "upper"]
+    np.testing.assert_array_equal([float(r[1]) for r in rows], dec.lower_env.samples)
+    np.testing.assert_array_equal([float(r[2]) for r in rows], dec.upper_env.samples)
+
+    header, rows = _csv_rows(tmp_path / "peaks" / "peaks.csv")
+    idx = [int(i) for i, _ in rows]
+    np.testing.assert_array_equal([float(t) for _, t in rows],
+                                  read_signal_csv(transient).times[idx])
 
 
 class TestSynth:
@@ -128,6 +211,25 @@ class TestDecompose:
         assert failed
         err = capsys.readouterr().err
         assert "did not reach tolerance: " + ", ".join(failed) in err
+
+    @pytest.mark.parametrize("debias", [False, True])
+    def test_metadata_round_trip(self, sine_csv, tmp_path, debias):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        mode = ["--debias"] if debias else []
+        assert run(["decompose", sine_csv, *mode, "--sigma1", 25, "--tol", 1e-5,
+                    "--output-dir", d1, "--quiet", *FAST]) == 0
+        p = json.loads((d1 / "sine_diagnostics.json").read_text())["parameters"]
+        keys = {"lambda0", "lambda1", "sigma0", "sigma1", "gamma", "alpha", "tol",
+                "max_iters", "tau"}
+        assert set(p) == (keys | {"coarse_lambda", "coarse_sigma"} if debias else keys)
+        flags = [x for k, v in p.items() if v is not None
+                 for x in (f"--{k.replace('_', '-')}", v)]
+        assert run(["decompose", sine_csv, *mode, *flags,
+                    "--output-dir", d2, "--quiet"]) == 0
+        for suffix in ("smooth.csv", "transient.csv", "envelopes.csv",
+                       "diagnostics.json"):
+            name = f"sine_{suffix}"
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_additivity_of_written_files(self, sine_csv, tmp_path):
         out = tmp_path / "out"

@@ -61,6 +61,13 @@ class TestParamValidation:
         with pytest.raises(InputError):
             SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, gamma=1.0)
 
+    @pytest.mark.parametrize("caps", [{"max_iters": -5}, {"trace_every": -3}])
+    def test_negative_caps_rejected(self, caps):
+        y = Signal([1.0, 2.0], 1.0)
+        box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
+        with pytest.raises(InputError, match="must be >= 0"):
+            SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, **caps)
+
     def test_tol_abs_relative_to_signal(self):
         y = Signal([0.0, 4.0], 1.0)
         box = BoxConstraint([-9.0, -9.0], [9.0, 9.0])
