@@ -51,8 +51,7 @@ print(f"  max(smooth - upper) = {np.max(deb.smooth.samples - hi):.2e}")
 exact = np.array_equal(deb.transient.samples, y.samples - deb.smooth.samples)
 print(f"  transient == y - smooth bitwise: {exact}")
 
-names = ("coarse lower", "coarse upper", "lower env", "upper env", "smooth")
-for name, d in zip(names, deb.diagnostics):
+for d in deb.diagnostics:
     flag = "" if d.converged else "  (hit iteration cap)"
-    print(f"  {name:12s}: {d.iters:5d} iters, "
+    print(f"  {d.stage:12s}: {d.iters:5d} iters, "
           f"residual {d.residual_inf:.2e}{flag}")

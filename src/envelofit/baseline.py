@@ -54,12 +54,6 @@ class FirFilter:
             "fs_hz": self.fs_hz,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FirFilter":
-        return design_fir(
-            d["kind"], tuple(d["cutoffs_hz"]), d["fs_hz"], d["length"], d["window"]
-        )
-
 
 _WINDOWS = ("hamming", "rect")
 
@@ -89,13 +83,8 @@ def design_fir(kind: str, cutoffs_hz, fs_hz: float, length: int,
         raise InputError(
             f"cutoffs must lie in (0, fs/2) = (0, {fs_hz / 2}), got {cutoffs}"
         )
-    if length == 1:
-        taps = np.ones(1)
-    else:
-        taps = _windowed_sinc(cutoffs, fs_hz, length, window)
-    return FirFilter(
-        taps=taps, kind=kind, cutoffs_hz=cutoffs, window=window, fs_hz=fs_hz
-    )
+    return FirFilter(taps=_windowed_sinc(cutoffs, fs_hz, length, window),
+                     kind=kind, cutoffs_hz=cutoffs, window=window, fs_hz=fs_hz)
 
 
 def _windowed_sinc(cutoffs, fs_hz: float, length: int, window: str) -> np.ndarray:

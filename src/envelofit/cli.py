@@ -10,9 +10,10 @@ Subcommands::
 
 Every successful run writes a metadata JSON holding the resolved parameters,
 enough to reproduce the outputs exactly.  Exit codes: 0 success; 1 numerical
-failure (``NumericalError``: a factorization or spectral solve failed on valid
-input); 2 usage or input error (``InputError``: an invalid argument, length,
-bound, signal or file).
+failure (``NumericalError``: a factorization or spectral solve failed, or an
+iteration diverged, on valid input); 2 usage or input error (``InputError``:
+an invalid argument, length, bound, signal or file).  An error inside a
+pipeline stage ends with the stage's name.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .bench import run_mse_experiment, write_report_csv
 from .core import EnvelofitError, InputError, Signal
 from .io import read_signal_csv, write_csv, write_json, write_signal_csv
 from .pipeline import (
-    BASIC_STAGES,
-    DEBIASED_STAGES,
     CoarseParams,
     PipelineParams,
     SolverSettings,
@@ -55,8 +54,8 @@ _PIPELINE = (PipelineParams, CoarseParams, SolverSettings)
 
 def _positive(value: str) -> float:
     x = float(value)
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return x
 
 
@@ -113,8 +112,7 @@ def _out(args, name: str) -> str:
 def cmd_decompose(args) -> int:
     sig = read_signal_csv(args.input, fs_override=args.fs)
     pipeline = _pipeline_from_args(args, with_coarse=args.debias)
-    decompose, names = ((decompose_debiased, DEBIASED_STAGES) if args.debias
-                        else (decompose_basic, BASIC_STAGES))
+    decompose = decompose_debiased if args.debias else decompose_basic
     dec = decompose(sig, pipeline)
 
     prefix = args.prefix or os.path.splitext(os.path.basename(args.input))[0]
@@ -130,19 +128,19 @@ def cmd_decompose(args) -> int:
         "parameters": _parameters(pipeline),
         "stages": [
             {
-                "stage": name,
+                "stage": r.stage,
                 "iters": r.iters,
                 "residual_inf": r.residual_inf,
                 "converged": r.converged,
             }
-            for name, r in zip(names, dec.diagnostics)
+            for r in dec.diagnostics
         ],
     }
     write_json(_out(args, f"{prefix}_diagnostics.json"), diagnostics)
     if not args.quiet:
         print(f"wrote {prefix}_smooth.csv / _transient.csv / _envelopes.csv "
               f"/ _diagnostics.json in {args.output_dir}")
-    failed = [name for name, r in zip(names, dec.diagnostics) if not r.converged]
+    failed = [r.stage for r in dec.diagnostics if not r.converged]
     if failed:
         # flagged, not fatal: results are still feasible and usable
         print(f"warning: stage(s) did not reach tolerance: {', '.join(failed)}",

@@ -34,7 +34,8 @@ class InputError(EnvelofitError):
 
 
 class NumericalError(EnvelofitError):
-    """Valid input hit a failed factorization or spectral solve."""
+    """Valid input hit a failed factorization or spectral solve, or a
+    diverging iteration."""
 
 
 def knob(default, help: str, name: str | None = None, positive: bool = True):
@@ -141,11 +142,6 @@ class BoxConstraint:
 
     def __len__(self) -> int:
         return self.lower.size
-
-    @classmethod
-    def interval(cls, n: int, lower: float, upper: float) -> "BoxConstraint":
-        """Constant bounds broadcast to length ``n``."""
-        return cls(np.full(n, lower), np.full(n, upper))
 
 
 def mse(a: Signal, b: Signal) -> float:

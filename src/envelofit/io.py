@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import InputError, Signal
 
-__all__ = ["read_signal_csv", "write_csv", "write_signal_csv", "write_json", "read_json"]
+__all__ = ["read_signal_csv", "write_csv", "write_signal_csv", "write_json"]
 
 #: Maximum relative jitter tolerated in the time column.
 UNIFORMITY_TOL = 1e-6
@@ -80,12 +80,3 @@ def write_json(path, obj) -> None:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def read_json(path):
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"cannot parse {path}: {exc}") from exc

@@ -38,7 +38,8 @@ __all__ = [
 #: Resolvent denominators 1 + alpha*lambda_i below this are treated as singular.
 SPECTRUM_FLOOR = 1e-12
 
-#: Default truncation threshold (not pinned by the model; see CLI help).
+#: Default truncation threshold of a ``KernelSpec`` built directly and of
+#: ``run_scaling``; the pipeline uses ``SolverSettings.tau`` instead.
 DEFAULT_TAU = 1e-3
 
 
@@ -50,8 +51,8 @@ class KernelSpec:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise InputError(f"sigma must be > 0, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):
+            raise InputError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0 < self.tau <= 1):
             raise InputError(f"tau must be in (0, 1], got {self.tau}")
 

@@ -11,17 +11,15 @@ estimate as a side product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BoxConstraint, InputError, Signal, knob
+from .core import BoxConstraint, EnvelofitError, InputError, Signal, knob
 from .kernel import KernelSpec
 from .solver import SolveParams, SolveResult, solve_constrained_filter
 
 __all__ = [
-    "BASIC_STAGES",
-    "DEBIASED_STAGES",
     "SolverSettings",
     "PipelineParams",
     "Decomposition",
@@ -30,11 +28,6 @@ __all__ = [
     "decompose_debiased",
     "detect_peaks",
 ]
-
-#: Stage names of each pipeline, in ``Decomposition.diagnostics`` order.
-BASIC_STAGES = ("tight_lower", "tight_upper", "smooth")
-DEBIASED_STAGES = ("coarse_lower", "coarse_upper", "tight_lower", "tight_upper", "smooth")
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -118,26 +111,30 @@ class BeatStats:
     std_interval_s: float
 
 
-def _stage(y: Signal, lam: float, sigma: float, lower, upper,
+def _stage(name: str, y: Signal, lam: float, sigma: float, lower, upper,
            settings: SolverSettings) -> SolveResult:
+    """One named solve; its result, and any error it raises, carry ``name``."""
     n = len(y)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
     alpha = settings.alpha
     if alpha is None:
         alpha = 2.0 * float(np.sqrt(lam * sigma))
-    params = SolveParams(
-        y=y,
-        lam=lam,
-        kernel=KernelSpec(sigma=sigma, tau=settings.tau),
-        box=BoxConstraint(lower, upper),
-        gamma=settings.gamma,
-        alpha=alpha,
-        max_iters=settings.max_iters,
-        tol=settings.tol,
-        trace_every=settings.trace_every,
-    )
-    return solve_constrained_filter(params)
+    try:
+        params = SolveParams(
+            y=y,
+            lam=lam,
+            kernel=KernelSpec(sigma=sigma, tau=settings.tau),
+            box=BoxConstraint(lower, upper),
+            gamma=settings.gamma,
+            alpha=alpha,
+            max_iters=settings.max_iters,
+            tol=settings.tol,
+            trace_every=settings.trace_every,
+        )
+        return replace(solve_constrained_filter(params), stage=name)
+    except EnvelofitError as exc:
+        raise type(exc)(f"{exc} (stage {name})") from exc
 
 
 def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
@@ -146,7 +143,7 @@ def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
     # elementwise ordering without moving either beyond that slack, then fit
     # the smooth component in between
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    sm = _stage(y, p.lambda1, p.sigma1, lo, hi, p.solver)
+    sm = _stage("smooth", y, p.lambda1, p.sigma1, lo, hi, p.solver)
     return Decomposition(
         smooth=sm.x_hat,
         transient=y.with_samples(y.samples - sm.x_hat.samples),
@@ -161,8 +158,8 @@ def decompose_basic(y: Signal, p: PipelineParams) -> Decomposition:
     """Tight envelopes from the raw observation, then smooth in between."""
     s = p.solver
     ys = y.samples
-    low = _stage(y, p.lambda0, p.sigma0, np.min(ys), ys, s)
-    up = _stage(y, p.lambda0, p.sigma0, ys, np.max(ys), s)
+    low = _stage("tight_lower", y, p.lambda0, p.sigma0, np.min(ys), ys, s)
+    up = _stage("tight_upper", y, p.lambda0, p.sigma0, ys, np.max(ys), s)
     return _sandwich(y, p, low.x_hat.samples, up.x_hat.samples, (low, up))
 
 
@@ -173,16 +170,16 @@ def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
         raise InputError("debiased pipeline requires coarse params")
     s = p.solver
     ys = y.samples
-    c_low = _stage(y, p.coarse.lam, p.coarse.sigma, -np.inf, ys, s)
-    c_up = _stage(y, p.coarse.lam, p.coarse.sigma, ys, np.inf, s)
+    c_low = _stage("coarse_lower", y, p.coarse.lam, p.coarse.sigma, -np.inf, ys, s)
+    c_up = _stage("coarse_upper", y, p.coarse.lam, p.coarse.sigma, ys, np.inf, s)
     l0 = c_low.x_hat.samples
     u0 = c_up.x_hat.samples
 
     # biased residuals are single-signed up to solver tolerance
     w_low = y.with_samples(ys - u0)  # <= 0
     w_up = y.with_samples(ys - l0)  # >= 0
-    low = _stage(w_low, p.lambda0, p.sigma0, -np.inf, w_low.samples, s)
-    up = _stage(w_up, p.lambda0, p.sigma0, w_up.samples, np.inf, s)
+    low = _stage("tight_lower", w_low, p.lambda0, p.sigma0, -np.inf, w_low.samples, s)
+    up = _stage("tight_upper", w_up, p.lambda0, p.sigma0, w_up.samples, np.inf, s)
     return _sandwich(
         y, p, u0 + low.x_hat.samples, l0 + up.x_hat.samples,
         (c_low, c_up, low, up),

@@ -11,14 +11,14 @@ iteration costs one FFT pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxConstraint, InputError, Signal, project_box
+from .core import BoxConstraint, InputError, NumericalError, Signal, project_box
 from .kernel import (
     KernelSpec,
-    ToeplitzBand,
     apply_resolvent,
     apply_toeplitz,
     build_band,
@@ -80,32 +80,33 @@ class SolveParams:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``stage`` names the pipeline stage that ran the solve; a direct
+    ``solve_constrained_filter`` call leaves it empty."""
+
     x_hat: Signal
     z: np.ndarray
     iters: int
     residual_inf: float
     residual_trace: tuple[tuple[int, float], ...]
     converged: bool
+    stage: str = ""
 
 
-def residual(z, p: SolveParams, band: ToeplitzBand | None = None,
-             cz=None, out=None) -> float:
+def residual(z, p: SolveParams, cz=None, out=None) -> float:
     """Sup-norm optimality gap ``||C z - P_B(y - z/lam)||_inf``.
 
     Zero exactly at the dual optimum; drives the convergence check.  ``cz``
-    is ``C z`` when the caller has it; without it the band is convolved.
-    Every intermediate is written into one n-long buffer: ``out`` when given
-    (overlapping neither ``z`` nor ``cz``), so the loop's gap allocates
-    nothing, otherwise a fresh one.
+    is ``C z`` when the caller has it; without it the band is built and
+    convolved.  Every intermediate is written into one n-long buffer:
+    ``out`` when given (overlapping neither ``z`` nor ``cz``), so the loop's
+    gap allocates nothing, otherwise a fresh one.
     """
     z = np.asarray(z, dtype=float)
     n = len(p.y)
     if z.shape != (n,):
         raise InputError(f"z length {z.shape} != {n}")
     if cz is None:
-        if band is None:
-            band = build_band(p.kernel, n)
-        cz = apply_toeplitz(band, z)
+        cz = apply_toeplitz(build_band(p.kernel, n), z)
     elif np.shape(cz) != z.shape:
         raise InputError(f"C z length {np.shape(cz)} != {n}")
     if out is None:
@@ -127,7 +128,9 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     size, which still embeds the band exactly.  An iteration is one resolvent
     and one reflected prox, the rest in place; a checkpoint reads ``C z``
     off the resolvent (``toeplitz_from_resolvent``) into the dead ``t`` and
-    takes the gap in the dead ``w``.
+    takes the gap in the dead ``w``.  A gap that is not finite means the
+    iteration diverged: the first such checkpoint (the final gap, with checks
+    off) raises ``NumericalError``.
     """
     n = len(p.y)
     band = build_band(p.kernel, n)
@@ -159,18 +162,21 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         iters += 1
         apply_resolvent(op, alpha, u, r, spec)
         if check and (iters % check == 0 or iters == cap):
-            res = residual(r_head, p, band,
+            res = residual(r_head, p,
                            toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
             trace.append((iters, res))
-            if res < tol_abs:
+            if res < tol_abs or not math.isfinite(res):
                 break
 
     # a checkpoint always falls on the last iteration, so only with checks
     # off (or a zero cap) is the residual still to compute
     if not trace:
-        res = residual(r_head, p, band,
+        res = residual(r_head, p,
                        toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
         trace.append((iters, res))
+    if not math.isfinite(res):
+        raise NumericalError(f"iteration diverged: gap {res} at iteration {iters} "
+                             f"with alpha={alpha}")
     z = r_head.copy()  # the work block is freed with the solve
     x_hat = project_box(p.y.samples - z / p.lam, p.box)
     return SolveResult(

@@ -58,10 +58,9 @@ class TrialSpec:
     transient: GpParams = field(default_factory=lambda: GpParams(0.1, 10.0, 1e-5))
 
     def __post_init__(self):
-        if not (self.fs_hz > 0 and self.duration_s > 0):
-            raise InputError(
-                f"fs_hz and duration_s must be positive, got {self.fs_hz}, {self.duration_s}"
-            )
+        if not (0 < self.fs_hz < np.inf and 0 < self.duration_s < np.inf):
+            raise InputError(f"fs_hz and duration_s must be positive and finite, "
+                             f"got {self.fs_hz}, {self.duration_s}")
 
     @property
     def n(self) -> int:

@@ -3,7 +3,6 @@ import pytest
 import scipy.signal
 
 from envelofit.baseline import (
-    FirFilter,
     default_baselines,
     design_fir,
     filter_zero_delay,
@@ -36,11 +35,19 @@ class TestDesignFir:
         np.testing.assert_allclose(f.taps, f.taps[::-1], atol=1e-15)
         assert f.group_delay == 100
 
-    def test_dict_round_trip(self):
-        f = design_fir("bandpass", (0.6, 2.0), 12.0, 501)
-        g = FirFilter.from_dict(f.to_dict())
-        np.testing.assert_array_equal(f.taps, g.taps)
-        assert g.kind == "bandpass" and g.cutoffs_hz == (0.6, 2.0)
+    def test_to_dict(self):
+        f = design_fir("bandpass", (0.6, 2.0), 12.0, 501, "rect")
+        assert f.to_dict() == {"kind": "bandpass", "cutoffs_hz": [0.6, 2.0],
+                               "window": "rect", "length": 501, "fs_hz": 12.0}
+
+    @pytest.mark.parametrize("window", ["hamming", "rect"])
+    @pytest.mark.parametrize("kind,cutoffs", [
+        ("lowpass", (0.01,)), ("lowpass", (0.45,)), ("lowpass", (4.99,)),
+        ("bandpass", (0.01, 0.02)), ("bandpass", (0.6, 2.0)), ("bandpass", (1.0, 4.99)),
+    ])
+    def test_single_tap_is_identity(self, kind, cutoffs, window):
+        taps = design_fir(kind, cutoffs, 10.0, 1, window).taps
+        assert taps.tobytes() == np.ones(1).tobytes()
 
     def test_stopband_attenuation(self):
         # Hamming window: stopband should be at least 40 dB down

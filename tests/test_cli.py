@@ -54,9 +54,15 @@ EXIT_CODES = {
                         "resolvent denominator min -1.737e+04 <= 1e-12"),
     "gp_factor": (["synth", "--warp-c2", 0, "--duration", 100], None, 1,
                   "GP covariance factorization failed (c0=25.0, c1=500.0, c2=0.0)"),
+    # passes the floor, then diverges on the indefinite band
+    "diverged": (["decompose", "--alpha", 1e4], 300, 1,
+                 "iteration diverged: gap nan at iteration 1700 with alpha=10000.0 "
+                 "(stage smooth)"),
 }
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("case", EXIT_CODES)
 def test_exit_code_follows_error_class(case, tmp_path, capsys):
     argv, rows, code, message = EXIT_CODES[case]
@@ -66,6 +72,20 @@ def test_exit_code_follows_error_class(case, tmp_path, capsys):
         argv = [argv[0], path, *argv[1:]]
     assert run([*argv, "--output-dir", tmp_path / "out", "--quiet"]) == code
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "IN", "--debias", "--coarse-sigma", "inf"],
+    ["decompose", "IN", "--sigma1", "inf"],
+    ["decompose", "IN", "--lambda0", "inf"],
+    ["synth", "--duration", "inf"],
+])
+def test_infinite_value_is_usage_error(argv, sine_csv, tmp_path, capsys):
+    argv = [sine_csv if a == "IN" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--output-dir", tmp_path / "out", "--quiet"])
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: must be positive and finite, got inf" in capsys.readouterr().err
 
 
 P, F, I = "_positive", "float", "_positive_int"

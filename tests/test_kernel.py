@@ -57,6 +57,11 @@ class TestBandHalfWidth:
             k += 1
         assert band_half_width(spec) == k
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(InputError, match="positive and finite"):
+            KernelSpec(sigma=sigma)
+
     def test_monotone_in_sigma_and_tau(self):
         widths_sigma = [band_half_width(KernelSpec(sigma=s, tau=1e-3))
                         for s in [1, 2, 5, 10, 20]]

@@ -7,8 +7,6 @@ import pytest
 
 from envelofit.core import InputError, Signal
 from envelofit.pipeline import (
-    BASIC_STAGES,
-    DEBIASED_STAGES,
     CoarseParams,
     PipelineParams,
     SolverSettings,
@@ -176,8 +174,9 @@ class TestDetectPeaks:
         )
 
 
-def test_benchmark_stage_names_match_pipeline(monkeypatch):
-    """``perfbench/workloads.py`` keeps its own copy of the stage tuples."""
+def test_benchmark_stage_names_match_pipeline(short_trial, monkeypatch):
+    """``perfbench/workloads.py`` keeps its own copy of the stage names; it
+    must list them in the order the pipelines run and name their results."""
     bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(bench_dir))  # for its ``import longgen``
     spec = importlib.util.spec_from_file_location(
@@ -185,5 +184,8 @@ def test_benchmark_stage_names_match_pipeline(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    assert workloads.DEBIASED_STAGES == DEBIASED_STAGES
-    assert workloads.BASIC_STAGES == BASIC_STAGES
+    p = PipelineParams(coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
+    for decompose, stages in ((decompose_debiased, workloads.DEBIASED_STAGES),
+                              (decompose_basic, workloads.BASIC_STAGES)):
+        dec = decompose(short_trial.observation, p)
+        assert tuple(r.stage for r in dec.diagnostics) == stages

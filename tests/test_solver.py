@@ -146,14 +146,14 @@ class TestResidual:
         p = loop_instance(box_kind, n=n)
         rng = np.random.default_rng(4)
         z, cz = rng.normal(size=n), rng.normal(size=n)
-        band, out = build_band(p.kernel, n), np.empty(n)
+        out = np.empty(n)
         want = residual_reference(z, p, cz)
-        assert residual(z, p, band, cz) == want
+        assert residual(z, p, cz) == want
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            got = residual(z, p, band, cz, out)
+            got = residual(z, p, cz, out)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -163,7 +163,7 @@ class TestResidual:
     def test_buffer_of_wrong_length_rejected(self):
         p = loop_instance("two_sided", n=64)
         with pytest.raises(InputError):
-            residual(np.zeros(64), p, None, np.zeros(64), np.empty(63))
+            residual(np.zeros(64), p, np.zeros(64), np.empty(63))
 
     def test_converged_below_tolerance(self):
         rng = np.random.default_rng(1)
@@ -315,7 +315,7 @@ class TestCheckpointProduct:
             assert gap <= 16 * eps * (np.max(np.abs(u)) / alpha_
                                       + row_sum * np.max(np.abs(z)))
             # both gaps are sup-norms against the same projection
-            res_gap = abs(residual(z, p, band, cz) - residual(z, p, band))
+            res_gap = abs(residual(z, p, cz) - residual(z, p))
             assert res_gap <= gap * (1 + 1e-12) + 4 * eps * np.max(np.abs(direct))
             assert res_gap <= 1e-6 * p.tol_abs
             seen.append(alpha_)
@@ -379,3 +379,34 @@ class TestSpectrumGuard:
         with pytest.raises(NumericalError):
             solve_constrained_filter(q)
         assert called == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("trace_every", [25, 0])
+    def test_divergence_raises_at_first_nonfinite_gap(self, trace_every, monkeypatch):
+        """A step size that passes the floor can still diverge on the
+        indefinite band; the solve says so instead of returning NaNs."""
+        p = loop_instance("lower", n=2000, sigma=20.0, tau=1e-5)
+        band = build_band(p.kernel, len(p.y))
+        eig_min = embed_circulant(band, next_fast_len(len(p.y) + band.half_width)).eig_min
+        assert -5e-5 < eig_min < -3e-5
+        alpha = 0.999 / -eig_min
+        q = SolveParams(**{**p.__dict__, "alpha": alpha, "max_iters": 3000,
+                           "trace_every": trace_every})
+        gaps = []
+
+        def recorded(*args):
+            gaps.append(residual(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(envelofit.solver, "residual", recorded)
+        with pytest.raises(NumericalError) as exc:
+            solve_constrained_filter(q)
+        assert np.all(np.isfinite(gaps[:-1])) and not np.isfinite(gaps[-1])
+        iters = len(gaps) * trace_every if trace_every else 3000
+        assert iters < 3000 or not trace_every
+        assert f"at iteration {iters} with alpha={alpha}" in str(exc.value)
+
+
+def test_direct_solve_has_no_stage():
+    assert solve_constrained_filter(loop_instance("two_sided")).stage == ""

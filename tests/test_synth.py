@@ -52,6 +52,12 @@ class TestGpParams:
         assert spec.fs_hz == 10.0 and spec.duration_s == 200.0
         assert spec.n == 2000
 
+    @pytest.mark.parametrize("field", ["fs_hz", "duration_s"])
+    @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
+    def test_rate_and_duration_positive_and_finite(self, field, value):
+        with pytest.raises(InputError, match="positive and finite"):
+            TrialSpec(**{field: value})
+
 
 class TestSampleGp:
     def test_determinism(self):
