@@ -39,7 +39,7 @@ __all__ = [
 SPECTRUM_FLOOR = 1e-12
 
 #: Default truncation threshold of a ``KernelSpec`` built directly and of
-#: ``run_scaling``; the pipeline uses ``SolverSettings.tau`` instead.
+#: ``run_scaling``; the pipeline uses ``PipelineParams.tau`` instead.
 DEFAULT_TAU = 1e-3
 
 

@@ -6,7 +6,8 @@ smoothest signal between those envelopes (light data-fit weight, wider
 kernel).  The transient component is the remainder.  A debiased variant
 first fits coarse one-sided envelopes so each tight-envelope stage sees a
 single-signed input, which tightens the envelopes and yields a trend
-estimate as a side product.
+estimate as a side product.  Every parameter is checked when its object is
+built, so a bad value fails before any stage runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import BoxConstraint, EnvelofitError, InputError, Signal, knob
 from .kernel import KernelSpec
-from .solver import SolveParams, SolveResult, solve_constrained_filter
+from .solver import SolveParams, SolveResult, SolverSettings, solve_constrained_filter
 
 __all__ = [
     "SolverSettings",
@@ -28,27 +29,6 @@ __all__ = [
     "decompose_debiased",
     "detect_peaks",
 ]
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Splitting hyperparameters shared by every stage of the pipeline.
-
-    ``alpha=None`` picks a per-stage step size ``2 * sqrt(lam * sigma)``,
-    which balances the splitting between the covariance spectrum and the
-    data-fit curvature; a wide-kernel stage and a tight-envelope stage want
-    very different steps.  ``tau`` is tighter than the kernel-module default
-    because large-``sigma`` stages need the extra spectral headroom.
-    """
-
-    gamma: float = knob(0.5, "averaging factor in (0,1)", positive=False)
-    alpha: float | None = knob(
-        None, "splitting step size; unset, each stage uses 2*sqrt(lambda*sigma)")
-    max_iters: int = knob(10000, "iteration cap per solve")
-    tol: float = knob(1e-6, "relative residual tolerance")
-    trace_every: int = 25
-    tau: float = knob(1e-5, "kernel truncation threshold; wide-kernel stages "
-                      "need a tight threshold for spectral headroom")
-
 
 @dataclass(frozen=True)
 class CoarseParams:
@@ -66,29 +46,36 @@ class PipelineParams:
 
     ``lambda0``/``sigma0`` drive the tight envelopes (heavy fit, narrow
     kernel), ``lambda1``/``sigma1`` the final smoothing (light fit, wide
-    kernel).  Widths are in samples.
+    kernel).  Widths are in samples.  ``tau``, every stage's kernel
+    truncation, is tighter than the kernel-module default because
+    large-``sigma`` stages need the extra spectral headroom.  The splitting
+    settings are declared and checked in ``solver.SolverSettings``.
     """
 
     lambda0: float = knob(50.0, "envelope data-fit weight")
     lambda1: float = knob(0.5, "smoothing data-fit weight")
     sigma0: float = knob(5.0, "envelope kernel width, samples")
     sigma1: float = knob(20.0, "smoothing kernel width, samples")
+    tau: float = knob(1e-5, "kernel truncation threshold; wide-kernel stages "
+                      "need a tight threshold for spectral headroom")
     coarse: CoarseParams | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        if not (0 < self.lambda1 < self.lambda0):
+        if not (0 < self.lambda1 < self.lambda0 < np.inf):
             raise InputError(
                 f"need 0 < lambda1 < lambda0, got {self.lambda1}, {self.lambda0}"
             )
-        if not (0 < self.sigma0 <= self.sigma1):
+        if not (0 < self.sigma0 <= self.sigma1 < np.inf):
             raise InputError(
                 f"need 0 < sigma0 <= sigma1, got {self.sigma0}, {self.sigma1}"
             )
-        if self.coarse is not None and not (self.sigma1 <= self.coarse.sigma):
+        if self.coarse is not None and not (self.sigma1 <= self.coarse.sigma < np.inf):
             raise InputError(
                 f"need sigma1 <= coarse sigma, got {self.sigma1}, {self.coarse.sigma}"
             )
+        if not (0 < self.tau <= 1):
+            raise InputError(f"tau must be in (0, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -112,26 +99,14 @@ class BeatStats:
 
 
 def _stage(name: str, y: Signal, lam: float, sigma: float, lower, upper,
-           settings: SolverSettings) -> SolveResult:
+           p: PipelineParams) -> SolveResult:
     """One named solve; its result, and any error it raises, carry ``name``."""
     n = len(y)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
-    alpha = settings.alpha
-    if alpha is None:
-        alpha = 2.0 * float(np.sqrt(lam * sigma))
     try:
-        params = SolveParams(
-            y=y,
-            lam=lam,
-            kernel=KernelSpec(sigma=sigma, tau=settings.tau),
-            box=BoxConstraint(lower, upper),
-            gamma=settings.gamma,
-            alpha=alpha,
-            max_iters=settings.max_iters,
-            tol=settings.tol,
-            trace_every=settings.trace_every,
-        )
+        params = SolveParams(y=y, lam=lam, kernel=KernelSpec(sigma=sigma, tau=p.tau),
+                             box=BoxConstraint(lower, upper), **vars(p.solver))
         return replace(solve_constrained_filter(params), stage=name)
     except EnvelofitError as exc:
         raise type(exc)(f"{exc} (stage {name})") from exc
@@ -143,7 +118,7 @@ def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
     # elementwise ordering without moving either beyond that slack, then fit
     # the smooth component in between
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    sm = _stage("smooth", y, p.lambda1, p.sigma1, lo, hi, p.solver)
+    sm = _stage("smooth", y, p.lambda1, p.sigma1, lo, hi, p)
     return Decomposition(
         smooth=sm.x_hat,
         transient=y.with_samples(y.samples - sm.x_hat.samples),
@@ -156,10 +131,9 @@ def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
 
 def decompose_basic(y: Signal, p: PipelineParams) -> Decomposition:
     """Tight envelopes from the raw observation, then smooth in between."""
-    s = p.solver
     ys = y.samples
-    low = _stage("tight_lower", y, p.lambda0, p.sigma0, np.min(ys), ys, s)
-    up = _stage("tight_upper", y, p.lambda0, p.sigma0, ys, np.max(ys), s)
+    low = _stage("tight_lower", y, p.lambda0, p.sigma0, np.min(ys), ys, p)
+    up = _stage("tight_upper", y, p.lambda0, p.sigma0, ys, np.max(ys), p)
     return _sandwich(y, p, low.x_hat.samples, up.x_hat.samples, (low, up))
 
 
@@ -168,18 +142,17 @@ def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
     single-signed input; also yields a trend estimate."""
     if p.coarse is None:
         raise InputError("debiased pipeline requires coarse params")
-    s = p.solver
     ys = y.samples
-    c_low = _stage("coarse_lower", y, p.coarse.lam, p.coarse.sigma, -np.inf, ys, s)
-    c_up = _stage("coarse_upper", y, p.coarse.lam, p.coarse.sigma, ys, np.inf, s)
+    c_low = _stage("coarse_lower", y, p.coarse.lam, p.coarse.sigma, -np.inf, ys, p)
+    c_up = _stage("coarse_upper", y, p.coarse.lam, p.coarse.sigma, ys, np.inf, p)
     l0 = c_low.x_hat.samples
     u0 = c_up.x_hat.samples
 
     # biased residuals are single-signed up to solver tolerance
     w_low = y.with_samples(ys - u0)  # <= 0
     w_up = y.with_samples(ys - l0)  # >= 0
-    low = _stage("tight_lower", w_low, p.lambda0, p.sigma0, -np.inf, w_low.samples, s)
-    up = _stage("tight_upper", w_up, p.lambda0, p.sigma0, w_up.samples, np.inf, s)
+    low = _stage("tight_lower", w_low, p.lambda0, p.sigma0, -np.inf, w_low.samples, p)
+    up = _stage("tight_upper", w_up, p.lambda0, p.sigma0, w_up.samples, np.inf, p)
     return _sandwich(
         y, p, u0 + low.x_hat.samples, l0 + up.x_hat.samples,
         (c_low, c_up, low, up),

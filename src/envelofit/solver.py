@@ -6,7 +6,8 @@ The primal problem
 
 is attacked through a dual in the variable ``z`` (with ``x = P_B(y - z/lam)``
 at the optimum), reformulated over the circulant extension of ``C`` so every
-iteration costs one FFT pair.
+iteration costs one FFT pair.  ``SolveParams`` extends ``SolverSettings``
+with the problem data, and both check their values once, when built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxConstraint, InputError, NumericalError, Signal, project_box
+from .core import BoxConstraint, InputError, NumericalError, Signal, knob, project_box
 from .kernel import (
     KernelSpec,
     apply_resolvent,
@@ -29,6 +30,7 @@ from .kernel import (
 from .prox import ProxParams, reflect_g
 
 __all__ = [
+    "SolverSettings",
     "SolveParams",
     "SolveResult",
     "solve_constrained_filter",
@@ -37,36 +39,52 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SolveParams:
-    """Problem data plus splitting hyperparameters.
+class SolverSettings:
+    """Splitting hyperparameters of every solve, checked when built.
 
+    ``alpha=None`` makes ``SolveParams`` pick ``2 * sqrt(lam * sigma)``,
+    which balances the covariance spectrum against the data-fit curvature: a
+    wide-kernel stage and a tight-envelope stage want very different steps.
     ``tol`` is relative to ``max(||y||_inf, 1)``; ``trace_every = 0`` turns
     intermediate residual checks off (the loop then runs to ``max_iters``).
-    A negative ``max_iters`` or ``trace_every`` is rejected.
     """
 
-    y: Signal
-    lam: float
-    kernel: KernelSpec
-    box: BoxConstraint
-    gamma: float = 0.5
-    alpha: float = 1.0
-    max_iters: int = 20000
-    tol: float = 1e-6
+    gamma: float = knob(0.5, "averaging factor in (0,1)", positive=False)
+    alpha: float | None = knob(
+        None, "splitting step size; unset, each stage uses 2*sqrt(lambda*sigma)")
+    max_iters: int = knob(10000, "iteration cap per solve")
+    tol: float = knob(1e-6, "relative residual tolerance")
     trace_every: int = 25
 
     def __post_init__(self):
         if not (0 < self.gamma < 1):
             raise InputError(f"gamma must be in (0,1), got {self.gamma}")
-        if not (self.alpha > 0):
-            raise InputError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.lam > 0):
-            raise InputError(f"lam must be > 0, got {self.lam}")
-        if not (self.tol > 0):
-            raise InputError(f"tol must be > 0, got {self.tol}")
+        if self.alpha is not None and not (0 < self.alpha < math.inf):
+            raise InputError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (0 < self.tol < math.inf):
+            raise InputError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 0 or self.trace_every < 0:
             raise InputError(f"max_iters and trace_every must be >= 0, "
                              f"got {self.max_iters}, {self.trace_every}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SolveParams(SolverSettings):
+    """Problem data plus the inherited splitting settings; ``alpha=None``
+    is resolved to ``2 * sqrt(lam * sigma)`` and the resolved value stored."""
+
+    y: Signal
+    lam: float
+    kernel: KernelSpec
+    box: BoxConstraint
+
+    def __post_init__(self):
+        if not (0 < self.lam < math.inf):
+            raise InputError(f"lam must be positive and finite, got {self.lam}")
+        if self.alpha is None:
+            object.__setattr__(self, "alpha",
+                               2.0 * float(np.sqrt(self.lam * self.kernel.sigma)))
+        super().__post_init__()
         if len(self.y) != len(self.box):
             raise InputError(
                 f"signal length {len(self.y)} != bounds length {len(self.box)}"
@@ -149,31 +167,33 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     trace: list[tuple[int, float]] = []
     iters = 0
     check = p.trace_every
-    apply_resolvent(op, alpha, u, r, spec)
-    while iters < cap:
-        np.multiply(2.0, r, out=t)
-        t -= u
-        # r's head is dead until the next resolvent: it holds the outer lines
-        reflect_g(t_head, prox_params, w_head, r_head)
-        np.negative(t_tail, out=w_tail)  # the tail's reflection (see reflect_g)
-        u *= gamma
-        w *= keep
-        u += w
-        iters += 1
+    # a diverging iterate passes through inf and NaN silently: its gap reports it
+    with np.errstate(over="ignore", invalid="ignore"):
         apply_resolvent(op, alpha, u, r, spec)
-        if check and (iters % check == 0 or iters == cap):
+        while iters < cap:
+            np.multiply(2.0, r, out=t)
+            t -= u
+            # r's head is dead until the next resolvent: it holds the outer lines
+            reflect_g(t_head, prox_params, w_head, r_head)
+            np.negative(t_tail, out=w_tail)  # the tail's reflection (see reflect_g)
+            u *= gamma
+            w *= keep
+            u += w
+            iters += 1
+            apply_resolvent(op, alpha, u, r, spec)
+            if check and (iters % check == 0 or iters == cap):
+                res = residual(r_head, p,
+                               toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
+                trace.append((iters, res))
+                if res < tol_abs or not math.isfinite(res):
+                    break
+
+        # a checkpoint always falls on the last iteration, so only with checks
+        # off (or a zero cap) is the residual still to compute
+        if not trace:
             res = residual(r_head, p,
                            toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
             trace.append((iters, res))
-            if res < tol_abs or not math.isfinite(res):
-                break
-
-    # a checkpoint always falls on the last iteration, so only with checks
-    # off (or a zero cap) is the residual still to compute
-    if not trace:
-        res = residual(r_head, p,
-                       toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
-        trace.append((iters, res))
     if not math.isfinite(res):
         raise NumericalError(f"iteration diverged: gap {res} at iteration {iters} "
                              f"with alpha={alpha}")

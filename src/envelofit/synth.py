@@ -42,10 +42,9 @@ class GpParams:
     c2: float = 0.0
 
     def __post_init__(self):
-        if not (self.c0 > 0 and self.c1 > 0 and self.c2 >= 0):
-            raise InputError(
-                f"need c0 > 0, c1 > 0, c2 >= 0; got {self.c0}, {self.c1}, {self.c2}"
-            )
+        if not (0 < self.c0 < np.inf and 0 < self.c1 < np.inf and 0 <= self.c2 < np.inf):
+            raise InputError(f"need finite c0 > 0, c1 > 0, c2 >= 0; "
+                             f"got {self.c0}, {self.c1}, {self.c2}")
 
 
 @dataclass(frozen=True)

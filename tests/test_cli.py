@@ -61,8 +61,7 @@ EXIT_CODES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", EXIT_CODES)
 def test_exit_code_follows_error_class(case, tmp_path, capsys):
     argv, rows, code, message = EXIT_CODES[case]
@@ -71,7 +70,23 @@ def test_exit_code_follows_error_class(case, tmp_path, capsys):
         write_signal_csv(path, Signal(np.sin(2.0 * np.pi * np.arange(rows) / 10.0), 10.0))
         argv = [argv[0], path, *argv[1:]]
     assert run([*argv, "--output-dir", tmp_path / "out", "--quiet"]) == code
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["decompose", "IN", "--gamma", "inf"],
+    ["decompose", "IN", "--tau", "2"],
+    ["synth", "--warp-c2", "inf"],
+])
+def test_setting_rejected_before_any_stage(argv, sine_csv, tmp_path, capsys):
+    argv = [sine_csv if a == "IN" else a for a in argv]
+    assert run([*argv, "--output-dir", tmp_path / "out", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert argv[-2].rsplit("-", 1)[1] in err
+    assert "(stage" not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import envelofit.solver
 from envelofit.core import InputError, Signal
 from envelofit.pipeline import (
     CoarseParams,
@@ -45,6 +46,27 @@ class TestParamValidation:
     def test_coarse_sigma_ordering(self):
         with pytest.raises(InputError):
             PipelineParams(sigma1=20.0, coarse=CoarseParams(1.0, 10.0))
+
+    @pytest.mark.parametrize("kw", [
+        dict(lambda0=np.inf), dict(sigma1=np.inf), dict(coarse=CoarseParams(sigma=np.inf)),
+        dict(tau=0.0), dict(tau=1.5), dict(tau=np.nan),
+    ])
+    def test_out_of_range_rejected_when_built(self, kw):
+        with pytest.raises(InputError):
+            PipelineParams(**kw)
+
+    def test_tau_reaches_every_stage_kernel(self, short_trial, monkeypatch):
+        kernels = []
+        build_band = envelofit.solver.build_band
+        monkeypatch.setattr(envelofit.solver, "build_band",
+                            lambda spec, n: kernels.append(spec) or build_band(spec, n))
+        p = PipelineParams(tau=1e-4, coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
+        dec = decompose_debiased(short_trial.observation, p)
+        assert [(r.stage, k.sigma, k.tau) for r, k in zip(dec.diagnostics, kernels)] == [
+            ("coarse_lower", 50.0, 1e-4), ("coarse_upper", 50.0, 1e-4),
+            ("tight_lower", 5.0, 1e-4), ("tight_upper", 5.0, 1e-4), ("smooth", 20.0, 1e-4),
+        ]
+        assert len(kernels) == 5
 
     def test_debias_requires_coarse(self):
         y = Signal(np.zeros(50) + 1.0, 10.0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
+import envelofit
+import envelofit.pipeline
 import envelofit.solver
 from envelofit.core import BoxConstraint, InputError, NumericalError, Signal
 from envelofit.kernel import (
@@ -13,7 +15,7 @@ from envelofit.kernel import (
     embed_circulant,
     toeplitz_from_resolvent,
 )
-from envelofit.solver import SolveParams, residual, solve_constrained_filter
+from envelofit.solver import SolveParams, SolverSettings, residual, solve_constrained_filter
 
 from oracles import (
     dense_toeplitz,
@@ -67,6 +69,35 @@ class TestParamValidation:
         box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
         with pytest.raises(InputError, match="must be >= 0"):
             SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, **caps)
+
+    @pytest.mark.parametrize("kw", [
+        *({"gamma": v} for v in (0.0, 1.0, np.inf, np.nan)),
+        *({"alpha": v} for v in (0.0, -1.0, np.inf, np.nan)),
+        *({"tol": v} for v in (0.0, np.inf, np.nan)),
+        {"max_iters": -1},
+        {"trace_every": -1},
+    ])
+    def test_settings_rejected_when_built(self, kw):
+        with pytest.raises(InputError, match=next(iter(kw))):
+            SolverSettings(**kw)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_lam_positive_and_finite(self, lam):
+        y = Signal([1.0, 2.0], 1.0)
+        box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
+        with pytest.raises(InputError, match="lam"):
+            SolveParams(y=y, lam=lam, kernel=KernelSpec(1.0), box=box)
+
+    def test_one_declaration_of_the_settings(self):
+        assert issubclass(SolveParams, SolverSettings)
+        assert envelofit.SolverSettings is envelofit.pipeline.SolverSettings is SolverSettings
+
+    def test_unset_alpha_stores_the_stage_rule(self):
+        y = Signal([1.0, 2.0], 1.0)
+        box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
+        p = SolveParams(y=y, lam=5.0, kernel=KernelSpec(2.0), box=box)
+        assert p.alpha == 2.0 * float(np.sqrt(5.0 * 2.0))
+        assert p.max_iters == SolverSettings().max_iters
 
     def test_tol_abs_relative_to_signal(self):
         y = Signal([0.0, 4.0], 1.0)
@@ -380,12 +411,12 @@ class TestSpectrumGuard:
             solve_constrained_filter(q)
         assert called == []
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("trace_every", [25, 0])
     def test_divergence_raises_at_first_nonfinite_gap(self, trace_every, monkeypatch):
         """A step size that passes the floor can still diverge on the
-        indefinite band; the solve says so instead of returning NaNs."""
+        indefinite band; the solve says so, without numpy warnings, instead
+        of returning NaNs."""
         p = loop_instance("lower", n=2000, sigma=20.0, tau=1e-5)
         band = build_band(p.kernel, len(p.y))
         eig_min = embed_circulant(band, next_fast_len(len(p.y) + band.half_width)).eig_min

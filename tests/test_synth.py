@@ -43,6 +43,11 @@ class TestGpParams:
         with pytest.raises(InputError):
             GpParams(1.0, 1.0, -1e-9)
 
+    @pytest.mark.parametrize("coeffs", [(np.inf, 1.0), (1.0, np.inf), (1.0, 1.0, np.inf)])
+    def test_coefficients_finite(self, coeffs):
+        with pytest.raises(InputError, match="finite"):
+            GpParams(*coeffs)
+
     def test_printed_defaults(self):
         spec = TrialSpec()
         assert (spec.warp.c0, spec.warp.c1, spec.warp.c2) == (25.0, 500.0, 1e-3)
