@@ -32,7 +32,7 @@ lam, sigma = 5.0, 2.0
 p = SolveParams(
     y=y, box=box,
     kernel=KernelSpec(sigma=sigma),
-    lam=lam,  # alpha unset: SolveParams picks 2 * sqrt(lam * sigma)
+    lam=lam,  # alpha unset: SolveParams picks 1 / sqrt(eig_min * eig_max)
     tol=1e-8, max_iters=20000, trace_every=200,
 )
 

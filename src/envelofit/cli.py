@@ -148,9 +148,15 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _gp_from_args(args, gp: str) -> GpParams:
+    try:
+        return GpParams(*(getattr(args, f"{gp}_{c}") for c in _GP_COEFFS))
+    except InputError as exc:
+        raise InputError(f"--{gp}-c0/c1/c2: {exc}") from exc
+
+
 def cmd_synth(args) -> int:
-    gps = {gp: GpParams(*(getattr(args, f"{gp}_{c}") for c in _GP_COEFFS))
-           for gp in _GPS}
+    gps = {gp: _gp_from_args(args, gp) for gp in _GPS}
     spec = _from_args(TrialSpec, args, seed=args.seed, **gps)
     trial = generate_trial(spec)
     write_signal_csv(_out(args, "observation.csv"), trial.observation)

@@ -1,8 +1,14 @@
 """Truncated squared-exponential Toeplitz covariance and its circulant embedding.
 
 The covariance of the smoothness prior is a banded symmetric Toeplitz matrix
-with first row ``r[k] = exp(-k^2 / sigma^2)`` for lags up to a half-width
-``K`` set by the truncation threshold ``tau``.  Embedding that band into an
+with first row ``r[k] = exp(-k^2 / sigma^2)`` for lags ``1..K`` (``K`` set
+by the truncation threshold ``tau``) and diagonal
+``r[0] = 1 + sigma*sqrt(pi)*erfc(K/sigma) + 1/(2(K + 1))``.  Truncation alone
+leaves the band indefinite; the middle term bounds how far the dropped tail
+lowers the (positive) untruncated symbol, so every Toeplitz and circulant
+eigenvalue exceeds the floor ``1/(2(K + 1))``, for any size.  The condition
+number, about ``2 sqrt(pi) sigma (K + 1)``, then sets the splitting
+iterations per solve.  Embedding that band into an
 ``(N + K) x (N + K)`` circulant makes both the matrix-vector product and the
 resolvent ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs
 one FFT pair.  The transforms are numpy's pocketfft kernels, bound once per
@@ -72,7 +78,8 @@ class CirculantOperator:
 
     ``eigenvalues`` is the rfft half of the spectrum (length ``size // 2 + 1``);
     the even-symmetric first row makes the other half its mirror image, so the
-    half holds every distinct eigenvalue; ``eig_min`` is their minimum.
+    half holds every distinct eigenvalue; ``eig_min`` and ``eig_max`` are
+    their extremes.
     ``_rfft`` is the pocketfft kernel for this size and ``_inv_size`` the
     ``1/size`` that ``np.fft.irfft`` passes to its kernel, bound once so a
     transform skips ``numpy.fft``'s per-call dispatch.
@@ -81,6 +88,7 @@ class CirculantOperator:
     size: int
     eigenvalues: np.ndarray
     eig_min: float
+    eig_max: float
     _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rfft: np.ufunc = field(init=False, repr=False, compare=False)
     _inv_size: float = field(init=False, repr=False, compare=False)
@@ -153,7 +161,8 @@ def band_half_width(spec: KernelSpec) -> int:
 
 
 def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
-    """Banded first row of the covariance for a length-``n`` signal."""
+    """Banded first row of the covariance for a length-``n`` signal, its
+    diagonal raised as the module docstring states."""
     if n < 1:
         raise InputError(f"signal length must be >= 1, got {n}")
     k = band_half_width(spec)
@@ -164,6 +173,8 @@ def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
         )
     lags = np.arange(k + 1, dtype=float)
     row = np.exp(-(lags**2) / spec.sigma**2)
+    # the tail past K sums to at most sigma*sqrt(pi)/2 * erfc(K/sigma) per side
+    row[0] += spec.sigma * math.sqrt(math.pi) * math.erfc(k / spec.sigma) + 0.5 / (k + 1)
     return ToeplitzBand(first_row=row, half_width=k, n=n)
 
 
@@ -188,7 +199,8 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     # even-symmetric row => real spectrum; discard round-off imaginary part
     eig = _rfft_kernel(m)(row, 1.0, out=np.empty(m // 2 + 1, dtype=complex)).real.copy()
     eig.flags.writeable = False
-    return CirculantOperator(size=m, eigenvalues=eig, eig_min=float(np.min(eig)))
+    return CirculantOperator(size=m, eigenvalues=eig, eig_min=float(np.min(eig)),
+                             eig_max=float(np.max(eig)))
 
 
 def apply_resolvent(op: CirculantOperator, alpha: float, v, out=None,

@@ -47,17 +47,17 @@ class PipelineParams:
     ``lambda0``/``sigma0`` drive the tight envelopes (heavy fit, narrow
     kernel), ``lambda1``/``sigma1`` the final smoothing (light fit, wide
     kernel).  Widths are in samples.  ``tau``, every stage's kernel
-    truncation, is tighter than the kernel-module default because
-    large-``sigma`` stages need the extra spectral headroom.  The splitting
-    settings are declared and checked in ``solver.SolverSettings``.
+    truncation, is tighter than the kernel-module default: it dates from
+    when truncation left wide bands indefinite, and is kept until it is
+    chosen again on held-out trials.  The splitting settings are declared
+    and checked in ``solver.SolverSettings``.
     """
 
     lambda0: float = knob(50.0, "envelope data-fit weight")
     lambda1: float = knob(0.5, "smoothing data-fit weight")
     sigma0: float = knob(5.0, "envelope kernel width, samples")
     sigma1: float = knob(20.0, "smoothing kernel width, samples")
-    tau: float = knob(1e-5, "kernel truncation threshold; wide-kernel stages "
-                      "need a tight threshold for spectral headroom")
+    tau: float = knob(1e-5, "kernel truncation threshold of every stage")
     coarse: CoarseParams | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
 

@@ -19,7 +19,9 @@ import numpy as np
 
 from .core import BoxConstraint, InputError, NumericalError, Signal, knob, project_box
 from .kernel import (
+    CirculantOperator,
     KernelSpec,
+    ToeplitzBand,
     apply_resolvent,
     apply_toeplitz,
     build_band,
@@ -42,16 +44,19 @@ __all__ = [
 class SolverSettings:
     """Splitting hyperparameters of every solve, checked when built.
 
-    ``alpha=None`` makes ``SolveParams`` pick ``2 * sqrt(lam * sigma)``,
-    which balances the covariance spectrum against the data-fit curvature: a
-    wide-kernel stage and a tight-envelope stage want very different steps.
-    ``tol`` is relative to ``max(||y||_inf, 1)``; ``trace_every = 0`` turns
-    intermediate residual checks off (the loop then runs to ``max_iters``).
+    ``alpha=None`` makes ``SolveParams`` pick ``1 / sqrt(eig_min * eig_max)``
+    of the stage's circulant: the step that balances the covariance
+    spectrum's two ends, so the iteration contracts at a rate set by the
+    square root of its condition number (the metric selection of Giselsson
+    and Boyd 2017 for Douglas-Rachford splitting).  ``tol`` is relative to
+    ``max(||y||_inf, 1)``; ``trace_every = 0`` turns intermediate residual
+    checks off (the loop then runs to ``max_iters``).
     """
 
     gamma: float = knob(0.5, "averaging factor in (0,1)", positive=False)
     alpha: float | None = knob(
-        None, "splitting step size; unset, each stage uses 2*sqrt(lambda*sigma)")
+        None, "splitting step size; unset, each stage uses "
+        "1/sqrt(eig_min*eig_max) of its kernel's circulant")
     max_iters: int = knob(10000, "iteration cap per solve")
     tol: float = knob(1e-6, "relative residual tolerance")
     trace_every: int = 25
@@ -70,8 +75,14 @@ class SolverSettings:
 
 @dataclass(frozen=True, kw_only=True)
 class SolveParams(SolverSettings):
-    """Problem data plus the inherited splitting settings; ``alpha=None``
-    is resolved to ``2 * sqrt(lam * sigma)`` and the resolved value stored."""
+    """Problem data plus the inherited splitting settings.
+
+    ``alpha=None`` is resolved, after every other check, to
+    ``1 / sqrt(eig_min * eig_max)`` of the circulant the solve uses, and the
+    resolved value is stored.  It does not depend on ``lam``, so
+    ``dataclasses.replace(p, lam=...)`` keeps the rule's step; changing
+    ``kernel`` or the length of ``y`` needs ``alpha=None`` to get it again.
+    """
 
     y: Signal
     lam: float
@@ -81,14 +92,17 @@ class SolveParams(SolverSettings):
     def __post_init__(self):
         if not (0 < self.lam < math.inf):
             raise InputError(f"lam must be positive and finite, got {self.lam}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha",
-                               2.0 * float(np.sqrt(self.lam * self.kernel.sigma)))
         super().__post_init__()
         if len(self.y) != len(self.box):
             raise InputError(
                 f"signal length {len(self.y)} != bounds length {len(self.box)}"
             )
+        if self.alpha is None:
+            _, op = _operator(self.kernel, len(self.y))
+            if op.eig_min <= 0:
+                raise NumericalError(f"step-size rule needs a positive kernel spectrum, "
+                                     f"got eig_min {op.eig_min:.3e}; set alpha")
+            object.__setattr__(self, "alpha", 1.0 / math.sqrt(op.eig_min * op.eig_max))
 
     @property
     def tol_abs(self) -> float:
@@ -108,6 +122,13 @@ class SolveResult:
     residual_trace: tuple[tuple[int, float], ...]
     converged: bool
     stage: str = ""
+
+
+def _operator(kernel: KernelSpec, n: int) -> tuple[ToeplitzBand, CirculantOperator]:
+    """The band of a length-``n`` solve and its circulant, enlarged from the
+    minimal ``N + K`` to an FFT-friendly size that still embeds it exactly."""
+    band = build_band(kernel, n)
+    return band, embed_circulant(band, size=next_fast_len(n + band.half_width))
 
 
 def residual(z, p: SolveParams, cz=None, out=None) -> float:
@@ -142,17 +163,14 @@ def residual(z, p: SolveParams, cz=None, out=None) -> float:
 def solve_constrained_filter(p: SolveParams) -> SolveResult:
     """Run the splitting iteration on the circulant-extended dual.
 
-    The circulant is enlarged from the minimal ``N + K`` to an FFT-friendly
-    size, which still embeds the band exactly.  An iteration is one resolvent
-    and one reflected prox, the rest in place; a checkpoint reads ``C z``
-    off the resolvent (``toeplitz_from_resolvent``) into the dead ``t`` and
-    takes the gap in the dead ``w``.  A gap that is not finite means the
-    iteration diverged: the first such checkpoint (the final gap, with checks
-    off) raises ``NumericalError``.
+    An iteration is one resolvent and one reflected prox, the rest in place;
+    a checkpoint reads ``C z`` off the resolvent (``toeplitz_from_resolvent``)
+    into the dead ``t`` and takes the gap in the dead ``w``.  A gap that is
+    not finite means the iteration diverged: the first such checkpoint (the
+    final gap, with checks off) raises ``NumericalError``.
     """
     n = len(p.y)
-    band = build_band(p.kernel, n)
-    op = embed_circulant(band, size=next_fast_len(n + band.half_width))
+    band, op = _operator(p.kernel, n)
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs

@@ -1,10 +1,11 @@
 """Independent oracles the tests check the package against.
 
-None of these run in the pipeline: a scalar prox with its own case table, a
-circulant product straight from the spectrum, a dense solve of the
-primal problem with a generic bound-constrained minimiser, the unfused
-splitting loop (with its ``np.select`` prox, full-spectrum resolvent check
-and out-of-place checkpoint product and gap) that the package's in-place loop must
+None of these run in the pipeline: a scalar prox with its own case table,
+the band without its diagonal shift, a circulant product straight from the
+spectrum, a dense solve of the primal problem with a generic
+bound-constrained minimiser, the unfused splitting loop (with its
+``np.select`` prox, full-spectrum resolvent check and out-of-place
+checkpoint product and gap) that the package's in-place loop must
 reproduce bit for bit, and the uncached out-of-place GP factor and sampler
 (``np.linalg.cholesky`` on a second array) that the cached, in-place one
 must reproduce bit for bit.
@@ -15,10 +16,12 @@ import scipy.fft
 import scipy.linalg
 import scipy.optimize
 
+import envelofit.solver
 from envelofit.core import InputError, NumericalError, project_box
 from envelofit.kernel import (
     SPECTRUM_FLOOR,
     CirculantOperator,
+    KernelSpec,
     ToeplitzBand,
     build_band,
     embed_circulant,
@@ -44,6 +47,21 @@ def prox_scalar_q(s: float, a: float, b: float, alpha: float) -> float:
     if np.isfinite(b) and s > (1.0 + alpha) * b:
         return s - alpha * b
     return s / (1.0 + alpha)
+
+
+def truncated_band(spec: KernelSpec, n: int) -> ToeplitzBand:
+    """The band without its diagonal shift: the plain truncated Gaussian row,
+    which truncation leaves indefinite for wide kernels."""
+    band = build_band(spec, n)
+    row = band.first_row.copy()
+    row[0] = 1.0
+    return ToeplitzBand(first_row=row, half_width=band.half_width, n=n)
+
+
+def inject_truncated_band(monkeypatch) -> None:
+    """Make every solve build ``truncated_band``, whose negative eigenvalues
+    let an explicit step size trip the resolvent floor or diverge."""
+    monkeypatch.setattr(envelofit.solver, "build_band", truncated_band)
 
 
 def dense_toeplitz(band: ToeplitzBand) -> np.ndarray:

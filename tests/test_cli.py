@@ -50,14 +50,8 @@ EXIT_CODES = {
                     "signal length 300 must exceed filter group delay 500"),
     "dense_gp_limit": (["synth", "--duration", 1000], None, 2,
                        "dense GP sampling limited to n <= 4096, got 10000"),
-    "resolvent_floor": (["decompose", "--alpha", 1e9], 300, 1,
-                        "resolvent denominator min -1.737e+04 <= 1e-12"),
     "gp_factor": (["synth", "--warp-c2", 0, "--duration", 100], None, 1,
                   "GP covariance factorization failed (c0=25.0, c1=500.0, c2=0.0)"),
-    # passes the floor, then diverges on the indefinite band
-    "diverged": (["decompose", "--alpha", 1e4], 300, 1,
-                 "iteration diverged: gap nan at iteration 1700 with alpha=10000.0 "
-                 "(stage smooth)"),
 }
 
 
@@ -87,6 +81,13 @@ def test_setting_rejected_before_any_stage(argv, sine_csv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert argv[-2].rsplit("-", 1)[1] in err
     assert "(stage" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gp", ["warp", "mag", "transient"])
+def test_gp_error_names_its_flags(gp, tmp_path, capsys):
+    assert run(["synth", f"--{gp}-c2", "inf", "--output-dir", tmp_path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{gp}-c0/c1/c2: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from envelofit.core import InputError, NumericalError
 from envelofit.kernel import (
     SPECTRUM_FLOOR,
     KernelSpec,
+    ToeplitzBand,
     apply_resolvent,
     apply_toeplitz,
     band_half_width,
@@ -18,7 +19,12 @@ from envelofit.kernel import (
     toeplitz_from_resolvent,
 )
 
-from oracles import apply_circulant, apply_resolvent_reference, dense_toeplitz
+from oracles import (
+    apply_circulant,
+    apply_resolvent_reference,
+    dense_toeplitz,
+    truncated_band,
+)
 
 
 def first_row(op):
@@ -71,17 +77,47 @@ class TestBandHalfWidth:
         assert widths_tau == sorted(widths_tau, reverse=True)
 
 
+def diagonal(sigma, k):
+    """``1`` plus the two-sided sum of the dropped tail, and the band's
+    diagonal: ``1``, the tail's integral bound and the floor."""
+    tail = sum(math.exp(-(j * j) / sigma**2) for j in range(k + 1, k + 100 * int(sigma) + 100))
+    return 1.0 + 2.0 * tail, 1.0 + sigma * math.sqrt(math.pi) * math.erfc(k / sigma) + 0.5 / (k + 1)
+
+
 class TestBuildBand:
     def test_degenerate_band(self):
         band = build_band(KernelSpec(sigma=1.0, tau=0.5), 8)
-        np.testing.assert_array_equal(band.first_row, [1.0])
         assert band.half_width == 0
+        np.testing.assert_allclose(band.first_row, [1.0 + math.sqrt(math.pi) + 0.5],
+                                   rtol=1e-15)
 
     def test_entries_match_kernel(self):
         band = build_band(KernelSpec(sigma=10.0, tau=0.01), 100)
         assert band.first_row.size == 22
         assert band.first_row[1] == pytest.approx(math.exp(-0.01), rel=1e-15)
-        assert band.first_row[0] == 1.0
+        np.testing.assert_array_equal(band.first_row[1:], np.exp(-np.arange(1.0, 22) ** 2 / 100))
+        with_tail, shifted = diagonal(10.0, 21)
+        assert band.first_row[0] == pytest.approx(shifted, rel=1e-15)
+        assert band.first_row[0] > with_tail + 0.5 / 22  # the bound covers the tail
+
+    @pytest.mark.parametrize("sigma", [0.7, 5.0, 20.0, 50.0])
+    @pytest.mark.parametrize("tau", [0.9, 0.3, 1e-3, 1e-5])
+    def test_spectrum_above_floor(self, sigma, tau):
+        # every Toeplitz and circulant eigenvalue exceeds 1/(2(K + 1)), also
+        # at circulant sizes beyond the minimal one
+        spec = KernelSpec(sigma=sigma, tau=tau)
+        k = band_half_width(spec)
+        floor = 0.5 / (k + 1)
+        n = k + 1 + int(max(k, 16))
+        band = build_band(spec, n)
+        assert np.linalg.eigvalsh(dense_toeplitz(band)).min() > floor
+        for size in (n + k, n + k + 7, 2 * (n + k)):
+            op = embed_circulant(band, size)
+            assert op.eig_min == np.min(op.eigenvalues) > floor
+            assert op.eig_max == np.max(op.eigenvalues)
+        # truncation alone leaves wide kernels indefinite
+        if sigma >= 5.0 and tau <= 1e-3:
+            assert embed_circulant(truncated_band(spec, n)).eig_min < 0
 
     def test_band_must_fit(self):
         with pytest.raises(InputError):
@@ -91,12 +127,12 @@ class TestBuildBand:
 class TestEmbedCirculant:
     def test_symmetry_forced_first_row(self):
         band = build_band(KernelSpec(sigma=1.0, tau=0.3), 4)
-        # sigma=1, tau=0.3: K=1, r = [1, exp(-1)]
+        # sigma=1, tau=0.3: K=1, r = [1 + shift, exp(-1)]
         op = embed_circulant(band)
         assert op.size == 5
         row = first_row(op)
         np.testing.assert_allclose(
-            row, [1.0, math.exp(-1), 0.0, 0.0, math.exp(-1)], atol=1e-14
+            row, [diagonal(1.0, 1)[1], math.exp(-1), 0.0, 0.0, math.exp(-1)], atol=1e-14
         )
 
     def test_eigenvalues_match_dense(self):
@@ -146,10 +182,8 @@ class TestEmbedCirculant:
 
 
 def toy_op():
-    """Circulant with first row [1, .5, 0, 0, .5]."""
-    band = build_band(KernelSpec(sigma=1.0 / math.sqrt(math.log(2.0)), tau=0.5), 4)
-    np.testing.assert_allclose(band.first_row, [1.0, 0.5])
-    return embed_circulant(band)
+    """Circulant with first row [1, .5, 0, 0, .5], from a hand-built band."""
+    return embed_circulant(ToeplitzBand(first_row=np.array([1.0, 0.5]), half_width=1, n=4))
 
 
 class TestApplyCirculant:
@@ -227,7 +261,7 @@ class TestApplyResolvent:
             assert np.linalg.norm(out) <= np.linalg.norm(v) * (1 + 1e-12)
 
     def test_negative_spectrum_guard(self):
-        band = build_band(KernelSpec(sigma=20.0, tau=1e-3), 200)
+        band = truncated_band(KernelSpec(sigma=20.0, tau=1e-3), 200)
         op = embed_circulant(band)
         assert np.min(op.eigenvalues) < 0  # truncation ripple
         huge = 2.0 / abs(np.min(op.eigenvalues))
@@ -239,8 +273,9 @@ class TestApplyResolvent:
     ])
     def test_floor_check_matches_full_spectrum(self, sigma, tau, n):
         # the O(1) check on eig_min must raise exactly when the full
-        # denominator's minimum is at or below the floor, ulp for ulp
-        op = embed_circulant(build_band(KernelSpec(sigma=sigma, tau=tau), n))
+        # denominator's minimum is at or below the floor, ulp for ulp; only
+        # the band without its shift has a negative spectrum to check
+        op = embed_circulant(truncated_band(KernelSpec(sigma=sigma, tau=tau), n))
         assert op.eig_min == np.min(op.eigenvalues) < 0
         v = np.random.default_rng(n).standard_normal(op.size)
         edges = (-1.0 / op.eig_min, (SPECTRUM_FLOOR - 1.0) / op.eig_min)
@@ -280,7 +315,7 @@ class TestResolventBuffers:
         assert np.array_equal(apply_resolvent(op, 0.7, v), want)
 
     def test_multipliers_cached_read_only(self):
-        op = embed_circulant(build_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
+        op = embed_circulant(truncated_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
         m = op.resolvent_multipliers(0.5)
         assert not m.flags.writeable
         assert op.resolvent_multipliers(0.5) is m
@@ -294,7 +329,7 @@ class TestResolventBuffers:
         assert op.resolvent_multipliers(0.5) is m
 
     def test_floor_raises_every_call(self):
-        op = embed_circulant(build_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
+        op = embed_circulant(truncated_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
         huge = 2.0 / abs(op.eig_min)
         for _ in range(2):
             with pytest.raises(NumericalError):
@@ -376,7 +411,7 @@ class TestApplyToeplitz:
         np.testing.assert_allclose(apply_toeplitz(band, e0), col, atol=1e-14)
 
     def test_diagonal_kernel_identity(self):
-        band = build_band(KernelSpec(sigma=1.0, tau=0.5), 6)
+        band = ToeplitzBand(first_row=np.array([1.0]), half_width=0, n=6)
         v = np.arange(6.0)
         np.testing.assert_array_equal(apply_toeplitz(band, v), v)
 

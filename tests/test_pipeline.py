@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import envelofit.solver
+import envelofit.pipeline
 from envelofit.core import InputError, Signal
 from envelofit.pipeline import (
     CoarseParams,
@@ -57,9 +57,9 @@ class TestParamValidation:
 
     def test_tau_reaches_every_stage_kernel(self, short_trial, monkeypatch):
         kernels = []
-        build_band = envelofit.solver.build_band
-        monkeypatch.setattr(envelofit.solver, "build_band",
-                            lambda spec, n: kernels.append(spec) or build_band(spec, n))
+        solve = envelofit.pipeline.solve_constrained_filter
+        monkeypatch.setattr(envelofit.pipeline, "solve_constrained_filter",
+                            lambda q: kernels.append(q.kernel) or solve(q))
         p = PipelineParams(tau=1e-4, coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
         dec = decompose_debiased(short_trial.observation, p)
         assert [(r.stage, k.sigma, k.tau) for r, k in zip(dec.diagnostics, kernels)] == [
@@ -194,6 +194,17 @@ class TestDetectPeaks:
         np.testing.assert_allclose(
             stats.intervals_s, np.diff(stats.peak_indices) / 10.0
         )
+
+
+@pytest.mark.parametrize("seed", [1001, 1002, 1003])
+def test_default_stages_converge_within_half_the_cap(seed):
+    """With default settings every stage of both pipelines reaches its
+    tolerance in at most half the iteration cap, at desk scale."""
+    trial = generate_trial(TrialSpec(seed=seed))
+    p = PipelineParams(coarse=CoarseParams())
+    for decompose in (decompose_debiased, decompose_basic):
+        for r in decompose(trial.observation, p).diagnostics:
+            assert r.converged and r.iters <= p.solver.max_iters // 2, (r.stage, r.iters)
 
 
 def test_benchmark_stage_names_match_pipeline(short_trial, monkeypatch):

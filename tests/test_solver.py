@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,26 +20,19 @@ from envelofit.kernel import (
 from envelofit.solver import SolveParams, SolverSettings, residual, solve_constrained_filter
 
 from oracles import (
-    dense_toeplitz,
+    inject_truncated_band,
     residual_reference,
     solve_reference_dense,
     solve_reference_loop,
+    truncated_band,
 )
 
 
 def pd_instance(rng, n_range=(8, 64)):
-    """Random instance whose truncated covariance is positive definite.
-
-    Truncation makes the dense band indefinite for wide kernels, which the
-    dense oracle rejects; rejection-sample sigma until the band is PD.
-    """
+    """Random small instance with a narrow kernel; the band is positive
+    definite by construction, as the dense oracle requires."""
     n = int(rng.integers(*n_range))
-    while True:
-        sigma = float(rng.uniform(0.8, 3.0))
-        spec = KernelSpec(sigma=sigma)
-        band = build_band(spec, n)
-        if np.linalg.eigvalsh(dense_toeplitz(band)).min() > 1e-8:
-            break
+    spec = KernelSpec(sigma=float(rng.uniform(0.8, 3.0)))
     y = Signal(rng.normal(scale=2.0, size=n), 10.0)
     which = rng.integers(3)
     if which == 0:
@@ -93,27 +88,43 @@ class TestParamValidation:
         assert envelofit.SolverSettings is envelofit.pipeline.SolverSettings is SolverSettings
 
     def test_unset_alpha_stores_the_stage_rule(self):
-        y = Signal([1.0, 2.0], 1.0)
-        box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
-        p = SolveParams(y=y, lam=5.0, kernel=KernelSpec(2.0), box=box)
-        assert p.alpha == 2.0 * float(np.sqrt(5.0 * 2.0))
+        for n, sigma, tau in [(30, 2.0, 1e-3), (2000, 50.0, 1e-5), (1, 1.0, 0.5)]:
+            y = Signal(np.linspace(-1.0, 2.0, n), 1.0)
+            box = BoxConstraint(np.full(n, -1.0), np.full(n, 3.0))
+            p = SolveParams(y=y, lam=5.0, kernel=KernelSpec(sigma, tau=tau), box=box)
+            band = build_band(p.kernel, n)
+            eig = embed_circulant(band, next_fast_len(n + band.half_width)).eigenvalues
+            assert p.alpha == 1.0 / math.sqrt(eig.min() * eig.max())
         assert p.max_iters == SolverSettings().max_iters
+
+    def test_rule_does_not_depend_on_lam(self):
+        p = loop_instance("two_sided", alpha=None)
+        q = dataclasses.replace(p, lam=40.0)
+        assert q.alpha == p.alpha == SolveParams(**{**p.__dict__, "alpha": None, "lam": 40.0}).alpha
+        # a new kernel or length needs alpha=None for its own rule
+        wide = dataclasses.replace(p, kernel=KernelSpec(50.0, tau=1e-5), alpha=None)
+        assert wide.alpha != p.alpha
+
+    def test_rule_rejects_a_spectrum_that_is_not_positive(self, monkeypatch):
+        inject_truncated_band(monkeypatch)
+        with pytest.raises(NumericalError, match="eig_min -"):
+            loop_instance("two_sided", alpha=None)
 
     def test_tol_abs_relative_to_signal(self):
         y = Signal([0.0, 4.0], 1.0)
         box = BoxConstraint([-9.0, -9.0], [9.0, 9.0])
-        p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, tol=1e-6)
+        p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0, tau=0.5), box=box, tol=1e-6)
         assert p.tol_abs == pytest.approx(4e-6)
 
     def test_tol_abs_zero_signal_falls_back_to_one(self):
         y = Signal([0.0, 0.0], 1.0)
         box = BoxConstraint([-1.0, -1.0], [1.0, 1.0])
-        p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, tol=1e-6)
+        p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0, tau=0.5), box=box, tol=1e-6)
         assert p.tol_abs == pytest.approx(1e-6)
 
 
 class TestClosedFormN1:
-    # N = 1: C = [1], minimize lam/2 (y-x)^2 + x^2/2, then clip
+    # N = 1: C = [c], minimize lam/2 (y-x)^2 + x^2/(2c), then clip
     @pytest.mark.parametrize("lam,y0,a,b", [
         (2.0, 3.0, -10.0, 10.0),   # interior: x = lam y / (lam + 1)
         (2.0, 3.0, -10.0, 1.0),    # clipped at upper bound
@@ -125,7 +136,8 @@ class TestClosedFormN1:
         p = SolveParams(y=y, lam=lam, kernel=KernelSpec(1.0, tau=0.5),
                         box=BoxConstraint([a], [b]), max_iters=5000)
         got = solve_constrained_filter(p).x_hat.samples[0]
-        want = np.clip(lam * y0 / (lam + 1.0), a, b)
+        c = build_band(p.kernel, 1).first_row[0]
+        want = np.clip(lam * c * y0 / (lam * c + 1.0), a, b)
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -149,6 +161,18 @@ class TestOracleEquivalence:
         ref = solve_reference_dense(p)
         gap = np.max(np.abs(fast.x_hat.samples - ref.x_hat.samples))
         assert gap < 1e-5
+
+    @pytest.mark.parametrize("box_kind", ["two_sided", "lower"])
+    @pytest.mark.parametrize("sigma,lam", [(5.0, 50.0), (20.0, 0.5), (50.0, 1.0)])
+    def test_matches_dense_reference_at_production_sigma(self, sigma, lam, box_kind):
+        """The pipeline's kernel widths, weights and truncation at n = 1000,
+        with the default step size."""
+        p = loop_instance(box_kind, n=1000, sigma=sigma, lam=lam, alpha=None,
+                          tol=1e-9, max_iters=20000)
+        fast = solve_constrained_filter(p)
+        ref = solve_reference_dense(p)
+        assert fast.converged
+        assert np.max(np.abs(fast.x_hat.samples - ref.x_hat.samples)) < 1e-8
 
     def test_gamma_robust(self):
         rng = np.random.default_rng(77)
@@ -397,9 +421,14 @@ class TestLoopAllocation:
 
 
 class TestSpectrumGuard:
+    """The floor and divergence checks guard an explicit step size on a band
+    with a negative spectrum; the solves here build the band without its
+    diagonal shift."""
+
     def test_raises_before_first_iteration(self, monkeypatch):
+        inject_truncated_band(monkeypatch)
         p = loop_instance("two_sided", sigma=20.0, tau=1e-3)
-        band = build_band(p.kernel, len(p.y))
+        band = truncated_band(p.kernel, len(p.y))
         eig_min = embed_circulant(band, next_fast_len(len(p.y) + band.half_width)).eig_min
         assert eig_min < 0  # truncation ripple
         q = SolveParams(**{**p.__dict__, "alpha": 2.0 / -eig_min})
@@ -414,11 +443,12 @@ class TestSpectrumGuard:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("trace_every", [25, 0])
     def test_divergence_raises_at_first_nonfinite_gap(self, trace_every, monkeypatch):
-        """A step size that passes the floor can still diverge on the
+        """A step size that passes the floor can still diverge on an
         indefinite band; the solve says so, without numpy warnings, instead
         of returning NaNs."""
+        inject_truncated_band(monkeypatch)
         p = loop_instance("lower", n=2000, sigma=20.0, tau=1e-5)
-        band = build_band(p.kernel, len(p.y))
+        band = truncated_band(p.kernel, len(p.y))
         eig_min = embed_circulant(band, next_fast_len(len(p.y) + band.half_width)).eig_min
         assert -5e-5 < eig_min < -3e-5
         alpha = 0.999 / -eig_min
