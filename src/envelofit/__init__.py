@@ -3,9 +3,9 @@
 A 1-D observation is split into a high-amplitude smooth component and a
 low-amplitude transient component by sandwiching it between tight smooth
 envelopes and taking the smoothest signal in between.  Each stage is a
-box-constrained quadratic program solved on its dual with Douglas-Rachford
-splitting, with the banded Toeplitz covariance embedded in a circulant so
-every iteration runs at FFT speed.
+box-constrained quadratic program, solved on its dual by undamped (Peaceman-Rachford)
+splitting at the linear rate ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)``, ``kappa`` the
+banded covariance's condition number; a circulant embedding makes each step FFT-fast.
 """
 
 from .core import (

@@ -25,6 +25,7 @@ from .synth import TrialSpec, generate_trial
 __all__ = ["BenchReport", "run_mse_experiment", "run_scaling", "write_report_csv"]
 
 PROPOSED = "proposed"
+IDENTITY = "identity"  # the reference estimate smooth = y
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def run_mse_experiment(
     baselines: list[FirFilter],
     trial_spec: TrialSpec | None = None,
 ) -> BenchReport:
-    """Smooth-component MSE of the pipeline vs each baseline on fresh trials."""
+    """Smooth-component MSE of the pipeline, each baseline and the identity."""
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}")
     template = trial_spec if trial_spec is not None else TrialSpec()
@@ -82,6 +83,7 @@ def run_mse_experiment(
         for f in baselines:
             smooth, _ = lti_smooth_estimate(trial.observation, f)
             rows.append((i, f"hamming_lp_{f.length}", mse(trial.smooth, smooth)))
+        rows.append((i, IDENTITY, mse(trial.smooth, trial.observation)))
         final = dec.diagnostics[-1]
         iters = sum(r.iters for r in dec.diagnostics)
         return rows, final.residual_trace, (i, wall, iters)

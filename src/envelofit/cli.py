@@ -80,8 +80,7 @@ def _knobs(cls):
 def _add_flags(p, *classes) -> None:
     for cls in classes:
         for name, f in _knobs(cls):
-            kind = (float if not f.metadata["positive"]
-                    else _positive_int if isinstance(f.default, int) else _positive)
+            kind = _positive_int if isinstance(f.default, int) else _positive
             p.add_argument("--" + name.replace("_", "-"), type=kind, default=f.default,
                            help=f.metadata["help"] + " (default %(default)s)")
 

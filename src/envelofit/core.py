@@ -38,15 +38,14 @@ class NumericalError(EnvelofitError):
     diverging iteration."""
 
 
-def knob(default, help: str, name: str | None = None, positive: bool = True):
+def knob(default, help: str, name: str | None = None):
     """A parameter field that the command line exposes as ``--name``.
 
     ``name`` is the field's own name if unset, and ``_`` in it becomes ``-``
     in the flag.  The flag parses as an integer when the default is one, else
-    as a float, and rejects values <= 0 when ``positive``.
+    as a float, and rejects values that are not positive and finite.
     """
-    return field(default=default,
-                 metadata={"help": help, "name": name, "positive": positive})
+    return field(default=default, metadata={"help": help, "name": name})
 
 
 def _frozen_array(x, name: str) -> np.ndarray:

@@ -100,8 +100,9 @@ class CirculantOperator:
     def resolvent_multipliers(self, alpha: float) -> np.ndarray:
         """Read-only ``1 / (1 + alpha * eigenvalues)``, kept for the last ``alpha``.
 
-        Raises unless ``alpha >= 0`` and every denominator clears the floor.
-        Threads that share an operator at worst compute the array twice.
+        Complex with imaginary part +0, the form numpy casts a real one to, so no
+        resolvent casts it again.  Raises unless ``alpha >= 0`` and every denominator
+        clears the floor.  Threads that share an operator at worst compute it twice.
         """
         recip = self._multipliers.get(alpha)
         if recip is None:
@@ -117,6 +118,7 @@ class CirculantOperator:
             recip = np.multiply(alpha, self.eigenvalues)
             recip += 1.0
             np.divide(1.0, recip, out=recip)
+            recip = recip.astype(complex)
             recip.flags.writeable = False
             self._multipliers.clear()
             self._multipliers[alpha] = recip

@@ -1,4 +1,4 @@
-"""Douglas-Rachford solver for the box-constrained filtering problem.
+"""Peaceman-Rachford splitting solver for the box-constrained filtering problem.
 
 The primal problem
 
@@ -6,8 +6,9 @@ The primal problem
 
 is attacked through a dual in the variable ``z`` (with ``x = P_B(y - z/lam)``
 at the optimum), reformulated over the circulant extension of ``C`` so every
-iteration costs one FFT pair.  ``SolveParams`` extends ``SolverSettings``
-with the problem data, and both check their values once, when built.
+iteration costs one FFT pair.  The iteration, ``u <- R_g R_f u``, is undamped
+(``SolverSettings`` gives its rate).  ``SolveParams`` extends it with the
+problem data; both check their values when built.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ class SolverSettings:
 
     ``alpha=None`` makes ``SolveParams`` pick ``1 / sqrt(eig_min * eig_max)``
     of the stage's circulant: the step that balances the covariance
-    spectrum's two ends, so the iteration contracts at a rate set by the
-    square root of its condition number (the metric selection of Giselsson
-    and Boyd 2017 for Douglas-Rachford splitting).  ``tol`` is relative to
+    spectrum's two ends, so the undamped iteration contracts at the rate
+    ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)`` of its condition number ``kappa``
+    (Giselsson and Boyd 2017: averaging would slow it).  ``tol`` is relative to
     ``max(||y||_inf, 1)``; ``trace_every = 0`` turns intermediate residual
     checks off (the loop then runs to ``max_iters``).
     """
 
-    gamma: float = knob(0.5, "averaging factor in (0,1)", positive=False)
     alpha: float | None = knob(
         None, "splitting step size; unset, each stage uses "
         "1/sqrt(eig_min*eig_max) of its kernel's circulant")
@@ -62,8 +62,6 @@ class SolverSettings:
     trace_every: int = 25
 
     def __post_init__(self):
-        if not (0 < self.gamma < 1):
-            raise InputError(f"gamma must be in (0,1), got {self.gamma}")
         if self.alpha is not None and not (0 < self.alpha < math.inf):
             raise InputError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0 < self.tol < math.inf):
@@ -161,26 +159,26 @@ def residual(z, p: SolveParams, cz=None, out=None) -> float:
 
 
 def solve_constrained_filter(p: SolveParams) -> SolveResult:
-    """Run the splitting iteration on the circulant-extended dual.
+    """Run the undamped splitting iteration on the circulant-extended dual.
 
     An iteration is one resolvent and one reflected prox, the rest in place;
     a checkpoint reads ``C z`` off the resolvent (``toeplitz_from_resolvent``)
-    into the dead ``t`` and takes the gap in the dead ``w``.  A gap that is
-    not finite means the iteration diverged: the first such checkpoint (the
-    final gap, with checks off) raises ``NumericalError``.
+    into the dead ``t`` and takes the gap in ``w``, which holds nothing else.
+    A gap that is not finite means the iteration diverged: the first such
+    checkpoint (the final gap, with checks off) raises ``NumericalError``.
     """
     n = len(p.y)
     band, op = _operator(p.kernel, n)
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
-    alpha, gamma, keep, cap = p.alpha, p.gamma, 1.0 - p.gamma, p.max_iters
+    alpha, cap = p.alpha, p.max_iters
 
     # the four work vectors share one block: freeing it raises glibc's
     # dynamic mmap threshold past the FFT scratch of this size, so later
     # solves neither map nor trim that scratch on every resolvent
     u, t, w, r = np.zeros((4, op.size))
-    t_head, t_tail, w_head, w_tail, r_head = t[:n], t[n:], w[:n], w[n:], r[:n]
+    u_head, u_tail, t_head, t_tail, r_head, w_head = u[:n], u[n:], t[:n], t[n:], r[:n], w[:n]
     spec = np.empty(op.size // 2 + 1, dtype=complex)
     trace: list[tuple[int, float]] = []
     iters = 0
@@ -191,12 +189,10 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         while iters < cap:
             np.multiply(2.0, r, out=t)
             t -= u
-            # r's head is dead until the next resolvent: it holds the outer lines
-            reflect_g(t_head, prox_params, w_head, r_head)
-            np.negative(t_tail, out=w_tail)  # the tail's reflection (see reflect_g)
-            u *= gamma
-            w *= keep
-            u += w
+            # u is dead once t holds 2r - u, and r's head until the next
+            # resolvent: the reflection goes straight into u, r holds the outer lines
+            reflect_g(t_head, prox_params, u_head, r_head)
+            np.negative(t_tail, out=u_tail)  # the tail's reflection (see reflect_g)
             iters += 1
             apply_resolvent(op, alpha, u, r, spec)
             if check and (iters % check == 0 or iters == cap):

@@ -241,8 +241,8 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
     while iters < p.max_iters:
         t_full = 2.0 * apply_resolvent_reference(op, p.alpha, u) - u
         v, v_tilde = reflect_g_select(t_full[:n], t_full[n:], prox_params)
-        u[:n] = p.gamma * u[:n] + (1.0 - p.gamma) * v
-        u[n:] = p.gamma * u[n:] + (1.0 - p.gamma) * v_tilde
+        u[:n] = v
+        u[n:] = v_tilde
         iters += 1
         if check and (iters % check == 0 or iters == p.max_iters):
             z, res = checkpoint()

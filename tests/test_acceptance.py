@@ -266,7 +266,7 @@ def test_criterion_9_determinism(tmp_path_factory):
             "--sigma0", str(p["sigma0"]), "--sigma1", str(p["sigma1"]),
             "--coarse-lambda", str(p["coarse_lambda"]),
             "--coarse-sigma", str(p["coarse_sigma"]),
-            "--gamma", str(p["gamma"]), "--tol", str(p["tol"]),
+            "--tol", str(p["tol"]),
             "--max-iters", str(p["max_iters"]), "--tau", str(p["tau"]),
             "--output-dir", str(b3), "--quiet"]
     if p["alpha"] is not None:

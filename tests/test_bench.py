@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from envelofit.bench import (
+    IDENTITY,
     PROPOSED,
     BenchReport,
     run_mse_experiment,
@@ -26,20 +27,21 @@ def identity_filter():
 class TestRunMseExperiment:
     def test_shape_contract(self):
         rep = run_mse_experiment(1, 0, FAST_PIPELINE, [identity_filter()], SHORT)
-        assert len(rep.trial_mses) == 2
-        assert rep.method_names() == [PROPOSED, "hamming_lp_1"]
+        assert len(rep.trial_mses) == 3
+        assert rep.method_names() == [PROPOSED, "hamming_lp_1", IDENTITY]
         assert rep.ordering == (0,)
         assert len(rep.timing) == 1
         assert 0 in rep.convergence_traces
 
     def test_identity_baseline_mse_is_transient_power(self):
-        # identity filter passes y through, so its smooth error is the transient
-        from envelofit.core import mse
+        # identity filter passes y through, so its smooth error is the
+        # transient's power, and so is the identity reference row's
         from envelofit.synth import generate_trial
         rep = run_mse_experiment(1, 3, FAST_PIPELINE, [identity_filter()], SHORT)
         trial = generate_trial(TrialSpec(seed=3, duration_s=40.0))
-        want = mse(trial.smooth, trial.observation)
+        want = np.mean(trial.transient.samples ** 2)
         assert rep.mses_for("hamming_lp_1")[0] == pytest.approx(want, rel=1e-12)
+        assert rep.mses_for(IDENTITY)[0] == pytest.approx(want, rel=1e-12)
 
     def test_ordering_sorts_proposed(self):
         rep = run_mse_experiment(3, 0, FAST_PIPELINE, [identity_filter()], SHORT)

@@ -37,8 +37,7 @@ EXIT_CODES = {
                 "need 0 < lambda1 < lambda0, got 60.0, 50.0"),
     "sigma0": (["decompose", "--sigma0", 30], 300, 2,
                "need 0 < sigma0 <= sigma1, got 30.0, 20.0"),
-    "gamma": (["decompose", "--gamma", 1.5], 300, 2,
-              "gamma must be in (0,1), got 1.5"),
+    "tau": (["decompose", "--tau", 2], 300, 2, "tau must be in (0, 1], got 2.0"),
     "coarse_sigma": (["decompose", "--debias", "--coarse-sigma", 10], 300, 2,
                      "need sigma1 <= coarse sigma, got 20.0, 10.0"),
     "band_fit": (["decompose", "--sigma1", 40], 50, 2,
@@ -71,7 +70,7 @@ def test_exit_code_follows_error_class(case, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
-    ["decompose", "IN", "--gamma", "inf"],
+    ["decompose", "IN", "--lambda1", "60"],
     ["decompose", "IN", "--tau", "2"],
     ["synth", "--warp-c2", "inf"],
 ])
@@ -108,7 +107,7 @@ P, F, I = "_positive", "float", "_positive_int"
 SOLVER_FLAGS = {
     "--lambda0": (50.0, P), "--lambda1": (0.5, P), "--sigma0": (5.0, P),
     "--sigma1": (20.0, P), "--coarse-lambda": (1.0, P), "--coarse-sigma": (50.0, P),
-    "--gamma": (0.5, F), "--alpha": (None, P), "--tol": (1e-6, P),
+    "--alpha": (None, P), "--tol": (1e-6, P),
     "--max-iters": (10000, I), "--tau": (1e-5, P),
 }
 COMMON_FLAGS = {"--output-dir": (".", None), "--quiet": (False, None)}
@@ -255,7 +254,7 @@ class TestDecompose:
         assert run(["decompose", sine_csv, *mode, "--sigma1", 25, "--tol", 1e-5,
                     "--output-dir", d1, "--quiet", *FAST]) == 0
         p = json.loads((d1 / "sine_diagnostics.json").read_text())["parameters"]
-        keys = {"lambda0", "lambda1", "sigma0", "sigma1", "gamma", "alpha", "tol",
+        keys = {"lambda0", "lambda1", "sigma0", "sigma1", "alpha", "tol",
                 "max_iters", "tau"}
         assert set(p) == (keys | {"coarse_lambda", "coarse_sigma"} if debias else keys)
         flags = [x for k, v in p.items() if v is not None
@@ -320,7 +319,8 @@ class TestBench:
         assert run(["bench", "--trials", 2, "--duration", 120,
                     "--output-dir", out, "--quiet", *FAST]) == 0
         mse_lines = (out / "mse.csv").read_text().splitlines()
-        assert len(mse_lines) == 1 + 2 * (1 + 4)
+        # per trial: the pipeline, four FIR baselines and the identity reference
+        assert len(mse_lines) == 1 + 2 * (1 + 4 + 1)
         assert (out / "traces.csv").exists()
         meta = json.loads((out / "meta.json").read_text())
         assert meta["trials"] == 2 and len(meta["ordering"]) == 2
@@ -351,7 +351,7 @@ class TestBench:
                 "--sigma0", p["sigma0"], "--sigma1", p["sigma1"],
                 "--coarse-lambda", p["coarse_lambda"],
                 "--coarse-sigma", p["coarse_sigma"],
-                "--gamma", p["gamma"], "--tol", p["tol"],
+                "--tol", p["tol"],
                 "--max-iters", p["max_iters"], "--tau", p["tau"],
                 "--output-dir", d2, "--quiet"]
         if p["alpha"] is not None:

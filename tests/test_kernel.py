@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,26 @@ class TestResolventBuffers:
         assert apply_resolvent(op, 0.7, v, out, spec) is out
         assert np.array_equal(out, want)
         assert np.array_equal(apply_resolvent(op, 0.7, v), want)
+
+    def test_buffered_call_allocates_no_spectrum_copy(self):
+        """With ``out`` and ``spec`` given, a call with cached multipliers
+        allocates no spectrum-sized array (at this size one is 132 KB)."""
+        size = 2**15 + 2**10
+        op = embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
+        v = np.random.default_rng(0).standard_normal(size)
+        out = np.empty(size)
+        spec = np.empty(size // 2 + 1, dtype=complex)
+        apply_resolvent(op, 0.7, v, out, spec)  # caches the multipliers
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            apply_resolvent(op, 0.7, v, out, spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, apply_resolvent_reference(op, 0.7, v))
+        assert peak < 16 * 1024
 
     def test_multipliers_cached_read_only(self):
         op = embed_circulant(truncated_band(KernelSpec(sigma=20.0, tau=1e-3), 200))

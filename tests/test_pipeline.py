@@ -197,14 +197,15 @@ class TestDetectPeaks:
 
 
 @pytest.mark.parametrize("seed", [1001, 1002, 1003])
-def test_default_stages_converge_within_half_the_cap(seed):
+def test_default_stages_converge_within_an_eighth_of_the_cap(seed):
     """With default settings every stage of both pipelines reaches its
-    tolerance in at most half the iteration cap, at desk scale."""
+    tolerance in at most an eighth of the iteration cap, at desk scale: the
+    undamped iteration's rate, which averaging with the last iterate halves."""
     trial = generate_trial(TrialSpec(seed=seed))
     p = PipelineParams(coarse=CoarseParams())
     for decompose in (decompose_debiased, decompose_basic):
         for r in decompose(trial.observation, p).diagnostics:
-            assert r.converged and r.iters <= p.solver.max_iters // 2, (r.stage, r.iters)
+            assert r.converged and r.iters <= p.solver.max_iters // 8, (r.stage, r.iters)
 
 
 def test_benchmark_stage_names_match_pipeline(short_trial, monkeypatch):

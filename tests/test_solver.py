@@ -52,12 +52,6 @@ def pd_instance(rng, n_range=(8, 64)):
 
 
 class TestParamValidation:
-    def test_gamma_range(self):
-        y = Signal([1.0, 2.0], 1.0)
-        box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
-        with pytest.raises(InputError):
-            SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, gamma=1.0)
-
     @pytest.mark.parametrize("caps", [{"max_iters": -5}, {"trace_every": -3}])
     def test_negative_caps_rejected(self, caps):
         y = Signal([1.0, 2.0], 1.0)
@@ -66,7 +60,6 @@ class TestParamValidation:
             SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, **caps)
 
     @pytest.mark.parametrize("kw", [
-        *({"gamma": v} for v in (0.0, 1.0, np.inf, np.nan)),
         *({"alpha": v} for v in (0.0, -1.0, np.inf, np.nan)),
         *({"tol": v} for v in (0.0, np.inf, np.nan)),
         {"max_iters": -1},
@@ -173,16 +166,6 @@ class TestOracleEquivalence:
         ref = solve_reference_dense(p)
         assert fast.converged
         assert np.max(np.abs(fast.x_hat.samples - ref.x_hat.samples)) < 1e-8
-
-    def test_gamma_robust(self):
-        rng = np.random.default_rng(77)
-        p = pd_instance(rng)
-        sols = []
-        for gamma in (0.3, 0.5, 0.7):
-            q = SolveParams(**{**p.__dict__, "gamma": gamma})
-            sols.append(solve_constrained_filter(q).x_hat.samples)
-        assert np.max(np.abs(sols[0] - sols[1])) < 1e-5
-        assert np.max(np.abs(sols[1] - sols[2])) < 1e-5
 
 
 class TestResidual:
@@ -414,8 +397,9 @@ class TestLoopAllocation:
         finally:
             tracemalloc.stop()
         m, h, k = sizes[0]
-        # work block, spectrum (complex), eigenvalues, reciprocal, 2*alpha*(y, a, b)
-        fixed = 8 * (4 * m + 2 * h + k + h + 3 * n)
+        # work block, spectrum (complex), eigenvalues, reciprocal (complex),
+        # 2*alpha*(y, a, b)
+        fixed = 8 * (4 * m + 2 * h + k + 2 * h + 3 * n)
         assert fixed <= held[0] - start < fixed + 64 * 1024
         assert peak[0] - held[0] < 8 * n
 
