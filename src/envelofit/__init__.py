@@ -5,7 +5,8 @@ low-amplitude transient component by sandwiching it between tight smooth
 envelopes and taking the smoothest signal in between.  Each stage is a
 box-constrained quadratic program, solved on its dual by undamped (Peaceman-Rachford)
 splitting at the linear rate ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)``, ``kappa`` the
-banded covariance's condition number; a circulant embedding makes each step FFT-fast.
+banded covariance's condition number, which Anderson extrapolation accelerates; a
+circulant embedding makes each step FFT-fast.
 """
 
 from .core import (

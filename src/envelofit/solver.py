@@ -7,8 +7,11 @@ The primal problem
 is attacked through a dual in the variable ``z`` (with ``x = P_B(y - z/lam)``
 at the optimum), reformulated over the circulant extension of ``C`` so every
 iteration costs one FFT pair.  The iteration, ``u <- R_g R_f u``, is undamped
-(``SolverSettings`` gives its rate).  ``SolveParams`` extends it with the
-problem data; both check their values when built.
+(``SolverSettings`` gives its rate) and Anderson-accelerated: each new
+iterate is extrapolated from the last ``_ANDERSON_MEMORY`` differences of
+the map's values, which leaves its fixed point, and so the solution and
+the gap that certifies it, as they are.  ``SolveParams`` extends the
+settings with the problem data; both check their values when built.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ __all__ = [
     "residual",
 ]
 
+#: Differences each Anderson step extrapolates over.  Three cut the desk
+#: pipeline's iterations about threefold; five cut a sixth more but hold four
+#: more full-length rows per solve, which long signals pay for in memory.
+_ANDERSON_MEMORY = 3
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -49,9 +57,12 @@ class SolverSettings:
     of the stage's circulant: the step that balances the covariance
     spectrum's two ends, so the undamped iteration contracts at the rate
     ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)`` of its condition number ``kappa``
-    (Giselsson and Boyd 2017: averaging would slow it).  ``tol`` is relative to
-    ``max(||y||_inf, 1)``; ``trace_every = 0`` turns intermediate residual
-    checks off (the loop then runs to ``max_iters``).
+    (Giselsson and Boyd 2017: averaging would slow it).  Anderson
+    extrapolation (type II, over the last ``_ANDERSON_MEMORY`` differences, a
+    constant and not a setting) then cuts the iterations about threefold;
+    a step whose fixed-point residual grows falls back to the plain one.
+    ``tol`` is relative to ``max(||y||_inf, 1)``; ``trace_every = 0`` turns
+    intermediate residual checks off (the loop then runs to ``max_iters``).
     """
 
     alpha: float | None = knob(
@@ -159,27 +170,47 @@ def residual(z, p: SolveParams, cz=None, out=None) -> float:
 
 
 def solve_constrained_filter(p: SolveParams) -> SolveResult:
-    """Run the undamped splitting iteration on the circulant-extended dual.
+    """Run the undamped splitting iteration on the circulant-extended dual,
+    Anderson-accelerated (type II; Walker and Ni 2011).
 
-    An iteration is one resolvent and one reflected prox, the rest in place;
-    a checkpoint reads ``C z`` off the resolvent (``toeplitz_from_resolvent``)
-    into the dead ``t`` and takes the gap in ``w``, which holds nothing else.
-    A gap that is not finite means the iteration diverged: the first such
-    checkpoint (the final gap, with checks off) raises ``NumericalError``.
+    An iteration maps ``u`` to ``g = R_g R_f u`` (one resolvent, one
+    reflected prox), with residual ``f = g - u``.  The next iterate is
+    ``g - dG @ gamma``: ``dF`` and ``dG`` hold the last ``_ANDERSON_MEMORY``
+    differences of ``f`` and ``g``, and ``gamma`` solves the normal
+    equations of ``min ||f - dF @ gamma||``, whose Gram matrix gains one row
+    per iteration, with a ``1e-12 * trace`` Tikhonov term.  The plain step
+    ``u <- g``, with the history forgotten, replaces it when ``||f||`` grows
+    over the last iteration's and when the Gram solve is singular (every
+    difference zero: ``u`` is the fixed point).  ``f`` overwrites the dead
+    iterate and the next one takes a free row, so besides ``u``, ``t`` and
+    ``r`` the solve holds only the differences and the last ``f`` and ``g``.
+
+    A checkpoint reads ``C z``, ``z = r[:n]`` for the resolvent ``r`` of
+    ``u``, off that resolvent (``toeplitz_from_resolvent``) into the dead
+    ``t`` and takes the gap in the spectrum buffer, dead between
+    resolvents.  A gap that is not finite means the iteration diverged: the
+    first such checkpoint (the final gap, with checks off) raises
+    ``NumericalError``.
     """
     n = len(p.y)
     band, op = _operator(p.kernel, n)
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
-    alpha, cap = p.alpha, p.max_iters
+    alpha, cap, mem = p.alpha, p.max_iters, _ANDERSON_MEMORY
 
-    # the four work vectors share one block: freeing it raises glibc's
+    # every full-length vector shares one block: freeing it raises glibc's
     # dynamic mmap threshold past the FFT scratch of this size, so later
     # solves neither map nor trim that scratch on every resolvent
-    u, t, w, r = np.zeros((4, op.size))
-    u_head, u_tail, t_head, t_tail, r_head, w_head = u[:n], u[n:], t[:n], t[n:], r[:n], w[:n]
+    rows = np.zeros((3 + 2 * (mem + 1), op.size))
+    u, t, r = rows[:3]
+    t_head, t_tail, r_head = t[:n], t[n:], r[:n]
+    spare = list(zip(rows[3::2], rows[4::2]))  # free rows, two per iteration
+    df, dg = [], []  # differences of f and of g, oldest first
+    gram = np.zeros((mem, mem))  # of df, in the same order
+    last = None  # the last iteration's (f, g), while not yet a difference
     spec = np.empty(op.size // 2 + 1, dtype=complex)
+    gap = spec.view(float)[:n]
     trace: list[tuple[int, float]] = []
     iters = 0
     check = p.trace_every
@@ -189,15 +220,53 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         while iters < cap:
             np.multiply(2.0, r, out=t)
             t -= u
-            # u is dead once t holds 2r - u, and r's head until the next
-            # resolvent: the reflection goes straight into u, r holds the outer lines
-            reflect_g(t_head, prox_params, u_head, r_head)
-            np.negative(t_tail, out=u_tail)  # the tail's reflection (see reflect_g)
+            if not spare:  # the oldest differences make room
+                spare.append((df.pop(0), dg.pop(0)))
+                gram[:-1, :-1] = gram[1:, 1:]
+            u_next, g = spare.pop()
+            # r's head is dead until the next resolvent: it holds the outer lines
+            reflect_g(t_head, prox_params, g[:n], r_head)
+            np.negative(t_tail, out=g[n:])  # the tail's reflection (see reflect_g)
+            # f overwrites u, dead once f is formed, and the next iterate takes
+            # the free row: numpy's arithmetic runs about twice as fast in place
+            f = np.subtract(g, u, out=u)
+            u = u_next
+            f_sq = np.dot(f, f)
+            gamma = None
+            if last and f_sq <= last_sq:
+                f_new, g_new = last  # become the newest differences
+                np.subtract(f, f_new, out=f_new)
+                np.subtract(g, g_new, out=g_new)
+                df.append(f_new)
+                dg.append(g_new)
+                k = len(df)
+                for j in range(k):
+                    gram[j, k - 1] = gram[k - 1, j] = np.dot(df[j], f_new)
+                h = gram[:k, :k]
+                try:
+                    gamma = np.linalg.solve(h + 1e-12 * np.trace(h) * np.eye(k),
+                                            [np.dot(d, f) for d in df])
+                except np.linalg.LinAlgError:
+                    pass
+            elif last:  # ||f|| grew
+                spare.append(last)
+            if gamma is None:  # the plain step, with the history forgotten
+                spare.extend(zip(df, dg))
+                df.clear()
+                dg.clear()
+                np.copyto(u, g)
+            else:
+                np.multiply(dg[0], gamma[0], out=u)
+                np.subtract(g, u, out=u)
+                for d, c in zip(dg[1:], gamma[1:]):
+                    np.multiply(d, c, out=t)
+                    u -= t
+            last, last_sq = (f, g), f_sq
             iters += 1
             apply_resolvent(op, alpha, u, r, spec)
             if check and (iters % check == 0 or iters == cap):
                 res = residual(r_head, p,
-                               toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
+                               toeplitz_from_resolvent(band, alpha, u, r, t_head), gap)
                 trace.append((iters, res))
                 if res < tol_abs or not math.isfinite(res):
                     break
@@ -206,7 +275,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         # off (or a zero cap) is the residual still to compute
         if not trace:
             res = residual(r_head, p,
-                           toeplitz_from_resolvent(band, alpha, u, r, t_head), w_head)
+                           toeplitz_from_resolvent(band, alpha, u, r, t_head), gap)
             trace.append((iters, res))
     if not math.isfinite(res):
         raise NumericalError(f"iteration diverged: gap {res} at iteration {iters} "

@@ -4,11 +4,11 @@ None of these run in the pipeline: a scalar prox with its own case table,
 the band without its diagonal shift, a circulant product straight from the
 spectrum, a dense solve of the primal problem with a generic
 bound-constrained minimiser, the unfused splitting loop (with its
-``np.select`` prox, full-spectrum resolvent check and out-of-place
-checkpoint product and gap) that the package's in-place loop must
-reproduce bit for bit, and the uncached out-of-place GP factor and sampler
-(``np.linalg.cholesky`` on a second array) that the cached, in-place one
-must reproduce bit for bit.
+``np.select`` prox, full-spectrum resolvent check, Anderson history of
+fresh vectors and out-of-place checkpoint product and gap) that the
+package's in-place loop must reproduce bit for bit, and the uncached
+out-of-place GP factor and sampler (``np.linalg.cholesky`` on a second
+array) that the cached, in-place one must reproduce bit for bit.
 """
 
 import numpy as np
@@ -214,16 +214,19 @@ def toeplitz_via_resolvent(band: ToeplitzBand, alpha: float, u, r) -> np.ndarray
 
 
 def solve_reference_loop(p: SolveParams) -> SolveResult:
-    """The splitting iteration in its unfused form.
+    """The Anderson-accelerated splitting iteration in its unfused form.
 
-    Fresh temporaries every iteration, the ``np.select`` prox, and a second
-    resolvent at every checkpoint, whose ``C z`` comes from
-    ``toeplitz_via_resolvent``; the package's fused loop must match it bit
-    for bit.
+    Fresh temporaries every iteration, the ``np.select`` prox, the history
+    as lists of fresh difference vectors whose Gram matrix is recomputed
+    from scratch every iteration, and a second resolvent at every
+    checkpoint, whose ``C z`` comes from ``toeplitz_via_resolvent``; the
+    package's fused loop must match it bit for bit, so each floating-point
+    operation is the same numpy call on the same operands, in the same order.
     """
     n = len(p.y)
     band = build_band(p.kernel, n)
     op = embed_circulant(band, size=scipy.fft.next_fast_len(n + band.half_width))
+    mem = envelofit.solver._ANDERSON_MEMORY
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
@@ -235,14 +238,40 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
             z, p, toeplitz_via_resolvent(band, p.alpha, u, r))
 
     u = np.zeros(op.size)
+    df: list[np.ndarray] = []
+    dg: list[np.ndarray] = []
+    last = None  # (f, g, ||f||^2) of the last iteration
     trace: list[tuple[int, float]] = []
     iters = 0
     check = p.trace_every if p.trace_every > 0 else 0
     while iters < p.max_iters:
         t_full = 2.0 * apply_resolvent_reference(op, p.alpha, u) - u
         v, v_tilde = reflect_g_select(t_full[:n], t_full[n:], prox_params)
-        u[:n] = v
-        u[n:] = v_tilde
+        g = np.concatenate([v, v_tilde])
+        f = g - u
+        f_sq = np.dot(f, f)
+        gamma = None
+        if last is not None and f_sq <= last[2]:
+            df = (df + [f - last[0]])[-mem:]
+            dg = (dg + [g - last[1]])[-mem:]
+            k = len(df)
+            gram = np.zeros((k, k))
+            for i in range(k):
+                for j in range(i + 1):
+                    gram[i, j] = gram[j, i] = np.dot(df[j], df[i])
+            try:
+                gamma = np.linalg.solve(gram + 1e-12 * np.trace(gram) * np.eye(k),
+                                        [np.dot(d, f) for d in df])
+            except np.linalg.LinAlgError:
+                pass
+        if gamma is None:  # the plain step, with the history forgotten
+            df, dg = [], []
+            u = g
+        else:
+            u = g - gamma[0] * dg[0]
+            for d, c in zip(dg[1:], gamma[1:]):
+                u = u - c * d
+        last = (f, g, f_sq)
         iters += 1
         if check and (iters % check == 0 or iters == p.max_iters):
             z, res = checkpoint()

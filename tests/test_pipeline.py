@@ -208,6 +208,17 @@ def test_default_stages_converge_within_an_eighth_of_the_cap(seed):
             assert r.converged and r.iters <= p.solver.max_iters // 8, (r.stage, r.iters)
 
 
+@pytest.mark.parametrize("seed", [1001, 1002, 1003])
+def test_default_debiased_call_takes_at_most_1000_iterations(seed):
+    """Anderson acceleration: a default ``decompose_debiased`` call at desk
+    scale takes at most 1 000 iterations over its five stages (about 2 300
+    with the plain undamped iteration)."""
+    trial = generate_trial(TrialSpec(seed=seed))
+    dec = decompose_debiased(trial.observation, PipelineParams(coarse=CoarseParams()))
+    iters = [r.iters for r in dec.diagnostics]
+    assert sum(iters) <= 1000, iters
+
+
 def test_benchmark_stage_names_match_pipeline(short_trial, monkeypatch):
     """``perfbench/workloads.py`` keeps its own copy of the stage names; it
     must list them in the order the pipelines run and name their results."""

@@ -60,10 +60,11 @@ class TestParamValidation:
             SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, **caps)
 
     @pytest.mark.parametrize("kw", [
-        *({"alpha": v} for v in (0.0, -1.0, np.inf, np.nan)),
-        *({"tol": v} for v in (0.0, np.inf, np.nan)),
-        {"max_iters": -1},
-        {"trace_every": -1},
+        pytest.param({name: v}, id=f"{name}={v}")
+        for name, values in [("alpha", (0.0, -1.0, np.inf, np.nan)),
+                             ("tol", (0.0, np.inf, np.nan)),
+                             ("max_iters", (-1,)), ("trace_every", (-1,))]
+        for v in values
     ])
     def test_settings_rejected_when_built(self, kw):
         with pytest.raises(InputError, match=next(iter(kw))):
@@ -326,6 +327,37 @@ class TestFusedLoopMatchesReference:
         assert res.z.base is None  # z holds no view of the solve's work block
 
 
+class TestAndersonSafeguard:
+    def test_plain_steps_keep_the_fixed_point(self, monkeypatch):
+        """Where the fixed-point residual grows, the loop forgets its history
+        and takes the plain step ``u <- g``: the next resolvent's input is
+        the reflection just made.  This solve takes such steps after the
+        first iteration, and matches the unfused loop bit for bit and the
+        dense oracle within 1e-8."""
+        p = loop_instance("lower", n=1000, sigma=50.0, lam=1.0, alpha=None,
+                          tol=1e-9, max_iters=20000)
+        n = len(p.y)
+        reflected, plain = [], []
+        prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
+
+        def recorded_prox(t, params, out, work):
+            reflected.append(prox(t, params, out, work).copy())
+            return out
+
+        def checked_resolvent(op, alpha, u, *a):
+            if reflected:
+                plain.append(np.array_equal(u[:n], reflected[-1]))
+            return resolvent(op, alpha, u, *a)
+
+        monkeypatch.setattr(envelofit.solver, "reflect_g", recorded_prox)
+        monkeypatch.setattr(envelofit.solver, "apply_resolvent", checked_resolvent)
+        res = TestFusedLoopMatchesReference.assert_identical(p)
+        assert plain[0] and sum(plain[1:]) >= 1
+        assert res.converged
+        ref = solve_reference_dense(p)
+        assert np.max(np.abs(res.x_hat.samples - ref.x_hat.samples)) < 1e-8
+
+
 class TestCheckpointProduct:
     """The checkpoint's ``C z``, read off the resolvent, against the
     convolution at the loop's own states."""
@@ -397,9 +429,10 @@ class TestLoopAllocation:
         finally:
             tracemalloc.stop()
         m, h, k = sizes[0]
-        # work block, spectrum (complex), eigenvalues, reciprocal (complex),
-        # 2*alpha*(y, a, b)
-        fixed = 8 * (4 * m + 2 * h + k + 2 * h + 3 * n)
+        # work block (u, t, r, then f and g of the last iteration and of each
+        # of the three Anderson differences: eleven rows, the memory budget),
+        # spectrum (complex), eigenvalues, reciprocal (complex), 2*alpha*(y, a, b)
+        fixed = 8 * (11 * m + 2 * h + k + 2 * h + 3 * n)
         assert fixed <= held[0] - start < fixed + 64 * 1024
         assert peak[0] - held[0] < 8 * n
 
