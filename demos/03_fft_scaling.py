@@ -1,7 +1,8 @@
 """Per-iteration cost scales like n log n, not n^2.
 
 The covariance is a banded Toeplitz matrix embedded in a circulant, so the
-resolvent in each splitting iteration is two FFTs and a diagonal divide.
+resolvent in each splitting iteration is two FFTs and a multiply by the
+cached reciprocal spectrum.
 This script times the solver across doubling signal lengths.  Run with:
 
     python3 demos/03_fft_scaling.py

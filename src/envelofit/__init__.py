@@ -28,7 +28,7 @@ from .kernel import (
     build_band,
     embed_circulant,
 )
-from .prox import ProxParams, prox_r, reflect_g
+from .prox import ProxParams, reflect_g
 from .solver import SolveParams, SolveResult, residual, solve_constrained_filter
 from .pipeline import (
     BeatStats,

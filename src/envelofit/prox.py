@@ -2,9 +2,9 @@
 
 The dual objective couples a circulant quadratic with a separable piecewise
 quadratic; this module implements the proximity operator of that piecewise
-term in its change-of-variables form.  The reflected map ``reflect_g`` used
-inside the iteration holds the one case table; ``prox_r = (reflect_g + I)/2``
-is derived from it.  All maps are pure and elementwise.
+term in its change-of-variables form, as the reflected map ``reflect_g``
+(``2 prox - I``) that the iteration uses; it holds the one case table and
+is pure and elementwise.
 
 The case table is a clamp.  The interior line
 ``m(t) = ((1 - alpha/lam)*t + 2*alpha*y) / (1 + alpha/lam)`` has slope below
@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import BoxConstraint, InputError
 
-__all__ = ["ProxParams", "prox_r", "reflect_g"]
+__all__ = ["ProxParams", "reflect_g"]
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,3 @@ def reflect_g(t, p: ProxParams, out=None, work=None) -> np.ndarray:
     if p.has_upper:
         np.fmin(v, np.add(t, p.two_alpha_b, out=work), out=v)
     return v
-
-
-def prox_r(t, p: ProxParams) -> np.ndarray:
-    """Vectorized prox of the dual data/constraint term at ``t``."""
-    return 0.5 * (reflect_g(t, p) + np.asarray(t, dtype=float))

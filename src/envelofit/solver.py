@@ -9,8 +9,10 @@ at the optimum), reformulated over the circulant extension of ``C`` so every
 iteration costs one FFT pair.  The iteration, ``u <- R_g R_f u``, is undamped
 (``SolverSettings`` gives its rate) and Anderson-accelerated: each new
 iterate is extrapolated from the last ``_ANDERSON_MEMORY`` differences of
-the map's values, which leaves its fixed point, and so the solution and
-the gap that certifies it, as they are.  ``SolveParams`` extends the
+the map's values, held in two contiguous blocks so that the update is
+three matrix-vector products and one small LAPACK solve.  That leaves the
+fixed point, and so the solution and the gap that certifies it, as they
+are.  ``SolveParams`` extends the
 settings with the problem data; both check their values when built.
 """
 
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import BoxConstraint, InputError, NumericalError, Signal, knob, project_box
 from .kernel import (
@@ -175,20 +178,26 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
 
     An iteration maps ``u`` to ``g = R_g R_f u`` (one resolvent, one
     reflected prox), with residual ``f = g - u``.  The next iterate is
-    ``g - dG @ gamma``: ``dF`` and ``dG`` hold the last ``_ANDERSON_MEMORY``
-    differences of ``f`` and ``g``, and ``gamma`` solves the normal
-    equations of ``min ||f - dF @ gamma||``, whose Gram matrix gains one row
-    per iteration, with a ``1e-12 * trace`` Tikhonov term.  The plain step
-    ``u <- g``, with the history forgotten, replaces it when ``||f||`` grows
-    over the last iteration's and when the Gram solve is singular (every
-    difference zero: ``u`` is the fixed point).  ``f`` overwrites the dead
-    iterate and the next one takes a free row, so besides ``u``, ``t`` and
-    ``r`` the solve holds only the differences and the last ``f`` and ``g``.
+    ``g - dG @ gamma``: ``dF`` and ``dG`` are two contiguous
+    ``(_ANDERSON_MEMORY, M)`` blocks of the last differences of ``f`` and
+    ``g``, filled as a ring (slot ``count % _ANDERSON_MEMORY``, ``count = 0``
+    after a restart, so the live ones are always the first ``k`` rows), and
+    ``gamma`` solves the normal equations of ``min ||f - dF @ gamma||``, with
+    a ``1e-12 * trace`` Tikhonov term.  The Gram matrix, in slot order, gains
+    its new difference's column, its right-hand side and the extrapolation
+    are one matrix-vector product each, and the solve is LAPACK's, called
+    without ``np.linalg.solve``'s wrapper.  The plain step ``u <- g``, with
+    the history forgotten, replaces it when ``||f||`` grows over the last
+    iteration's and when the Gram solve is singular (every difference zero:
+    ``u`` is the fixed point).  Besides the blocks the solve holds five
+    rows: ``u`` (which ``f`` overwrites), ``r`` (which ``t = 2r - u``
+    overwrites), ``g`` and the last ``f`` and ``g``; the spectrum buffer,
+    dead between resolvents, holds the prox's outer lines.
 
     A checkpoint reads ``C z``, ``z = r[:n]`` for the resolvent ``r`` of
-    ``u``, off that resolvent (``toeplitz_from_resolvent``) into the dead
-    ``t`` and takes the gap in the spectrum buffer, dead between
-    resolvents.  A gap that is not finite means the iteration diverged: the
+    ``u``, off that resolvent (``toeplitz_from_resolvent``) into the ``g``
+    row, dead until the next reflection, and takes the gap in the spectrum
+    buffer.  A gap that is not finite means the iteration diverged: the
     first such checkpoint (the final gap, with checks off) raises
     ``NumericalError``.
     """
@@ -202,15 +211,14 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     # every full-length vector shares one block: freeing it raises glibc's
     # dynamic mmap threshold past the FFT scratch of this size, so later
     # solves neither map nor trim that scratch on every resolvent
-    rows = np.zeros((3 + 2 * (mem + 1), op.size))
-    u, t, r = rows[:3]
-    t_head, t_tail, r_head = t[:n], t[n:], r[:n]
-    spare = list(zip(rows[3::2], rows[4::2]))  # free rows, two per iteration
-    df, dg = [], []  # differences of f and of g, oldest first
-    gram = np.zeros((mem, mem))  # of df, in the same order
-    last = None  # the last iteration's (f, g), while not yet a difference
+    rows = np.zeros((2 * mem + 5, op.size))
+    hist_f, hist_g = rows[:mem], rows[mem : 2 * mem]
+    u, r, g, f_last, g_last = rows[2 * mem :]
+    r_head, r_tail = r[:n], r[n:]
+    gram, eye = np.zeros((mem, mem)), np.eye(mem)  # gram of hist_f, in slot order
+    count, last_sq = 0, -math.inf  # no last iteration: the first step is plain
     spec = np.empty(op.size // 2 + 1, dtype=complex)
-    gap = spec.view(float)[:n]
+    work = spec.view(float)[:n]
     trace: list[tuple[int, float]] = []
     iters = 0
     check = p.trace_every
@@ -218,55 +226,42 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     with np.errstate(over="ignore", invalid="ignore"):
         apply_resolvent(op, alpha, u, r, spec)
         while iters < cap:
-            np.multiply(2.0, r, out=t)
-            t -= u
-            if not spare:  # the oldest differences make room
-                spare.append((df.pop(0), dg.pop(0)))
-                gram[:-1, :-1] = gram[1:, 1:]
-            u_next, g = spare.pop()
-            # r's head is dead until the next resolvent: it holds the outer lines
-            reflect_g(t_head, prox_params, g[:n], r_head)
-            np.negative(t_tail, out=g[n:])  # the tail's reflection (see reflect_g)
-            # f overwrites u, dead once f is formed, and the next iterate takes
-            # the free row: numpy's arithmetic runs about twice as fast in place
-            f = np.subtract(g, u, out=u)
-            u = u_next
+            r *= 2.0  # t = 2r - u takes r's row, dead until the next resolvent
+            r -= u
+            reflect_g(r_head, prox_params, g[:n], work)
+            np.negative(r_tail, out=g[n:])  # the tail's reflection (see reflect_g)
+            f = np.subtract(g, u, out=u)  # u is dead once f is formed
             f_sq = np.dot(f, f)
             gamma = None
-            if last and f_sq <= last_sq:
-                f_new, g_new = last  # become the newest differences
-                np.subtract(f, f_new, out=f_new)
-                np.subtract(g, g_new, out=g_new)
-                df.append(f_new)
-                dg.append(g_new)
-                k = len(df)
-                for j in range(k):
-                    gram[j, k - 1] = gram[k - 1, j] = np.dot(df[j], f_new)
+            if f_sq <= last_sq:
+                s = count % mem
+                np.subtract(f, f_last, out=hist_f[s])
+                np.subtract(g, g_last, out=hist_g[s])
+                count += 1
+                k = min(count, mem)
+                gram[s, :k] = gram[:k, s] = hist_f[:k].dot(hist_f[s])
                 h = gram[:k, :k]
+                h, rhs = h + 1e-12 * h.trace() * eye[:k, :k], hist_f[:k].dot(f)
                 try:
-                    gamma = np.linalg.solve(h + 1e-12 * np.trace(h) * np.eye(k),
-                                            [np.dot(d, f) for d in df])
-                except np.linalg.LinAlgError:
+                    with np.errstate(invalid="raise"):  # LAPACK's flag for a singular h
+                        gamma = _umath_linalg.solve1(h, rhs, signature="dd->d")
+                except FloatingPointError:
                     pass
-            elif last:  # ||f|| grew
-                spare.append(last)
+            # f and g become the last ones; the next iterate takes the free
+            # row, since numpy's arithmetic runs about twice as fast in place
+            u, f_last, g, g_last = f_last, f, g_last, g
             if gamma is None:  # the plain step, with the history forgotten
-                spare.extend(zip(df, dg))
-                df.clear()
-                dg.clear()
-                np.copyto(u, g)
+                count = 0
+                np.copyto(u, g_last)
             else:
-                np.multiply(dg[0], gamma[0], out=u)
-                np.subtract(g, u, out=u)
-                for d, c in zip(dg[1:], gamma[1:]):
-                    np.multiply(d, c, out=t)
-                    u -= t
-            last, last_sq = (f, g), f_sq
+                np.dot(gamma, hist_g[:k], out=u)
+                np.subtract(g_last, u, out=u)
+            last_sq = f_sq
             iters += 1
             apply_resolvent(op, alpha, u, r, spec)
             if check and (iters % check == 0 or iters == cap):
                 res = residual(r_head, p,
-                               toeplitz_from_resolvent(band, alpha, u, r, t_head), gap)
+                               toeplitz_from_resolvent(band, alpha, u, r, g[:n]), work)
                 trace.append((iters, res))
                 if res < tol_abs or not math.isfinite(res):
                     break
@@ -275,7 +270,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         # off (or a zero cap) is the residual still to compute
         if not trace:
             res = residual(r_head, p,
-                           toeplitz_from_resolvent(band, alpha, u, r, t_head), gap)
+                           toeplitz_from_resolvent(band, alpha, u, r, g[:n]), work)
             trace.append((iters, res))
     if not math.isfinite(res):
         raise NumericalError(f"iteration diverged: gap {res} at iteration {iters} "

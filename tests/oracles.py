@@ -1,12 +1,13 @@
 """Independent oracles the tests check the package against.
 
 None of these run in the pipeline: a scalar prox with its own case table,
-the band without its diagonal shift, a circulant product straight from the
-spectrum, a dense solve of the primal problem with a generic
-bound-constrained minimiser, the unfused splitting loop (with its
-``np.select`` prox, full-spectrum resolvent check, Anderson history of
-fresh vectors and out-of-place checkpoint product and gap) that the
-package's in-place loop must reproduce bit for bit, and the uncached
+the vector prox ``(reflect_g + I) / 2``, which the tests hold to a
+brute-force minimiser, the band without its diagonal shift, a circulant
+product straight from the spectrum, a dense solve of the primal problem
+with a generic bound-constrained minimiser, the unfused splitting loop
+(with its ``np.select`` prox, full-spectrum resolvent check, Anderson
+history of fresh vectors and out-of-place checkpoint product and gap) that
+the package's in-place loop must reproduce bit for bit, and the uncached
 out-of-place GP factor and sampler (``np.linalg.cholesky`` on a second
 array) that the cached, in-place one must reproduce bit for bit.
 """
@@ -26,7 +27,7 @@ from envelofit.kernel import (
     build_band,
     embed_circulant,
 )
-from envelofit.prox import ProxParams
+from envelofit.prox import ProxParams, reflect_g
 from envelofit.solver import SolveParams, SolveResult
 from envelofit.synth import DENSE_GP_LIMIT, GpParams
 
@@ -47,6 +48,12 @@ def prox_scalar_q(s: float, a: float, b: float, alpha: float) -> float:
     if np.isfinite(b) and s > (1.0 + alpha) * b:
         return s - alpha * b
     return s / (1.0 + alpha)
+
+
+def prox_r(t, p: ProxParams) -> np.ndarray:
+    """Vectorized prox of the dual data/constraint term at ``t``, read off
+    the package's reflected prox."""
+    return 0.5 * (reflect_g(t, p) + np.asarray(t, dtype=float))
 
 
 def truncated_band(spec: KernelSpec, n: int) -> ToeplitzBand:
@@ -217,11 +224,14 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
     """The Anderson-accelerated splitting iteration in its unfused form.
 
     Fresh temporaries every iteration, the ``np.select`` prox, the history
-    as lists of fresh difference vectors whose Gram matrix is recomputed
-    from scratch every iteration, and a second resolvent at every
-    checkpoint, whose ``C z`` comes from ``toeplitz_via_resolvent``; the
-    package's fused loop must match it bit for bit, so each floating-point
-    operation is the same numpy call on the same operands, in the same order.
+    as a list of fresh difference vectors in ring-slot order, stacked afresh
+    for each matrix-vector product, the wrapped ``np.linalg.solve``, and a
+    second resolvent at every checkpoint, whose ``C z`` comes from
+    ``toeplitz_via_resolvent``; the package's fused loop must match it bit
+    for bit, so each floating-point operation is the same numpy call on the
+    same operands, in the same order.  A product's bits depend on how many
+    rows it takes, so the Gram matrix gains one column per difference, as
+    the package's does, and is never rebuilt.
     """
     n = len(p.y)
     band = build_band(p.kernel, n)
@@ -238,8 +248,10 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
             z, p, toeplitz_via_resolvent(band, p.alpha, u, r))
 
     u = np.zeros(op.size)
-    df: list[np.ndarray] = []
-    dg: list[np.ndarray] = []
+    df: list[np.ndarray] = [np.zeros(0)] * mem  # differences of f and g by slot
+    dg: list[np.ndarray] = [np.zeros(0)] * mem
+    gram = np.zeros((mem, mem))
+    count = 0  # differences since the last restart
     last = None  # (f, g, ||f||^2) of the last iteration
     trace: list[tuple[int, float]] = []
     iters = 0
@@ -252,25 +264,22 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
         f_sq = np.dot(f, f)
         gamma = None
         if last is not None and f_sq <= last[2]:
-            df = (df + [f - last[0]])[-mem:]
-            dg = (dg + [g - last[1]])[-mem:]
-            k = len(df)
-            gram = np.zeros((k, k))
-            for i in range(k):
-                for j in range(i + 1):
-                    gram[i, j] = gram[j, i] = np.dot(df[j], df[i])
+            s = count % mem
+            df[s], dg[s] = f - last[0], g - last[1]
+            count += 1
+            k = min(count, mem)
+            gram[s, :k] = gram[:k, s] = np.dot(np.array(df[:k]), df[s])
+            h = gram[:k, :k]
             try:
-                gamma = np.linalg.solve(gram + 1e-12 * np.trace(gram) * np.eye(k),
-                                        [np.dot(d, f) for d in df])
+                gamma = np.linalg.solve(h + 1e-12 * np.trace(h) * np.eye(k),
+                                        np.dot(np.array(df[:k]), f))
             except np.linalg.LinAlgError:
                 pass
         if gamma is None:  # the plain step, with the history forgotten
-            df, dg = [], []
+            count = 0
             u = g
         else:
-            u = g - gamma[0] * dg[0]
-            for d, c in zip(dg[1:], gamma[1:]):
-                u = u - c * d
+            u = g - np.dot(gamma, np.array(dg[:k]))
         last = (f, g, f_sq)
         iters += 1
         if check and (iters % check == 0 or iters == p.max_iters):

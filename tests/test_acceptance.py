@@ -23,13 +23,14 @@ from envelofit.kernel import (
     embed_circulant,
 )
 from envelofit.pipeline import CoarseParams, PipelineParams, decompose_debiased
-from envelofit.prox import ProxParams, prox_r
+from envelofit.prox import ProxParams
 from envelofit.solver import SolveParams, solve_constrained_filter
 from envelofit.synth import TrialSpec, generate_trial
 
 from oracles import (
     apply_circulant,
     dense_toeplitz,
+    prox_r,
     prox_scalar_q,
     solve_reference_dense,
 )

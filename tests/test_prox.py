@@ -3,9 +3,9 @@ import pytest
 import scipy.optimize
 
 from envelofit.core import BoxConstraint, InputError
-from envelofit.prox import ProxParams, prox_r, reflect_g
+from envelofit.prox import ProxParams, reflect_g
 
-from oracles import prox_scalar_q, prox_thresholds, reflect_g_select
+from oracles import prox_r, prox_scalar_q, prox_thresholds, reflect_g_select
 
 
 def penalty_q(x, a, b):

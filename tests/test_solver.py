@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -119,20 +120,61 @@ class TestParamValidation:
 
 class TestClosedFormN1:
     # N = 1: C = [c], minimize lam/2 (y-x)^2 + x^2/(2c), then clip
-    @pytest.mark.parametrize("lam,y0,a,b", [
+    CASES = pytest.mark.parametrize("lam,y0,a,b", [
         (2.0, 3.0, -10.0, 10.0),   # interior: x = lam y / (lam + 1)
         (2.0, 3.0, -10.0, 1.0),    # clipped at upper bound
         (2.0, -3.0, -1.0, 10.0),   # clipped at lower bound
         (0.5, 1.0, -np.inf, np.inf),
     ])
+
+    @staticmethod
+    def params(lam, y0, a, b):
+        return SolveParams(y=Signal([y0], 10.0), lam=lam, kernel=KernelSpec(1.0, tau=0.5),
+                           box=BoxConstraint([a], [b]), max_iters=5000)
+
+    @CASES
     def test_matches_formula(self, lam, y0, a, b):
-        y = Signal([y0], 10.0)
-        p = SolveParams(y=y, lam=lam, kernel=KernelSpec(1.0, tau=0.5),
-                        box=BoxConstraint([a], [b]), max_iters=5000)
+        p = self.params(lam, y0, a, b)
         got = solve_constrained_filter(p).x_hat.samples[0]
         c = build_band(p.kernel, 1).first_row[0]
         want = np.clip(lam * c * y0 / (lam * c + 1.0), a, b)
         assert got == pytest.approx(want, abs=1e-6)
+
+    @CASES
+    def test_singular_gram_takes_the_plain_step(self, lam, y0, a, b, monkeypatch):
+        """Once the iterate sits at the fixed point every difference is zero,
+        so the Gram solve is singular: LAPACK flags it, the solve raises
+        ``FloatingPointError``, and the loop takes the plain step, whose
+        next resolvent's input is the reflection just made.  The solve
+        matches the unfused loop, which catches ``LinAlgError``, bit for bit."""
+        p = self.params(lam, y0, a, b)
+        reflected, singular, plain = [], [], []
+        prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
+        solve1 = envelofit.solver._umath_linalg.solve1
+
+        def recorded_prox(t, params, out, work):
+            reflected.append(prox(t, params, out, work).copy())
+            return out
+
+        def recorded_solve(*args, **kw):
+            try:
+                return solve1(*args, **kw)
+            except FloatingPointError:
+                singular.append(len(reflected))
+                raise
+
+        def checked_resolvent(op, alpha, u, *args):
+            if singular and singular[-1] == len(reflected):
+                plain.append(np.array_equal(u[:1], reflected[-1]))
+            return resolvent(op, alpha, u, *args)
+
+        monkeypatch.setattr(envelofit.solver, "reflect_g", recorded_prox)
+        monkeypatch.setattr(envelofit.solver, "apply_resolvent", checked_resolvent)
+        monkeypatch.setattr(envelofit.solver, "_umath_linalg",
+                            types.SimpleNamespace(solve1=recorded_solve))
+        TestFusedLoopMatchesReference.assert_identical(p)
+        assert len(singular) >= 1
+        assert plain == [True] * len(singular)
 
 
 class TestPinnedBounds:
@@ -429,8 +471,8 @@ class TestLoopAllocation:
         finally:
             tracemalloc.stop()
         m, h, k = sizes[0]
-        # work block (u, t, r, then f and g of the last iteration and of each
-        # of the three Anderson differences: eleven rows, the memory budget),
+        # work block (the two blocks of three Anderson differences of f and g,
+        # then u, r, g and the last f and g: eleven rows, the memory budget),
         # spectrum (complex), eigenvalues, reciprocal (complex), 2*alpha*(y, a, b)
         fixed = 8 * (11 * m + 2 * h + k + 2 * h + 3 * n)
         assert fixed <= held[0] - start < fixed + 64 * 1024
