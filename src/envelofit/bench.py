@@ -8,9 +8,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,15 +50,6 @@ class BenchReport:
         return seen
 
 
-def _n_workers() -> int:
-    env = os.environ.get("ENVELOFIT_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError:
-        cap = 1
-    return max(1, cap)
-
-
 def run_mse_experiment(
     n_trials: int,
     base_seed: int,
@@ -73,35 +62,21 @@ def run_mse_experiment(
         raise InputError(f"n_trials must be >= 1, got {n_trials}")
     template = trial_spec if trial_spec is not None else TrialSpec()
 
-    def one(i: int):
-        spec = replace(template, seed=base_seed + i)
-        trial = generate_trial(spec)
-        t_start = time.perf_counter()
-        dec = decompose_debiased(trial.observation, pipeline)
-        wall = time.perf_counter() - t_start
-        rows = [(i, PROPOSED, mse(trial.smooth, dec.smooth))]
-        for f in baselines:
-            smooth, _ = lti_smooth_estimate(trial.observation, f)
-            rows.append((i, f"hamming_lp_{f.length}", mse(trial.smooth, smooth)))
-        rows.append((i, IDENTITY, mse(trial.smooth, trial.observation)))
-        final = dec.diagnostics[-1]
-        iters = sum(r.iters for r in dec.diagnostics)
-        return rows, final.residual_trace, (i, wall, iters)
-
-    workers = min(_n_workers(), n_trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, range(n_trials)))
-    else:
-        results = [one(i) for i in range(n_trials)]
-
     all_rows: list[tuple[int, str, float]] = []
     traces: dict[int, tuple[tuple[int, float], ...]] = {}
     timing: list[tuple[int, float, int]] = []
-    for i, (rows, trace, tm) in enumerate(results):
-        all_rows.extend(rows)
-        traces[i] = trace
-        timing.append(tm)
+    for i in range(n_trials):
+        trial = generate_trial(replace(template, seed=base_seed + i))
+        t_start = time.perf_counter()
+        dec = decompose_debiased(trial.observation, pipeline)
+        wall = time.perf_counter() - t_start
+        all_rows.append((i, PROPOSED, mse(trial.smooth, dec.smooth)))
+        for f in baselines:
+            smooth, _ = lti_smooth_estimate(trial.observation, f)
+            all_rows.append((i, f"hamming_lp_{f.length}", mse(trial.smooth, smooth)))
+        all_rows.append((i, IDENTITY, mse(trial.smooth, trial.observation)))
+        traces[i] = dec.diagnostics[-1].residual_trace
+        timing.append((i, wall, sum(r.iters for r in dec.diagnostics)))
 
     proposed = [m for _, name, m in all_rows if name == PROPOSED]
     ordering = tuple(int(j) for j in np.argsort(proposed, kind="stable"))

@@ -51,6 +51,8 @@ EXIT_CODES = {
                        "dense GP sampling limited to n <= 4096, got 10000"),
     "gp_factor": (["synth", "--warp-c2", 0, "--duration", 100], None, 1,
                   "GP covariance factorization failed (c0=25.0, c1=500.0, c2=0.0)"),
+    "synth_seed": (["synth", "--seed", -1], None, 2, "seed must be >= 0, got -1"),
+    "bench_seed": (["bench", "--seed", -1], None, 2, "seed must be >= 0, got -1"),
 }
 
 
