@@ -102,7 +102,7 @@ class CirculantOperator:
 
         Complex with imaginary part +0, the form numpy casts a real one to, so no
         resolvent casts it again.  Raises unless ``alpha >= 0`` and every denominator
-        clears the floor.  Threads that share an operator at worst compute it twice.
+        clears the floor.
         """
         recip = self._multipliers.get(alpha)
         if recip is None:

@@ -7,19 +7,19 @@ The primal problem
 is attacked through a dual in the variable ``z`` (with ``x = P_B(y - z/lam)``
 at the optimum), reformulated over the circulant extension of ``C`` so every
 iteration costs one FFT pair.  The iteration, ``u <- R_g R_f u``, is undamped
-(``SolverSettings`` gives its rate) and Anderson-accelerated: each new
-iterate is extrapolated from the last ``_ANDERSON_MEMORY`` differences of
-the map's values, held in two contiguous blocks so that the update is
-three matrix-vector products and one small LAPACK solve.  That leaves the
-fixed point, and so the solution and the gap that certifies it, as they
-are.  ``SolveParams`` extends the
+(``SolveParams`` derives its step and gives its rate) and
+Anderson-accelerated: each new iterate is extrapolated from the last
+``_ANDERSON_MEMORY`` differences of the map's values, held in two
+contiguous blocks so that the update is three matrix-vector products and
+one small LAPACK solve.  That leaves the fixed point, and so the solution
+and the gap that certifies it, as they are.  ``SolveParams`` extends the
 settings with the problem data; both check their values when built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -56,32 +56,25 @@ _ANDERSON_MEMORY = 3
 class SolverSettings:
     """Splitting hyperparameters of every solve, checked when built.
 
-    ``alpha=None`` makes ``SolveParams`` pick ``1 / sqrt(eig_min * eig_max)``
-    of the stage's circulant: the step that balances the covariance
-    spectrum's two ends, so the undamped iteration contracts at the rate
-    ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)`` of its condition number ``kappa``
-    (Giselsson and Boyd 2017: averaging would slow it).  Anderson
-    extrapolation (type II, over the last ``_ANDERSON_MEMORY`` differences, a
-    constant and not a setting) then cuts the iterations about threefold;
-    a step whose fixed-point residual grows falls back to the plain one.
-    ``tol`` is relative to ``max(||y||_inf, 1)``; ``trace_every = 0`` turns
-    intermediate residual checks off (the loop then runs to ``max_iters``).
+    The step size is not a setting: ``SolveParams`` derives it from the
+    problem.  Anderson extrapolation (type II, over the last
+    ``_ANDERSON_MEMORY`` differences, a constant and not a setting) cuts the
+    iterations about threefold; a step whose fixed-point residual grows
+    falls back to the plain one.  ``tol`` is relative to ``||y||_inf``, or
+    absolute when ``y`` is zero.  The gap is checked every ``trace_every``
+    iterations and at ``max_iters``, so a ``trace_every`` past the cap checks
+    it once, at the cap.
     """
 
-    alpha: float | None = knob(
-        None, "splitting step size; unset, each stage uses "
-        "1/sqrt(eig_min*eig_max) of its kernel's circulant")
     max_iters: int = knob(10000, "iteration cap per solve")
     tol: float = knob(1e-6, "relative residual tolerance")
     trace_every: int = 25
 
     def __post_init__(self):
-        if self.alpha is not None and not (0 < self.alpha < math.inf):
-            raise InputError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0 < self.tol < math.inf):
             raise InputError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 0 or self.trace_every < 0:
-            raise InputError(f"max_iters and trace_every must be >= 0, "
+        if self.max_iters < 1 or self.trace_every < 1:
+            raise InputError(f"max_iters and trace_every must be >= 1, "
                              f"got {self.max_iters}, {self.trace_every}")
 
 
@@ -89,17 +82,20 @@ class SolverSettings:
 class SolveParams(SolverSettings):
     """Problem data plus the inherited splitting settings.
 
-    ``alpha=None`` is resolved, after every other check, to
-    ``1 / sqrt(eig_min * eig_max)`` of the circulant the solve uses, and the
-    resolved value is stored.  It does not depend on ``lam``, so
-    ``dataclasses.replace(p, lam=...)`` keeps the rule's step; changing
-    ``kernel`` or the length of ``y`` needs ``alpha=None`` to get it again.
+    ``alpha``, the step size, is derived after every other check:
+    ``1 / sqrt(eig_min * eig_max)`` of the circulant the solve uses, the step
+    that balances the spectrum's two ends, so the undamped iteration
+    contracts at the rate ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)`` of its
+    condition number ``kappa`` (Giselsson and Boyd 2017: averaging would
+    slow it).  It depends on ``kernel`` and the length of ``y`` only, and
+    ``dataclasses.replace`` derives it again.
     """
 
     y: Signal
     lam: float
     kernel: KernelSpec
     box: BoxConstraint
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.lam < math.inf):
@@ -109,12 +105,11 @@ class SolveParams(SolverSettings):
             raise InputError(
                 f"signal length {len(self.y)} != bounds length {len(self.box)}"
             )
-        if self.alpha is None:
-            _, op = _operator(self.kernel, len(self.y))
-            if op.eig_min <= 0:
-                raise NumericalError(f"step-size rule needs a positive kernel spectrum, "
-                                     f"got eig_min {op.eig_min:.3e}; set alpha")
-            object.__setattr__(self, "alpha", 1.0 / math.sqrt(op.eig_min * op.eig_max))
+        _, op = _operator(self.kernel, len(self.y))
+        if op.eig_min <= 0:
+            raise NumericalError(f"step-size rule needs a positive kernel spectrum, "
+                                 f"got eig_min {op.eig_min:.3e}")
+        object.__setattr__(self, "alpha", 1.0 / math.sqrt(op.eig_min * op.eig_max))
 
     @property
     def tol_abs(self) -> float:
@@ -198,15 +193,14 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     ``u``, off that resolvent (``toeplitz_from_resolvent``) into the ``g``
     row, dead until the next reflection, and takes the gap in the spectrum
     buffer.  A gap that is not finite means the iteration diverged: the
-    first such checkpoint (the final gap, with checks off) raises
-    ``NumericalError``.
+    first such checkpoint raises ``NumericalError``.
     """
     n = len(p.y)
     band, op = _operator(p.kernel, n)
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
     tol_abs = p.tol_abs
-    alpha, cap, mem = p.alpha, p.max_iters, _ANDERSON_MEMORY
+    alpha, cap, every, mem = p.alpha, p.max_iters, p.trace_every, _ANDERSON_MEMORY
 
     # every full-length vector shares one block: freeing it raises glibc's
     # dynamic mmap threshold past the FFT scratch of this size, so later
@@ -221,7 +215,6 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     work = spec.view(float)[:n]
     trace: list[tuple[int, float]] = []
     iters = 0
-    check = p.trace_every
     # a diverging iterate passes through inf and NaN silently: its gap reports it
     with np.errstate(over="ignore", invalid="ignore"):
         apply_resolvent(op, alpha, u, r, spec)
@@ -259,19 +252,12 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
             last_sq = f_sq
             iters += 1
             apply_resolvent(op, alpha, u, r, spec)
-            if check and (iters % check == 0 or iters == cap):
+            if iters % every == 0 or iters == cap:
                 res = residual(r_head, p,
                                toeplitz_from_resolvent(band, alpha, u, r, g[:n]), work)
                 trace.append((iters, res))
                 if res < tol_abs or not math.isfinite(res):
                     break
-
-        # a checkpoint always falls on the last iteration, so only with checks
-        # off (or a zero cap) is the residual still to compute
-        if not trace:
-            res = residual(r_head, p,
-                           toeplitz_from_resolvent(band, alpha, u, r, g[:n]), work)
-            trace.append((iters, res))
     if not math.isfinite(res):
         raise NumericalError(f"iteration diverged: gap {res} at iteration {iters} "
                              f"with alpha={alpha}")

@@ -270,8 +270,6 @@ def test_criterion_9_determinism(tmp_path_factory):
             "--tol", str(p["tol"]),
             "--max-iters", str(p["max_iters"]), "--tau", str(p["tau"]),
             "--output-dir", str(b3), "--quiet"]
-    if p["alpha"] is not None:
-        argv += ["--alpha", str(p["alpha"])]
     assert cli_main(argv) == 0
     ok = ok and (b1 / "mse.csv").read_bytes() == (b3 / "mse.csv").read_bytes()
 

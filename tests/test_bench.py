@@ -78,7 +78,7 @@ class TestRunScaling:
 
     def test_too_small_n_rejected(self):
         # sigma=20, tau=1e-3: band half-width ~52 exceeds n
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="half-width 52 does not fit signal length 16"):
             run_scaling([16], iters=5, repeats=1)
 
 

@@ -109,7 +109,7 @@ P, F, I = "_positive", "float", "_positive_int"
 SOLVER_FLAGS = {
     "--lambda0": (50.0, P), "--lambda1": (0.5, P), "--sigma0": (5.0, P),
     "--sigma1": (20.0, P), "--coarse-lambda": (1.0, P), "--coarse-sigma": (50.0, P),
-    "--alpha": (None, P), "--tol": (1e-6, P),
+    "--tol": (1e-6, P),
     "--max-iters": (10000, I), "--tau": (1e-5, P),
 }
 COMMON_FLAGS = {"--output-dir": (".", None), "--quiet": (False, None)}
@@ -256,11 +256,10 @@ class TestDecompose:
         assert run(["decompose", sine_csv, *mode, "--sigma1", 25, "--tol", 1e-5,
                     "--output-dir", d1, "--quiet", *FAST]) == 0
         p = json.loads((d1 / "sine_diagnostics.json").read_text())["parameters"]
-        keys = {"lambda0", "lambda1", "sigma0", "sigma1", "alpha", "tol",
-                "max_iters", "tau"}
+        keys = {"lambda0", "lambda1", "sigma0", "sigma1", "tol", "max_iters", "tau"}
         assert set(p) == (keys | {"coarse_lambda", "coarse_sigma"} if debias else keys)
-        flags = [x for k, v in p.items() if v is not None
-                 for x in (f"--{k.replace('_', '-')}", v)]
+        assert None not in p.values()
+        flags = [x for k, v in p.items() for x in (f"--{k.replace('_', '-')}", v)]
         assert run(["decompose", sine_csv, *mode, *flags,
                     "--output-dir", d2, "--quiet"]) == 0
         for suffix in ("smooth.csv", "transient.csv", "envelopes.csv",
@@ -346,6 +345,8 @@ class TestBench:
                     "--output-dir", d1, "--quiet", *FAST]) == 0
         meta = json.loads((d1 / "meta.json").read_text())
         p = meta["parameters"]
+        assert set(p) == {"lambda0", "lambda1", "sigma0", "sigma1", "coarse_lambda",
+                          "coarse_sigma", "tol", "max_iters", "tau"}
         argv = ["bench", "--trials", meta["trials"], "--seed", meta["seed"],
                 "--fs", meta["fs_hz"], "--duration", meta["duration_s"],
                 "--baseline-lengths", *meta["baseline_lengths"],
@@ -356,8 +357,6 @@ class TestBench:
                 "--tol", p["tol"],
                 "--max-iters", p["max_iters"], "--tau", p["tau"],
                 "--output-dir", d2, "--quiet"]
-        if p["alpha"] is not None:
-            argv += ["--alpha", p["alpha"]]
         assert run(argv) == 0
         assert (d1 / "mse.csv").read_bytes() == (d2 / "mse.csv").read_bytes()
 

@@ -13,6 +13,7 @@ import envelofit.solver
 from envelofit.core import BoxConstraint, InputError, NumericalError, Signal
 from envelofit.kernel import (
     KernelSpec,
+    apply_resolvent,
     apply_toeplitz,
     build_band,
     embed_circulant,
@@ -25,7 +26,6 @@ from oracles import (
     residual_reference,
     solve_reference_dense,
     solve_reference_loop,
-    truncated_band,
 )
 
 
@@ -47,7 +47,6 @@ def pd_instance(rng, n_range=(8, 64)):
         lam=float(rng.uniform(0.5, 20.0)),
         kernel=spec,
         box=BoxConstraint(lo, hi),
-        alpha=1.0,
         max_iters=20000,
     )
 
@@ -57,18 +56,20 @@ class TestParamValidation:
     def test_negative_caps_rejected(self, caps):
         y = Signal([1.0, 2.0], 1.0)
         box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
-        with pytest.raises(InputError, match="must be >= 0"):
+        with pytest.raises(InputError, match="must be >= 1"):
             SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, **caps)
 
     @pytest.mark.parametrize("kw", [
         pytest.param({name: v}, id=f"{name}={v}")
         for name, values in [("alpha", (0.0, -1.0, np.inf, np.nan)),
                              ("tol", (0.0, np.inf, np.nan)),
-                             ("max_iters", (-1,)), ("trace_every", (-1,))]
+                             ("max_iters", (-1, 0)), ("trace_every", (-1, 0))]
         for v in values
     ])
     def test_settings_rejected_when_built(self, kw):
-        with pytest.raises(InputError, match=next(iter(kw))):
+        # the step size is derived, not a setting: no value of it is taken
+        with pytest.raises(TypeError if "alpha" in kw else InputError,
+                           match=next(iter(kw))):
             SolverSettings(**kw)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
@@ -82,34 +83,46 @@ class TestParamValidation:
         assert issubclass(SolveParams, SolverSettings)
         assert envelofit.SolverSettings is envelofit.pipeline.SolverSettings is SolverSettings
 
+    def test_step_size_is_not_a_setting(self):
+        y = Signal([1.0, 2.0], 1.0)
+        box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
+        with pytest.raises(TypeError, match="alpha"):
+            SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, alpha=1.0)
+
     def test_unset_alpha_stores_the_stage_rule(self):
         for n, sigma, tau in [(30, 2.0, 1e-3), (2000, 50.0, 1e-5), (1, 1.0, 0.5)]:
             y = Signal(np.linspace(-1.0, 2.0, n), 1.0)
             box = BoxConstraint(np.full(n, -1.0), np.full(n, 3.0))
             p = SolveParams(y=y, lam=5.0, kernel=KernelSpec(sigma, tau=tau), box=box)
-            band = build_band(p.kernel, n)
-            eig = embed_circulant(band, next_fast_len(n + band.half_width)).eigenvalues
-            assert p.alpha == 1.0 / math.sqrt(eig.min() * eig.max())
+            assert p.alpha == rule_alpha(p.kernel, n)
         assert p.max_iters == SolverSettings().max_iters
 
     def test_rule_does_not_depend_on_lam(self):
-        p = loop_instance("two_sided", alpha=None)
-        q = dataclasses.replace(p, lam=40.0)
-        assert q.alpha == p.alpha == SolveParams(**{**p.__dict__, "alpha": None, "lam": 40.0}).alpha
-        # a new kernel or length needs alpha=None for its own rule
-        wide = dataclasses.replace(p, kernel=KernelSpec(50.0, tau=1e-5), alpha=None)
-        assert wide.alpha != p.alpha
+        p = loop_instance("two_sided")
+        assert dataclasses.replace(p, lam=40.0).alpha == p.alpha
+
+    @pytest.mark.parametrize("change", ["kernel", "length"])
+    def test_replace_derives_the_rule_again(self, change):
+        p = loop_instance("two_sided")
+        if change == "kernel":
+            q = dataclasses.replace(p, kernel=KernelSpec(50.0, tau=1e-5))
+        else:
+            q = dataclasses.replace(p, y=Signal(p.y.samples[:150], 10.0),
+                                    box=BoxConstraint(p.box.lower[:150], p.box.upper[:150]))
+        assert q.alpha != p.alpha
+        assert q.alpha == rule_alpha(q.kernel, len(q.y))
 
     def test_rule_rejects_a_spectrum_that_is_not_positive(self, monkeypatch):
         inject_truncated_band(monkeypatch)
         with pytest.raises(NumericalError, match="eig_min -"):
-            loop_instance("two_sided", alpha=None)
+            loop_instance("two_sided")
 
     def test_tol_abs_relative_to_signal(self):
-        y = Signal([0.0, 4.0], 1.0)
         box = BoxConstraint([-9.0, -9.0], [9.0, 9.0])
-        p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0, tau=0.5), box=box, tol=1e-6)
-        assert p.tol_abs == pytest.approx(4e-6)
+        for peak in (4.0, 0.25):  # relative below 1 too: no floor at 1
+            y = Signal([0.0, peak], 1.0)
+            p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0, tau=0.5), box=box, tol=1e-6)
+            assert p.tol_abs == pytest.approx(peak * 1e-6)
 
     def test_tol_abs_zero_signal_falls_back_to_one(self):
         y = Signal([0.0, 0.0], 1.0)
@@ -201,9 +214,8 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("box_kind", ["two_sided", "lower"])
     @pytest.mark.parametrize("sigma,lam", [(5.0, 50.0), (20.0, 0.5), (50.0, 1.0)])
     def test_matches_dense_reference_at_production_sigma(self, sigma, lam, box_kind):
-        """The pipeline's kernel widths, weights and truncation at n = 1000,
-        with the default step size."""
-        p = loop_instance(box_kind, n=1000, sigma=sigma, lam=lam, alpha=None,
+        """The pipeline's kernel widths, weights and truncation at n = 1000."""
+        p = loop_instance(box_kind, n=1000, sigma=sigma, lam=lam,
                           tol=1e-9, max_iters=20000)
         fast = solve_constrained_filter(p)
         ref = solve_reference_dense(p)
@@ -242,7 +254,7 @@ class TestResidual:
         assert peak < 8 * n // 4
 
     def test_buffer_of_wrong_length_rejected(self):
-        p = loop_instance("two_sided", n=64)
+        p = loop_instance("two_sided", n=64, sigma=5.0)
         with pytest.raises(InputError):
             residual(np.zeros(64), p, np.zeros(64), np.empty(63))
 
@@ -263,13 +275,12 @@ class TestResidual:
         # eventual decrease: endpoint no worse than the first checkpoint
         assert res.residual_trace[-1][1] <= res.residual_trace[0][1]
 
-    def test_trace_every_zero_runs_to_cap(self):
+    def test_trace_every_past_the_cap_checks_at_the_cap(self):
         rng = np.random.default_rng(3)
-        p = pd_instance(rng)
-        q = SolveParams(**{**p.__dict__, "trace_every": 0, "max_iters": 50})
+        q = dataclasses.replace(pd_instance(rng), trace_every=100, max_iters=50)
         res = solve_constrained_filter(q)
         assert res.iters == 50
-        assert len(res.residual_trace) == 1
+        assert res.residual_trace == ((50, res.residual_inf),)
 
 
 class TestFeasibility:
@@ -282,8 +293,15 @@ class TestFeasibility:
         assert np.all(res.x_hat.samples <= p.box.upper)
 
 
-def loop_instance(box_kind, n=200, sigma=20.0, tau=1e-5, seed=0, **kw):
-    """Pipeline-shaped instance: wide truncated kernel, default step size."""
+def rule_alpha(kernel, n):
+    """``1 / sqrt(eig_min * eig_max)`` of a length-``n`` solve's circulant."""
+    band = build_band(kernel, n)
+    eig = embed_circulant(band, next_fast_len(n + band.half_width)).eigenvalues
+    return 1.0 / math.sqrt(eig.min() * eig.max())
+
+
+def loop_instance(box_kind, n=200, sigma=20.0, tau=1e-5, seed=0, lam=0.5, **kw):
+    """Pipeline-shaped instance: wide truncated kernel."""
     rng = np.random.default_rng(seed)
     y = Signal(np.cumsum(rng.normal(size=n)) * 0.2, 10.0)
     s = y.samples
@@ -296,10 +314,8 @@ def loop_instance(box_kind, n=200, sigma=20.0, tau=1e-5, seed=0, **kw):
     else:  # "mixed": a lower bound with finite and -inf entries
         lo, hi = s - rng.exponential(0.5, n), s + rng.exponential(0.5, n)
         lo[rng.random(n) < 0.5] = -np.inf
-    lam = kw.pop("lam", 0.5)
     return SolveParams(y=y, lam=lam, kernel=KernelSpec(sigma, tau=tau),
-                       box=BoxConstraint(lo, hi),
-                       alpha=kw.pop("alpha", 2.0 * np.sqrt(lam * sigma)), **kw)
+                       box=BoxConstraint(lo, hi), **kw)
 
 
 class TestFusedLoopMatchesReference:
@@ -334,13 +350,13 @@ class TestFusedLoopMatchesReference:
     def test_long_signal_scale(self, box_kind):
         self.assert_identical(loop_instance(box_kind, n=2**15, max_iters=50))
 
-    def test_trace_every_zero(self):
-        res = self.assert_identical(loop_instance("mixed", max_iters=40, trace_every=0))
-        assert res.residual_trace[0][0] == 40
+    def test_trace_every_at_the_cap(self):
+        res = self.assert_identical(loop_instance("mixed", max_iters=40, trace_every=40))
+        assert [k for k, _ in res.residual_trace] == [40]
 
-    def test_zero_cap(self):
-        res = self.assert_identical(loop_instance("two_sided", max_iters=0))
-        assert res.iters == 0 and not np.any(res.z)
+    def test_one_iteration_cap(self):
+        res = self.assert_identical(loop_instance("two_sided", max_iters=1))
+        assert res.iters == 1 and [k for k, _ in res.residual_trace] == [1]
 
     def test_cap_not_multiple_of_trace_every(self):
         res = self.assert_identical(loop_instance("lower", max_iters=107, trace_every=25))
@@ -376,7 +392,7 @@ class TestAndersonSafeguard:
         the reflection just made.  This solve takes such steps after the
         first iteration, and matches the unfused loop bit for bit and the
         dense oracle within 1e-8."""
-        p = loop_instance("lower", n=1000, sigma=50.0, lam=1.0, alpha=None,
+        p = loop_instance("lower", n=1000, sigma=50.0, lam=1.0,
                           tol=1e-9, max_iters=20000)
         n = len(p.y)
         reflected, plain = [], []
@@ -402,7 +418,10 @@ class TestAndersonSafeguard:
 
 class TestCheckpointProduct:
     """The checkpoint's ``C z``, read off the resolvent, against the
-    convolution at the loop's own states."""
+    convolution at the loop's own states: at the loop's step and, from the
+    same ``u``, at the step ``alpha``, whose resolvent is taken afresh.  Only
+    the loop's own gap is held within ``1e-6 * tol_abs``: at a far smaller
+    step the resolvent's rounding, about ``eps * ||u|| / alpha``, is not."""
 
     CASES = [
         *[dict(box_kind=kind, n=n, max_iters=100 if n == 2000 else 30)
@@ -414,12 +433,12 @@ class TestCheckpointProduct:
     @pytest.mark.parametrize("alpha", [1e-3, 0.1, 14.1, 50.0])
     @pytest.mark.parametrize("case", CASES)
     def test_matches_convolution_at_checkpoints(self, case, alpha, monkeypatch):
-        p = loop_instance(alpha=alpha, trace_every=10, **case)
+        p = loop_instance(trace_every=10, **case)
+        _, op = envelofit.solver._operator(p.kernel, len(p.y))
         eps = np.finfo(float).eps
         seen = []
 
-        def checked(band, alpha_, u, r, out):
-            cz = toeplitz_from_resolvent(band, alpha_, u, r, out)
+        def gap_error(band, alpha_, u, r, cz):
             z = r[: band.n]
             direct = apply_toeplitz(band, z)
             gap = np.max(np.abs(cz - direct))
@@ -429,13 +448,20 @@ class TestCheckpointProduct:
             # both gaps are sup-norms against the same projection
             res_gap = abs(residual(z, p, cz) - residual(z, p))
             assert res_gap <= gap * (1 + 1e-12) + 4 * eps * np.max(np.abs(direct))
-            assert res_gap <= 1e-6 * p.tol_abs
+            return res_gap
+
+        def checked(band, alpha_, u, r, out):
+            cz = toeplitz_from_resolvent(band, alpha_, u, r, out)
+            assert gap_error(band, alpha_, u, r, cz) <= 1e-6 * p.tol_abs
+            r_at = apply_resolvent(op, alpha, u)
+            gap_error(band, alpha, u, r_at,
+                      toeplitz_from_resolvent(band, alpha, u, r_at, np.empty(band.n)))
             seen.append(alpha_)
             return cz
 
         monkeypatch.setattr(envelofit.solver, "toeplitz_from_resolvent", checked)
         res = solve_constrained_filter(p)
-        assert seen == [alpha] * len(res.residual_trace)
+        assert seen == [p.alpha] * len(res.residual_trace)
 
 
 class TestLoopAllocation:
@@ -444,7 +470,7 @@ class TestLoopAllocation:
         """From the first prox to the last resolvent the solve's traced peak
         exceeds its fixed buffers by less than one float64 n-vector."""
         n = 2**15
-        p = loop_instance(box_kind, n=n, max_iters=20, trace_every=0)
+        p = loop_instance(box_kind, n=n, max_iters=20, trace_every=20)
         solve_constrained_filter(p)  # FFT plans and caches warm
         held, peak, sizes = [], [], []
         prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
@@ -462,7 +488,7 @@ class TestLoopAllocation:
 
         monkeypatch.setattr(envelofit.solver, "reflect_g", first_prox)
         monkeypatch.setattr(envelofit.solver, "apply_resolvent", record_sizes)
-        monkeypatch.setattr(envelofit.solver, "residual",  # runs once, after the loop
+        monkeypatch.setattr(envelofit.solver, "residual",  # runs once, at the cap
                             lambda *a: peak.append(tracemalloc.get_traced_memory()[1]) or 1.0)
         tracemalloc.start()
         try:
@@ -479,40 +505,51 @@ class TestLoopAllocation:
         assert peak[0] - held[0] < 8 * n
 
 
+def inject_nonfinite_reflection(monkeypatch, at):
+    """Make the ``at``-th reflection from here on write ``inf`` into its
+    output, as an overflow would."""
+    prox, calls = envelofit.solver.reflect_g, []
+
+    def faulty(t, params, out, work):
+        prox(t, params, out, work)
+        calls.append(1)
+        if len(calls) == at:
+            out[0] = np.inf
+        return out
+
+    monkeypatch.setattr(envelofit.solver, "reflect_g", faulty)
+
+
 class TestSpectrumGuard:
-    """The floor and divergence checks guard an explicit step size on a band
-    with a negative spectrum; the solves here build the band without its
-    diagonal shift."""
+    """The floor and divergence checks.  The positive definite band and the
+    derived step trip neither, so each solve here has a fault injected."""
 
     def test_raises_before_first_iteration(self, monkeypatch):
-        inject_truncated_band(monkeypatch)
+        """The negated band, built by the solve after the step was derived
+        from the true one, has a spectrum that no positive step clears."""
         p = loop_instance("two_sided", sigma=20.0, tau=1e-3)
-        band = truncated_band(p.kernel, len(p.y))
-        eig_min = embed_circulant(band, next_fast_len(len(p.y) + band.half_width)).eig_min
-        assert eig_min < 0  # truncation ripple
-        q = SolveParams(**{**p.__dict__, "alpha": 2.0 / -eig_min})
+
+        def negated_band(spec, n):
+            band = build_band(spec, n)
+            return dataclasses.replace(band, first_row=-band.first_row)
+
+        monkeypatch.setattr(envelofit.solver, "build_band", negated_band)
         called = []
         for name in ("reflect_g", "residual"):
             monkeypatch.setattr(envelofit.solver, name,
                                 lambda *a, _n=name, **k: called.append(_n))
-        with pytest.raises(NumericalError):
-            solve_constrained_filter(q)
+        with pytest.raises(NumericalError, match="resolvent denominator"):
+            solve_constrained_filter(p)
         assert called == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("trace_every", [25, 0])
+    @pytest.mark.parametrize("trace_every", [25, 100])
     def test_divergence_raises_at_first_nonfinite_gap(self, trace_every, monkeypatch):
-        """A step size that passes the floor can still diverge on an
-        indefinite band; the solve says so, without numpy warnings, instead
-        of returning NaNs."""
-        inject_truncated_band(monkeypatch)
-        p = loop_instance("lower", n=2000, sigma=20.0, tau=1e-5)
-        band = truncated_band(p.kernel, len(p.y))
-        eig_min = embed_circulant(band, next_fast_len(len(p.y) + band.half_width)).eig_min
-        assert -5e-5 < eig_min < -3e-5
-        alpha = 0.999 / -eig_min
-        q = SolveParams(**{**p.__dict__, "alpha": alpha, "max_iters": 3000,
-                           "trace_every": trace_every})
+        """A non-finite reflection at iteration 30 makes every later iterate
+        NaN; the next checkpoint (mid-run at 50, or at the cap, 60) says
+        so, without numpy warnings, instead of returning NaNs."""
+        inject_nonfinite_reflection(monkeypatch, at=30)
+        p = loop_instance("lower", n=2000, max_iters=60, trace_every=trace_every)
         gaps = []
 
         def recorded(*args):
@@ -521,11 +558,19 @@ class TestSpectrumGuard:
 
         monkeypatch.setattr(envelofit.solver, "residual", recorded)
         with pytest.raises(NumericalError) as exc:
-            solve_constrained_filter(q)
+            solve_constrained_filter(p)
+        iters, checks = (50, 2) if trace_every == 25 else (60, 1)
+        assert len(gaps) == checks
         assert np.all(np.isfinite(gaps[:-1])) and not np.isfinite(gaps[-1])
-        iters = len(gaps) * trace_every if trace_every else 3000
-        assert iters < 3000 or not trace_every
-        assert f"at iteration {iters} with alpha={alpha}" in str(exc.value)
+        assert f"at iteration {iters} with alpha={p.alpha}" in str(exc.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_names_the_stage(self, monkeypatch):
+        inject_nonfinite_reflection(monkeypatch, at=30)
+        p = loop_instance("two_sided", n=2000)
+        with pytest.raises(NumericalError, match=r"at iteration 50 with alpha=\S+ "
+                                                 r"\(stage tight_lower\)$"):
+            envelofit.pipeline.decompose_basic(p.y, envelofit.pipeline.PipelineParams())
 
 
 def test_direct_solve_has_no_stage():
