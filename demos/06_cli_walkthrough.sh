@@ -1,6 +1,8 @@
 #!/bin/sh
 # End-to-end walkthrough of the command-line interface.
-# Everything is seeded, so re-running reproduces identical bytes.
+# Everything is seeded, so re-running reproduces every CSV and spec.json bit
+# for bit; the decompose diagnostics, peaks stats and filter JSON differ only
+# in the absolute input path they record, a fresh mktemp directory each run.
 set -e
 
 out=$(mktemp -d)

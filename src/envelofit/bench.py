@@ -109,7 +109,7 @@ def run_scaling(
         y = Signal(np.sin(0.5 * t) + 0.1 * rng.standard_normal(n), 10.0)
         box_lo = y.samples - 1.0
         box_hi = y.samples + 1.0
-        problems.append(SolveParams(  # raises if the band does not fit n
+        problems.append(SolveParams(  # its first solve raises if the band does not fit n
             y=y,
             lam=lam,
             kernel=KernelSpec(sigma=sigma),

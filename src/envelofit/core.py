@@ -66,9 +66,9 @@ class Signal:
     samples : array-like
         Finite real values, length >= 1.
     sample_rate_hz : float
-        Positive sampling rate.
+        Positive, finite sampling rate.
     t0 : float
-        Start time in seconds.
+        Finite start time in seconds.
     """
 
     samples: np.ndarray
@@ -81,10 +81,9 @@ class Signal:
             raise InputError("signal must contain at least one sample")
         if not np.all(np.isfinite(a)):
             raise InputError("signal samples must all be finite")
-        if not (self.sample_rate_hz > 0):
-            raise InputError(
-                f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
-            )
+        if not (0 < self.sample_rate_hz < np.inf and np.isfinite(self.t0)):
+            raise InputError(f"need a positive, finite sample_rate_hz and a finite t0, "
+                             f"got {self.sample_rate_hz}, {self.t0}")
         object.__setattr__(self, "samples", a)
 
     def __len__(self) -> int:

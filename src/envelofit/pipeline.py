@@ -74,6 +74,8 @@ class PipelineParams:
             raise InputError(
                 f"need sigma1 <= coarse sigma, got {self.sigma1}, {self.coarse.sigma}"
             )
+        if self.coarse is not None and not (0 < self.coarse.lam < np.inf):
+            raise InputError(f"coarse lambda must be positive and finite, got {self.coarse.lam}")
         if not (0 < self.tau <= 1):
             raise InputError(f"tau must be in (0, 1], got {self.tau}")
 
@@ -172,10 +174,12 @@ def detect_peaks(t: Signal, min_separation_s: float = 0.33,
     """
     import scipy.signal
 
-    if not (min_separation_s > 0):
+    if not (0 < min_separation_s < np.inf):
         raise InputError(
-            f"min_separation_s must be > 0, got {min_separation_s}"
+            f"min_separation_s must be positive and finite, got {min_separation_s}"
         )
+    if min_prominence is not None and not (0 <= min_prominence < np.inf):
+        raise InputError(f"min_prominence must be >= 0 and finite, got {min_prominence}")
     x = t.samples
     if x.size == 0:
         raise InputError("cannot detect peaks on an empty signal")

@@ -13,13 +13,15 @@ Anderson-accelerated: each new iterate is extrapolated from the last
 contiguous blocks so that the update is three matrix-vector products and
 one small LAPACK solve.  That leaves the fixed point, and so the solution
 and the gap that certifies it, as they are.  ``SolveParams`` extends the
-settings with the problem data; both check their values when built.
+settings with the problem data; both check their values when built, and
+``SolveParams`` derives the stage's band, circulant and step on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -82,20 +84,18 @@ class SolverSettings:
 class SolveParams(SolverSettings):
     """Problem data plus the inherited splitting settings.
 
-    ``alpha``, the step size, is derived after every other check:
-    ``1 / sqrt(eig_min * eig_max)`` of the circulant the solve uses, the step
-    that balances the spectrum's two ends, so the undamped iteration
-    contracts at the rate ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)`` of its
-    condition number ``kappa`` (Giselsson and Boyd 2017: averaging would
-    slow it).  It depends on ``kernel`` and the length of ``y`` only, and
-    ``dataclasses.replace`` derives it again.
+    The stage's ``band`` and ``circulant`` (sized from ``N + K`` up to an
+    FFT-friendly length that still embeds the band exactly) are built on
+    first use and kept; ``dataclasses.replace`` builds them again.  The step
+    ``alpha = 1 / sqrt(eig_min * eig_max)`` of that circulant balances the
+    spectrum's ends, so the undamped iteration contracts at
+    ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)`` (Giselsson and Boyd 2017).
     """
 
     y: Signal
     lam: float
     kernel: KernelSpec
     box: BoxConstraint
-    alpha: float = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.lam < math.inf):
@@ -105,11 +105,21 @@ class SolveParams(SolverSettings):
             raise InputError(
                 f"signal length {len(self.y)} != bounds length {len(self.box)}"
             )
-        _, op = _operator(self.kernel, len(self.y))
-        if op.eig_min <= 0:
+
+    @cached_property
+    def band(self) -> ToeplitzBand:
+        return build_band(self.kernel, len(self.y))
+
+    @cached_property
+    def circulant(self) -> CirculantOperator:
+        return embed_circulant(self.band, next_fast_len(len(self.y) + self.band.half_width))
+
+    @property
+    def alpha(self) -> float:
+        if self.circulant.eig_min <= 0:
             raise NumericalError(f"step-size rule needs a positive kernel spectrum, "
-                                 f"got eig_min {op.eig_min:.3e}")
-        object.__setattr__(self, "alpha", 1.0 / math.sqrt(op.eig_min * op.eig_max))
+                                 f"got eig_min {self.circulant.eig_min:.3e}")
+        return 1.0 / math.sqrt(self.circulant.eig_min * self.circulant.eig_max)
 
     @property
     def tol_abs(self) -> float:
@@ -131,18 +141,11 @@ class SolveResult:
     stage: str = ""
 
 
-def _operator(kernel: KernelSpec, n: int) -> tuple[ToeplitzBand, CirculantOperator]:
-    """The band of a length-``n`` solve and its circulant, enlarged from the
-    minimal ``N + K`` to an FFT-friendly size that still embeds it exactly."""
-    band = build_band(kernel, n)
-    return band, embed_circulant(band, size=next_fast_len(n + band.half_width))
-
-
 def residual(z, p: SolveParams, cz=None, out=None) -> float:
     """Sup-norm optimality gap ``||C z - P_B(y - z/lam)||_inf``.
 
     Zero exactly at the dual optimum; drives the convergence check.  ``cz``
-    is ``C z`` when the caller has it; without it the band is built and
+    is ``C z`` when the caller has it; without it ``p.band`` is
     convolved.  Every intermediate is written into one n-long buffer:
     ``out`` when given (overlapping neither ``z`` nor ``cz``), so the loop's
     gap allocates nothing, otherwise a fresh one.
@@ -152,7 +155,7 @@ def residual(z, p: SolveParams, cz=None, out=None) -> float:
     if z.shape != (n,):
         raise InputError(f"z length {z.shape} != {n}")
     if cz is None:
-        cz = apply_toeplitz(build_band(p.kernel, n), z)
+        cz = apply_toeplitz(p.band, z)
     elif np.shape(cz) != z.shape:
         raise InputError(f"C z length {np.shape(cz)} != {n}")
     if out is None:
@@ -195,12 +198,9 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     buffer.  A gap that is not finite means the iteration diverged: the
     first such checkpoint raises ``NumericalError``.
     """
-    n = len(p.y)
-    band, op = _operator(p.kernel, n)
-
-    prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)
-    tol_abs = p.tol_abs
-    alpha, cap, every, mem = p.alpha, p.max_iters, p.trace_every, _ANDERSON_MEMORY
+    n, band, op, alpha = len(p.y), p.band, p.circulant, p.alpha
+    prox_params = ProxParams(lam=p.lam, alpha=alpha, y=p.y.samples, box=p.box)
+    tol_abs, cap, every, mem = p.tol_abs, p.max_iters, p.trace_every, _ANDERSON_MEMORY
 
     # every full-length vector shares one block: freeing it raises glibc's
     # dynamic mmap threshold past the FFT scratch of this size, so later

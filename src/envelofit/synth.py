@@ -20,6 +20,7 @@ from .core import InputError, NumericalError, Signal, knob
 __all__ = [
     "GpParams",
     "TrialSpec",
+    "SHORT_TRANSIENT",
     "Trial",
     "sample_gp",
     "make_smooth",
@@ -66,6 +67,11 @@ class TrialSpec:
     @property
     def n(self) -> int:
         return int(round(self.duration_s * self.fs_hz))
+
+
+#: The default spec with a short transient (``c1 = 0.1 s^2``, about 0.3 s, where
+#: the default's 3.2 s is close to the smooth cosine's 4 s period).
+SHORT_TRANSIENT = TrialSpec(transient=GpParams(0.1, 0.1, 1e-5))
 
 
 @dataclass(frozen=True)

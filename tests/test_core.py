@@ -35,6 +35,12 @@ class TestSignal:
         with pytest.raises(InputError):
             Signal([1.0], -3.0)
 
+    @pytest.mark.parametrize("rate,t0", [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan),
+                                         (1.0, np.inf), (1.0, -np.inf)])
+    def test_nonfinite_rate_or_origin_rejected(self, rate, t0):
+        with pytest.raises(InputError, match="finite"):
+            Signal([1.0], rate, t0)
+
     def test_samples_immutable(self):
         s = Signal([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import envelofit.pipeline
+import envelofit.solver
 from envelofit.core import InputError, Signal
 from envelofit.pipeline import (
     CoarseParams,
@@ -50,6 +51,7 @@ class TestParamValidation:
     @pytest.mark.parametrize("kw", [
         dict(lambda0=np.inf), dict(sigma1=np.inf), dict(coarse=CoarseParams(sigma=np.inf)),
         dict(tau=0.0), dict(tau=1.5), dict(tau=np.nan),
+        dict(coarse=CoarseParams(lam=-1.0)), dict(coarse=CoarseParams(lam=np.nan)),
     ])
     def test_out_of_range_rejected_when_built(self, kw):
         with pytest.raises(InputError):
@@ -186,6 +188,17 @@ class TestDetectPeaks:
         with pytest.raises(InputError):
             detect_peaks(Signal(np.ones(10), 1.0), min_separation_s=0.0)
 
+    @pytest.mark.parametrize("kw", [
+        pytest.param({"min_separation_s": v}, id=f"min_separation_s={v}")
+        for v in (np.inf, np.nan)
+    ] + [
+        pytest.param({"min_prominence": v}, id=f"min_prominence={v}")
+        for v in (np.nan, np.inf, -1.0)
+    ])
+    def test_nonfinite_options_rejected(self, kw):
+        with pytest.raises(InputError, match=next(iter(kw))):
+            detect_peaks(Signal(np.sin(np.arange(50.0)), 10.0), **kw)
+
     def test_indices_strictly_increasing(self):
         rng = np.random.default_rng(0)
         sig = Signal(rng.normal(size=300), 10.0)
@@ -217,6 +230,20 @@ def test_default_debiased_call_takes_at_most_1000_iterations(seed):
     dec = decompose_debiased(trial.observation, PipelineParams(coarse=CoarseParams()))
     iters = [r.iters for r in dec.diagnostics]
     assert sum(iters) <= 1000, iters
+
+
+@pytest.mark.parametrize("decompose,stages", [(decompose_debiased, 5), (decompose_basic, 3)])
+def test_one_band_and_one_circulant_per_stage(decompose, stages, short_trial, monkeypatch):
+    """Each stage builds its band and circulant once, on the solve's first
+    use of its params; the step rule reads that circulant."""
+    calls = []
+    for name in ("build_band", "embed_circulant"):
+        f = getattr(envelofit.solver, name)
+        monkeypatch.setattr(envelofit.solver, name,
+                            lambda *a, _n=name, _f=f: calls.append(_n) or _f(*a))
+    p = PipelineParams(coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
+    decompose(short_trial.observation, p)
+    assert calls == ["build_band", "embed_circulant"] * stages
 
 
 def test_benchmark_stage_names_match_pipeline(short_trial, monkeypatch):

@@ -114,8 +114,11 @@ class TestParamValidation:
 
     def test_rule_rejects_a_spectrum_that_is_not_positive(self, monkeypatch):
         inject_truncated_band(monkeypatch)
+        p = loop_instance("two_sided")  # the band is built on first use
         with pytest.raises(NumericalError, match="eig_min -"):
-            loop_instance("two_sided")
+            p.alpha
+        with pytest.raises(NumericalError, match="eig_min -"):
+            solve_constrained_filter(dataclasses.replace(p))
 
     def test_tol_abs_relative_to_signal(self):
         box = BoxConstraint([-9.0, -9.0], [9.0, 9.0])
@@ -434,7 +437,7 @@ class TestCheckpointProduct:
     @pytest.mark.parametrize("case", CASES)
     def test_matches_convolution_at_checkpoints(self, case, alpha, monkeypatch):
         p = loop_instance(trace_every=10, **case)
-        _, op = envelofit.solver._operator(p.kernel, len(p.y))
+        op = dataclasses.replace(p).circulant  # the loop's keeps its own step's reciprocal
         eps = np.finfo(float).eps
         seen = []
 
@@ -472,6 +475,7 @@ class TestLoopAllocation:
         n = 2**15
         p = loop_instance(box_kind, n=n, max_iters=20, trace_every=20)
         solve_constrained_filter(p)  # FFT plans and caches warm
+        p = dataclasses.replace(p)  # a fresh stage: band and circulant not yet built
         held, peak, sizes = [], [], []
         prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
 
@@ -525,8 +529,11 @@ class TestSpectrumGuard:
     derived step trip neither, so each solve here has a fault injected."""
 
     def test_raises_before_first_iteration(self, monkeypatch):
-        """The negated band, built by the solve after the step was derived
-        from the true one, has a spectrum that no positive step clears."""
+        """The negated band, built on the solve's first use of the params,
+        has a negative spectrum: the step rule rejects it before any
+        reflection or gap.  (The step is derived from the band the solve
+        uses, so the resolvent's own floor check is left to
+        ``test_kernel.py``.)"""
         p = loop_instance("two_sided", sigma=20.0, tau=1e-3)
 
         def negated_band(spec, n):
@@ -538,7 +545,7 @@ class TestSpectrumGuard:
         for name in ("reflect_g", "residual"):
             monkeypatch.setattr(envelofit.solver, name,
                                 lambda *a, _n=name, **k: called.append(_n))
-        with pytest.raises(NumericalError, match="resolvent denominator"):
+        with pytest.raises(NumericalError, match="step-size rule needs a positive"):
             solve_constrained_filter(p)
         assert called == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from envelofit import synth
 from envelofit.core import InputError, NumericalError
 from envelofit.synth import (
+    SHORT_TRANSIENT,
     GpParams,
     TrialSpec,
     generate_trial,
@@ -56,6 +58,10 @@ class TestGpParams:
             0.1, 10.0, 1e-5)
         assert spec.fs_hz == 10.0 and spec.duration_s == 200.0
         assert spec.n == 2000
+
+    def test_short_transient_changes_only_the_transient(self):
+        assert SHORT_TRANSIENT == dataclasses.replace(
+            TrialSpec(), transient=GpParams(0.1, 0.1, 1e-5))
 
     @pytest.mark.parametrize("field", ["fs_hz", "duration_s"])
     @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
