@@ -28,24 +28,22 @@ print("baselines:", ", ".join(
 report = run_mse_experiment(N_TRIALS, base_seed=1, pipeline=pipeline,
                             baselines=baselines)
 
-methods = report.method_names()
+methods = list(report.mses)
 print(f"\n{'trial':>5s}  " + "  ".join(f"{m:>14s}" for m in methods))
 for tid in range(N_TRIALS):
-    row = {m: v for t, m, v in report.trial_mses if t == tid}
+    row = {m: v[tid] for m, v in report.mses.items()}
     best = min(row.values())
     cells = [f"{row[m]:14.5f}" + ("*" if row[m] == best else " ")
              for m in methods]
     print(f"{tid:5d}  " + " ".join(cells))
 print("(* = best on that trial)")
 
-prop = report.mses_for(methods[0])
-firs = [m for m in methods if m.startswith("hamming_lp_")]
-wins = sum(
-    prop[t] < min(report.mses_for(m)[t] for m in firs)
-    for t in range(N_TRIALS)
-)
+prop = report.mses["proposed"]
+best_fir = np.min([v for m, v in report.mses.items() if m.startswith("hamming_lp_")],
+                  axis=0)
+wins = int(np.sum(prop < best_fir))
 print(f"\nproposed beats every FIR in {wins}/{N_TRIALS}; "
       f"median MSE {np.median(prop):.5f} "
-      f"(identity {np.median(report.mses_for('identity')):.5f})")
-for tid, secs, iters in report.timing:
-    print(f"  trial {tid}: {secs:.2f} s, {iters} solver iterations")
+      f"(identity {np.median(report.mses['identity']):.5f})")
+for tid, (secs, stages) in enumerate(zip(report.wall_s, report.diagnostics)):
+    print(f"  trial {tid}: {secs:.2f} s, {sum(r.iters for r in stages)} solver iterations")

@@ -32,9 +32,9 @@ print(f"{'regime':32s} {'pipeline':>9s} {'best FIR':>9s} {'identity':>9s}  pipel
 for name, spec in REGIMES.items():
     report = run_mse_experiment(len(SEEDS), SEEDS[0], pipeline,
                                 default_baselines(spec.fs_hz), spec)
-    firs = [m for m in report.method_names() if m.startswith("hamming_lp_")]
-    identity = report.mses_for("identity")
-    proposed = report.mses_for("proposed") / identity
-    best_fir = np.min([report.mses_for(m) for m in firs], axis=0) / identity
+    identity = report.mses["identity"]
+    proposed = report.mses["proposed"] / identity
+    best_fir = np.min([v for m, v in report.mses.items() if m.startswith("hamming_lp_")],
+                      axis=0) / identity
     print(f"{name:32s} {np.median(proposed):9.3f} {np.median(best_fir):9.3f} "
           f"{1.0:9.3f}  {int(np.sum(proposed < best_fir))}/{len(SEEDS)}")

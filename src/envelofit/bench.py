@@ -17,10 +17,10 @@ from .baseline import FirFilter, lti_smooth_estimate
 from .core import BoxConstraint, InputError, Signal, mse
 from .kernel import KernelSpec
 from .pipeline import PipelineParams, decompose_debiased
-from .solver import SolveParams, solve_constrained_filter
+from .solver import SolveParams, SolveResult, solve_constrained_filter
 from .synth import TrialSpec, generate_trial
 
-__all__ = ["BenchReport", "run_mse_experiment", "run_scaling", "write_report_csv"]
+__all__ = ["BenchReport", "run_mse_experiment", "run_scaling"]
 
 PROPOSED = "proposed"
 IDENTITY = "identity"  # the reference estimate smooth = y
@@ -28,27 +28,19 @@ IDENTITY = "identity"  # the reference estimate smooth = y
 
 @dataclass(frozen=True)
 class BenchReport:
-    #: (trial_id, method_name, mse) rows, trials in seed order.
-    trial_mses: tuple[tuple[int, str, float], ...]
-    #: permutation sorting trials by the proposed method's MSE.
-    ordering: tuple[int, ...]
-    #: per-trial final-stage residual traces: trial_id -> ((iter, residual), ...)
-    convergence_traces: dict[int, tuple[tuple[int, float], ...]]
-    #: per-trial (trial_id, wall_s, iters) of the proposed method, iters summed
-    #: over its stages.
-    timing: tuple[tuple[int, float, int], ...]
+    """What the trials of ``run_mse_experiment`` produced, in seed order.
 
-    def mses_for(self, method: str) -> np.ndarray:
-        return np.array(
-            [m for _, name, m in self.trial_mses if name == method], dtype=float
-        )
+    ``diagnostics`` keeps every stage's record, its ``x_hat`` and ``z``
+    included: about 10·n floats per trial, 3.2 MB for 20 trials at n = 2000.
+    """
 
-    def method_names(self) -> list[str]:
-        seen: list[str] = []
-        for _, name, _ in self.trial_mses:
-            if name not in seen:
-                seen.append(name)
-        return seen
+    #: method -> its smooth-component MSE per trial; methods in the order
+    #: proposed, each ``hamming_lp_<length>`` baseline, identity.
+    mses: dict[str, np.ndarray]
+    #: each trial's ``Decomposition.diagnostics``: one ``SolveResult`` per stage.
+    diagnostics: tuple[tuple[SolveResult, ...], ...]
+    #: each trial's ``decompose_debiased`` wall time, seconds.
+    wall_s: np.ndarray
 
 
 def run_mse_experiment(
@@ -61,32 +53,27 @@ def run_mse_experiment(
     """Smooth-component MSE of the pipeline, each baseline and the identity."""
     if n_trials < 1:
         raise InputError(f"n_trials must be >= 1, got {n_trials}")
+    lengths = [f.length for f in baselines]
+    if len(set(lengths)) < len(lengths):
+        raise InputError(f"baseline lengths must be distinct, got {lengths}")
     template = trial_spec if trial_spec is not None else TrialSpec()
 
-    all_rows: list[tuple[int, str, float]] = []
-    traces: dict[int, tuple[tuple[int, float], ...]] = {}
-    timing: list[tuple[int, float, int]] = []
+    names = [f"hamming_lp_{n}" for n in lengths]
+    mses = {name: np.empty(n_trials) for name in (PROPOSED, *names, IDENTITY)}
+    diagnostics = []
+    wall_s = np.empty(n_trials)
     for i in range(n_trials):
         trial = generate_trial(replace(template, seed=base_seed + i))
         t_start = time.perf_counter()
         dec = decompose_debiased(trial.observation, pipeline)
-        wall = time.perf_counter() - t_start
-        all_rows.append((i, PROPOSED, mse(trial.smooth, dec.smooth)))
-        for f in baselines:
+        wall_s[i] = time.perf_counter() - t_start
+        mses[PROPOSED][i] = mse(trial.smooth, dec.smooth)
+        for name, f in zip(names, baselines):
             smooth, _ = lti_smooth_estimate(trial.observation, f)
-            all_rows.append((i, f"hamming_lp_{f.length}", mse(trial.smooth, smooth)))
-        all_rows.append((i, IDENTITY, mse(trial.smooth, trial.observation)))
-        traces[i] = dec.diagnostics[-1].residual_trace
-        timing.append((i, wall, sum(r.iters for r in dec.diagnostics)))
-
-    proposed = [m for _, name, m in all_rows if name == PROPOSED]
-    ordering = tuple(int(j) for j in np.argsort(proposed, kind="stable"))
-    return BenchReport(
-        trial_mses=tuple(all_rows),
-        ordering=ordering,
-        convergence_traces=traces,
-        timing=tuple(timing),
-    )
+            mses[name][i] = mse(trial.smooth, smooth)
+        mses[IDENTITY][i] = mse(trial.smooth, trial.observation)
+        diagnostics.append(dec.diagnostics)
+    return BenchReport(mses=mses, diagnostics=tuple(diagnostics), wall_s=wall_s)
 
 
 def run_scaling(
@@ -124,10 +111,3 @@ def run_scaling(
             solve_constrained_filter(params)
             times[rep, j] = (time.perf_counter() - t0) / iters
     return [(n, float(m)) for n, m in zip(n_list, np.median(times, axis=0))]
-
-
-def write_report_csv(path, report: BenchReport) -> None:
-    """One row per trial x method; plot-ready."""
-    from .io import write_csv  # keeps json off ``import envelofit``
-
-    write_csv(path, ["trial_id", "method", "mse"], report.trial_mses)

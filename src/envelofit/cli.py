@@ -33,7 +33,7 @@ from .baseline import (
     design_fir,
     filter_zero_delay,
 )
-from .bench import run_mse_experiment, write_report_csv
+from .bench import PROPOSED, run_mse_experiment
 from .core import EnvelofitError, InputError, Signal
 from .io import read_signal_csv, write_csv, write_json, write_signal_csv
 from .pipeline import (
@@ -139,12 +139,17 @@ def cmd_decompose(args) -> int:
     if not args.quiet:
         print(f"wrote {prefix}_smooth.csv / _transient.csv / _envelopes.csv "
               f"/ _diagnostics.json in {args.output_dir}")
-    failed = [r.stage for r in dec.diagnostics if not r.converged]
+    _warn_unconverged(dec.diagnostics)
+    return 0
+
+
+def _warn_unconverged(stages, where: str = "") -> None:
+    """Name on stderr each of ``stages`` that stopped short of tolerance."""
+    failed = [r.stage for r in stages if not r.converged]
     if failed:
         # flagged, not fatal: results are still feasible and usable
-        print(f"warning: stage(s) did not reach tolerance: {', '.join(failed)}",
+        print(f"warning: {where}stage(s) did not reach tolerance: {', '.join(failed)}",
               file=sys.stderr)
-    return 0
 
 
 def _gp_from_args(args, gp: str) -> GpParams:
@@ -175,10 +180,11 @@ def cmd_bench(args) -> int:
     report = run_mse_experiment(
         args.trials, args.seed, pipeline, baselines, trial_spec=spec
     )
-    write_report_csv(_out(args, "mse.csv"), report)
-    traces = report.convergence_traces
+    write_csv(_out(args, "mse.csv"), ["trial_id", "method", "mse"],
+              ((i, name, v[i]) for i in range(args.trials) for name, v in report.mses.items()))
     write_csv(_out(args, "traces.csv"), ["trial_id", "iter", "residual"],
-              ((i, it, res) for i in sorted(traces) for it, res in traces[i]))
+              ((i, it, res) for i, stages in enumerate(report.diagnostics)
+               for it, res in stages[-1].residual_trace))
     meta = {
         "command": "bench",
         "trials": args.trials,
@@ -187,12 +193,14 @@ def cmd_bench(args) -> int:
         "duration_s": args.duration,
         "baseline_lengths": list(args.baseline_lengths),
         "parameters": _parameters(pipeline),
-        "ordering": list(report.ordering),
+        "ordering": np.argsort(report.mses[PROPOSED], kind="stable").tolist(),
     }
     write_json(_out(args, "meta.json"), meta)
     if not args.quiet:
-        prop = report.mses_for("proposed")
+        prop = report.mses[PROPOSED]
         print(f"{args.trials} trials, proposed MSE median {np.median(prop):.3e}")
+    for i, stages in enumerate(report.diagnostics):
+        _warn_unconverged(stages, f"trial {i}: ")
     return 0
 
 

@@ -57,8 +57,9 @@ class KernelSpec:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if not (0 < self.sigma < math.inf):
-            raise InputError(f"sigma must be positive and finite, got {self.sigma}")
+        # the kernel exp(-k^2 / sigma^2) needs sigma**2 not to underflow or overflow
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
+            raise InputError(f"sigma and sigma**2 must be positive and finite, got {self.sigma}")
         if not (0 < self.tau <= 1):
             raise InputError(f"tau must be in (0, 1], got {self.tau}")
 
@@ -150,16 +151,26 @@ def _smooth_sizes(bits: int, primes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def band_half_width(spec: KernelSpec) -> int:
-    """Largest lag ``k`` with ``exp(-k^2 / sigma^2) >= tau``."""
+    """Largest lag ``k`` with ``exp(-k^2 / sigma^2) >= tau`` in floats; 0 for ``tau = 1``."""
+    def inside(j: int) -> bool:
+        return math.exp(-(j**2) / spec.sigma**2) >= spec.tau
+
     if spec.tau == 1.0:
         return 0
     k = int(math.floor(spec.sigma * math.sqrt(math.log(1.0 / spec.tau))))
-    # guard the float boundary: the closed form can land one off
-    while math.exp(-((k + 1) ** 2) / spec.sigma**2) >= spec.tau:
-        k += 1
-    while k > 0 and math.exp(-(k**2) / spec.sigma**2) < spec.tau:
-        k -= 1
-    return k
+    if k > 2**53:
+        # lags past 2^53 are not exact floats: no band of that width can be built
+        raise InputError(f"kernel band half-width {k:.3e} exceeds 2**53; "
+                         f"reduce sigma or increase tau")
+    # inside() holds for lags 0..K and fails past K; rounding can put the closed
+    # form many lags off K where tau is near 1, so bisect a bracket of K
+    lo, hi = 0, 2 * k + 2
+    while inside(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo
 
 
 def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:

@@ -181,8 +181,6 @@ def detect_peaks(t: Signal, min_separation_s: float = 0.33,
     if min_prominence is not None and not (0 <= min_prominence < np.inf):
         raise InputError(f"min_prominence must be >= 0 and finite, got {min_prominence}")
     x = t.samples
-    if x.size == 0:
-        raise InputError("cannot detect peaks on an empty signal")
     if min_prominence is None:
         min_prominence = 0.25 * float(np.percentile(np.abs(x), 95))
     distance = max(1, int(round(min_separation_s * t.sample_rate_hz)))

@@ -1,9 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from envelofit.baseline import default_baselines
+from envelofit.bench import PROPOSED, run_mse_experiment
 from envelofit.cli import build_parser, main
 from envelofit.core import Signal
 from envelofit.io import read_signal_csv, write_signal_csv
@@ -13,6 +19,7 @@ from envelofit.pipeline import (
     SolverSettings,
     decompose_debiased,
 )
+from envelofit.synth import TrialSpec
 
 FAST = ["--max-iters", "2000"]
 
@@ -53,6 +60,14 @@ EXIT_CODES = {
                   "GP covariance factorization failed (c0=25.0, c1=500.0, c2=0.0)"),
     "synth_seed": (["synth", "--seed", -1], None, 2, "seed must be >= 0, got -1"),
     "bench_seed": (["bench", "--seed", -1], None, 2, "seed must be >= 0, got -1"),
+    "bench_lengths": (["bench", "--baseline-lengths", 101, 101], None, 2,
+                      "baseline lengths must be distinct, got [101, 101]"),
+    "sigma_underflow": (["decompose", "--sigma0", 1e-200], 300, 2,
+                        "sigma and sigma**2 must be positive and finite, got 1e-200 "
+                        "(stage tight_lower)"),
+    "sigma_overflow": (["decompose", "--sigma0", 1e160, "--sigma1", 1e160], 300, 2,
+                       "sigma and sigma**2 must be positive and finite, got 1e+160 "
+                       "(stage tight_lower)"),
 }
 
 
@@ -68,6 +83,21 @@ def test_exit_code_follows_error_class(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert err.count("\n") == 1
+
+
+def test_band_past_2_53_is_input_error(tmp_path):
+    # in a subprocess: a band half-width search that does not end fails here
+    path = tmp_path / "in.csv"
+    write_signal_csv(path, Signal(np.sin(np.arange(300) / 10.0), 10.0))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "envelofit.cli", "decompose", str(path),
+         "--sigma0", "1e100", "--sigma1", "1e100", "--tau", "0.5",
+         "--output-dir", str(tmp_path / "out"), "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: kernel band half-width 8.326e+99 exceeds 2**53; "
+                           "reduce sigma or increase tau (stage tight_lower)\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -181,6 +211,36 @@ def test_every_csv_cell_is_a_plain_number(tmp_path):
                                   read_signal_csv(transient).times[idx])
 
 
+@pytest.mark.parametrize("command", ["decompose", "bench"])
+def test_unconverged_stages_named(command, sine_csv, tmp_path, capsys):
+    # one iteration per stage: the run exits 0 and names on stderr, per
+    # decomposition, every stage short of tolerance
+    out = tmp_path / "out"
+    if command == "decompose":
+        argv = ["decompose", sine_csv, "--debias"]
+    else:
+        argv = ["bench", "--trials", 2, "--duration", 40, "--baseline-lengths", 101]
+    assert run([*argv, "--max-iters", 1, "--output-dir", out, "--quiet"]) == 0
+    if command == "decompose":
+        stages = json.loads((out / "sine_diagnostics.json").read_text())["stages"]
+        runs = {"": [(s["stage"], s["converged"]) for s in stages]}
+    else:
+        report = run_mse_experiment(2, 1, PipelineParams(
+            coarse=CoarseParams(), solver=SolverSettings(max_iters=1)),
+            default_baselines(10.0, (101,)), TrialSpec(duration_s=40.0))
+        runs = {f"trial {i}: ": [(r.stage, r.converged) for r in stages]
+                for i, stages in enumerate(report.diagnostics)}
+    warnings = []
+    for where, stages in runs.items():
+        assert [name for name, _ in stages] == ["coarse_lower", "coarse_upper",
+                                                "tight_lower", "tight_upper", "smooth"]
+        failed = [name for name, converged in stages if not converged]
+        assert failed
+        warnings.append(f"warning: {where}stage(s) did not reach tolerance: "
+                        + ", ".join(failed))
+    assert capsys.readouterr().err.splitlines() == warnings
+
+
 class TestSynth:
     def test_bytewise_determinism(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -235,19 +295,6 @@ class TestDecompose:
         assert len(diag["stages"]) == 5
         assert all({"iters", "residual_inf", "converged"} <= set(s)
                    for s in diag["stages"])
-
-    def test_unconverged_stages_named(self, sine_csv, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run(["decompose", sine_csv, "--debias", "--max-iters", 1,
-                    "--output-dir", out, "--quiet"]) == 0
-        diag = json.loads((out / "sine_diagnostics.json").read_text())
-        names = ["coarse_lower", "coarse_upper", "tight_lower", "tight_upper",
-                 "smooth"]
-        assert [s["stage"] for s in diag["stages"]] == names
-        failed = [s["stage"] for s in diag["stages"] if not s["converged"]]
-        assert failed
-        err = capsys.readouterr().err
-        assert "did not reach tolerance: " + ", ".join(failed) in err
 
     @pytest.mark.parametrize("debias", [False, True])
     def test_metadata_round_trip(self, sine_csv, tmp_path, debias):
@@ -338,6 +385,29 @@ class TestBench:
                         "--output-dir", d, "--quiet", *FAST]) == 0
         assert (d1 / "mse.csv").read_bytes() == (d2 / "mse.csv").read_bytes()
         assert (d1 / "traces.csv").read_bytes() == (d2 / "traces.csv").read_bytes()
+
+    def test_mse_csv_round_trips_report(self, tmp_path):
+        # trial-major rows, methods in the report's order, floats read back exactly
+        assert run(["bench", "--trials", 2, "--duration", 40, "--baseline-lengths", 101,
+                    "--output-dir", tmp_path, "--quiet", *FAST]) == 0
+        report = run_mse_experiment(2, 1, PipelineParams(
+            coarse=CoarseParams(), solver=SolverSettings(max_iters=2000)),
+            default_baselines(10.0, (101,)), TrialSpec(duration_s=40.0))
+        header, rows = _csv_rows(tmp_path / "mse.csv")
+        assert header == ["trial_id", "method", "mse"]
+        assert [(int(i), m) for i, m, _ in rows] == [
+            (i, m) for i in range(2) for m in report.mses]
+        for i, m, v in rows:
+            assert float(v) == report.mses[m][int(i)]
+
+    def test_ordering_is_stable_argsort_of_proposed(self, tmp_path):
+        assert run(["bench", "--trials", 3, "--duration", 40, "--baseline-lengths", 101,
+                    "--seed", 0, "--output-dir", tmp_path, "--quiet", *FAST]) == 0
+        _, rows = _csv_rows(tmp_path / "mse.csv")
+        proposed = [float(v) for _, m, v in rows if m == PROPOSED]
+        ordering = json.loads((tmp_path / "meta.json").read_text())["ordering"]
+        assert ordering == np.argsort(proposed, kind="stable").tolist()
+        assert [proposed[j] for j in ordering] == sorted(proposed)
 
     def test_metadata_round_trip(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,25 @@ class TestBandHalfWidth:
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(InputError, match="positive and finite"):
             KernelSpec(sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e160])
+    def test_square_must_be_positive_and_finite(self, sigma):
+        # sigma**2 underflows to 0 or overflows
+        with pytest.raises(InputError, match=r"sigma and sigma\*\*2 must be positive and finite"):
+            KernelSpec(sigma=sigma)
+
+    def test_tau_near_one_ends(self):
+        # the closed form lands about 2.8e8 lags above K here, so stepping one
+        # lag at a time takes minutes: run in a subprocess with a timeout
+        sigma, tau = 1e19, 1 - 1e-12
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = ("from envelofit.kernel import KernelSpec, band_half_width; "
+                 f"print(band_half_width(KernelSpec({sigma!r}, {tau!r})))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        k = int(proc.stdout)
+        assert math.exp(-(k**2) / sigma**2) >= tau > math.exp(-((k + 1) ** 2) / sigma**2)
 
     def test_monotone_in_sigma_and_tau(self):
         widths_sigma = [band_half_width(KernelSpec(sigma=s, tau=1e-3))
