@@ -2,7 +2,8 @@
 # End-to-end walkthrough of the command-line interface.
 # Everything is seeded, so re-running reproduces every CSV and spec.json bit
 # for bit; the decompose diagnostics, peaks stats and filter JSON differ only
-# in the absolute input path they record, a fresh mktemp directory each run.
+# in the absolute input path they record, a fresh mktemp directory each run,
+# and the decompose diagnostics also in each stage's wall time.
 set -e
 
 out=$(mktemp -d)

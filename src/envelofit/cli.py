@@ -125,15 +125,8 @@ def cmd_decompose(args) -> int:
         "debias": args.debias,
         "fs_hz": sig.sample_rate_hz,
         "parameters": _parameters(pipeline),
-        "stages": [
-            {
-                "stage": r.stage,
-                "iters": r.iters,
-                "residual_inf": r.residual_inf,
-                "converged": r.converged,
-            }
-            for r in dec.diagnostics
-        ],
+        "stages": [{f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+                    if f.name not in ("x_hat", "z")} for r in dec.diagnostics],
     }
     write_json(_out(args, f"{prefix}_diagnostics.json"), diagnostics)
     if not args.quiet:

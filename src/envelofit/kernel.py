@@ -10,10 +10,10 @@ eigenvalue exceeds the floor ``1/(2(K + 1))``, for any size.  The condition
 number, about ``2 sqrt(pi) sigma (K + 1)``, then sets the splitting
 iterations per solve.  Embedding that band into an
 ``(N + K) x (N + K)`` circulant makes both the matrix-vector product and the
-resolvent ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs
-one FFT pair.  The transforms are numpy's pocketfft kernels, bound once per
-operator; ``toeplitz_from_resolvent`` reads the banded product off a
-resolvent instead of convolving.
+resolvent ``(I + alpha C)^-1``, at the step the circulant derives, diagonal
+in the Fourier basis, so each costs one FFT pair.  The transforms are
+numpy's pocketfft kernels, bound once per operator; ``toeplitz_from_resolvent``
+reads the banded product off a resolvent instead of convolving.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ __all__ = [
     "toeplitz_from_resolvent",
     "next_fast_len",
 ]
-
-#: Resolvent denominators 1 + alpha*lambda_i below this are treated as singular.
-SPECTRUM_FLOOR = 1e-12
 
 #: Default truncation threshold of a ``KernelSpec`` built directly and of
 #: ``run_scaling``; the pipeline uses ``PipelineParams.tau`` instead.
@@ -75,12 +72,15 @@ class ToeplitzBand:
 
 @dataclass(frozen=True)
 class CirculantOperator:
-    """Spectral form of the circulant extension of a ToeplitzBand.
+    """Spectral form of the circulant extension of a ToeplitzBand, and its step.
 
     ``eigenvalues`` is the rfft half of the spectrum (length ``size // 2 + 1``);
     the even-symmetric first row makes the other half its mirror image, so the
-    half holds every distinct eigenvalue; ``eig_min`` and ``eig_max`` are
-    their extremes.
+    half holds every distinct eigenvalue.  Built from it: the extremes
+    ``eig_min``, ``eig_max`` and the step ``alpha = 1 / sqrt(eig_min * eig_max)``,
+    at which the undamped splitting contracts at ``(sqrt(kappa) - 1) /
+    (sqrt(kappa) + 1)`` (Giselsson and Boyd 2017); a spectrum that is not
+    positive has no step and raises ``NumericalError``.
     ``_rfft`` is the pocketfft kernel for this size and ``_inv_size`` the
     ``1/size`` that ``np.fft.irfft`` passes to its kernel, bound once so a
     transform skips ``numpy.fft``'s per-call dispatch.
@@ -88,41 +88,32 @@ class CirculantOperator:
 
     size: int
     eigenvalues: np.ndarray
-    eig_min: float
-    eig_max: float
-    _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    eig_min: float = field(init=False)
+    eig_max: float = field(init=False)
+    alpha: float = field(init=False)
     _rfft: np.ufunc = field(init=False, repr=False, compare=False)
     _inv_size: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rfft", _rfft_kernel(self.size))
-        object.__setattr__(self, "_inv_size", 1.0 / self.size)
+        eig_min, eig_max = float(np.min(self.eigenvalues)), float(np.max(self.eigenvalues))
+        if not eig_min > 0:
+            raise NumericalError(f"step-size rule needs a positive kernel spectrum, "
+                                 f"got eig_min {eig_min:.3e}")
+        for name, value in (("eig_min", eig_min), ("eig_max", eig_max),
+                            ("alpha", 1.0 / math.sqrt(eig_min * eig_max)),
+                            ("_rfft", _rfft_kernel(self.size)), ("_inv_size", 1.0 / self.size)):
+            object.__setattr__(self, name, value)
 
-    def resolvent_multipliers(self, alpha: float) -> np.ndarray:
-        """Read-only ``1 / (1 + alpha * eigenvalues)``, kept for the last ``alpha``.
-
-        Complex with imaginary part +0, the form numpy casts a real one to, so no
-        resolvent casts it again.  Raises unless ``alpha >= 0`` and every denominator
-        clears the floor.
-        """
-        recip = self._multipliers.get(alpha)
-        if recip is None:
-            if alpha < 0:
-                raise InputError(f"alpha must be >= 0, got {alpha}")
-            # x -> 1 + alpha*x rounds monotonically for alpha >= 0: the exact minimum
-            denom_min = 1.0 + alpha * self.eig_min
-            if denom_min <= SPECTRUM_FLOOR:
-                raise NumericalError(
-                    f"resolvent denominator min {denom_min:.3e} <= {SPECTRUM_FLOOR:.0e}; "
-                    f"kernel spectrum too negative for alpha={alpha}"
-                )
-            recip = np.multiply(alpha, self.eigenvalues)
-            recip += 1.0
-            np.divide(1.0, recip, out=recip)
-            recip = recip.astype(complex)
-            recip.flags.writeable = False
-            self._multipliers.clear()
-            self._multipliers[alpha] = recip
+    @functools.cached_property
+    def multipliers(self) -> np.ndarray:
+        """Read-only ``1 / (1 + alpha * eigenvalues)``, complex with imaginary part
+        +0 so no resolvent casts them; built on first use, after a solve's work
+        block (built ahead of it they raised a 2^17-sample call's peak RSS 5 MB)."""
+        recip = np.multiply(self.alpha, self.eigenvalues)
+        recip += 1.0
+        np.divide(1.0, recip, out=recip)
+        recip = recip.astype(complex)
+        recip.flags.writeable = False
         return recip
 
 
@@ -212,22 +203,20 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     # even-symmetric row => real spectrum; discard round-off imaginary part
     eig = _rfft_kernel(m)(row, 1.0, out=np.empty(m // 2 + 1, dtype=complex)).real.copy()
     eig.flags.writeable = False
-    return CirculantOperator(size=m, eigenvalues=eig, eig_min=float(np.min(eig)),
-                             eig_max=float(np.max(eig)))
+    return CirculantOperator(size=m, eigenvalues=eig)
 
 
-def apply_resolvent(op: CirculantOperator, alpha: float, v, out=None,
-                    spec=None) -> np.ndarray:
-    """Spectral solve ``(I + alpha C~)^-1 v``.
+def apply_resolvent(op: CirculantOperator, v, out=None, spec=None) -> np.ndarray:
+    """Spectral solve ``(I + alpha C~)^-1 v`` at the operator's own step.
 
     ``out`` (real, ``op.size``) receives the result and ``spec`` (complex,
     ``op.size // 2 + 1``) the spectrum; with both given a call allocates
     nothing but the FFT's own scratch.  The operator's bound kernels give
-    the bits of ``np.fft.rfft``/``irfft``.  Multiplying by the cached
+    the bits of ``np.fft.rfft``/``irfft``.  Multiplying by the operator's
     reciprocal gives the quotient's bits: numpy divides by a real ``d`` as
     ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
     """
-    recip = op.resolvent_multipliers(alpha)
+    recip = op.multipliers
     v = np.asarray(v, dtype=float)
     if spec is None:
         spec = np.empty(recip.size, dtype=complex)

@@ -47,10 +47,12 @@ class PipelineParams:
     ``lambda0``/``sigma0`` drive the tight envelopes (heavy fit, narrow
     kernel), ``lambda1``/``sigma1`` the final smoothing (light fit, wide
     kernel).  Widths are in samples.  ``tau``, every stage's kernel
-    truncation, is tighter than the kernel-module default: it dates from
-    when truncation left wide bands indefinite, and is kept until it is
-    chosen again on held-out trials.  The splitting settings are declared
-    and checked in ``solver.SolverSettings``.
+    truncation, is tighter than the kernel-module default.  It sets the band
+    half-width ``K``, and ``K`` the diagonal floor ``1/(2(K + 1))``, which
+    trades quality for iterations.  ``kernels`` holds each stage's
+    ``KernelSpec`` (``tight``, ``smooth`` and ``coarse`` with ``coarse``),
+    built with the other checks.  The splitting settings are declared and
+    checked in ``solver.SolverSettings``.
     """
 
     lambda0: float = knob(50.0, "envelope data-fit weight")
@@ -60,6 +62,7 @@ class PipelineParams:
     tau: float = knob(1e-5, "kernel truncation threshold of every stage")
     coarse: CoarseParams | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
+    kernels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.lambda1 < self.lambda0 < np.inf):
@@ -76,8 +79,11 @@ class PipelineParams:
             )
         if self.coarse is not None and not (0 < self.coarse.lam < np.inf):
             raise InputError(f"coarse lambda must be positive and finite, got {self.coarse.lam}")
-        if not (0 < self.tau <= 1):
-            raise InputError(f"tau must be in (0, 1], got {self.tau}")
+        kernels = {"tight": KernelSpec(self.sigma0, self.tau),
+                   "smooth": KernelSpec(self.sigma1, self.tau)}
+        if self.coarse is not None:
+            kernels["coarse"] = KernelSpec(self.coarse.sigma, self.tau)
+        object.__setattr__(self, "kernels", kernels)
 
 
 @dataclass(frozen=True)
@@ -100,15 +106,15 @@ class BeatStats:
     std_interval_s: float
 
 
-def _stage(name: str, y: Signal, lam: float, sigma: float, lower, upper,
+def _stage(name: str, y: Signal, lam: float, kernel: KernelSpec, lower, upper,
            p: PipelineParams) -> SolveResult:
     """One named solve; its result, and any error it raises, carry ``name``."""
     n = len(y)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
     try:
-        params = SolveParams(y=y, lam=lam, kernel=KernelSpec(sigma=sigma, tau=p.tau),
-                             box=BoxConstraint(lower, upper), **vars(p.solver))
+        params = SolveParams(y=y, lam=lam, kernel=kernel, box=BoxConstraint(lower, upper),
+                             **vars(p.solver))
         return replace(solve_constrained_filter(params), stage=name)
     except EnvelofitError as exc:
         raise type(exc)(f"{exc} (stage {name})") from exc
@@ -120,7 +126,7 @@ def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
     # elementwise ordering without moving either beyond that slack, then fit
     # the smooth component in between
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    sm = _stage("smooth", y, p.lambda1, p.sigma1, lo, hi, p)
+    sm = _stage("smooth", y, p.lambda1, p.kernels["smooth"], lo, hi, p)
     return Decomposition(
         smooth=sm.x_hat,
         transient=y.with_samples(y.samples - sm.x_hat.samples),
@@ -134,8 +140,8 @@ def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
 def decompose_basic(y: Signal, p: PipelineParams) -> Decomposition:
     """Tight envelopes from the raw observation, then smooth in between."""
     ys = y.samples
-    low = _stage("tight_lower", y, p.lambda0, p.sigma0, np.min(ys), ys, p)
-    up = _stage("tight_upper", y, p.lambda0, p.sigma0, ys, np.max(ys), p)
+    low = _stage("tight_lower", y, p.lambda0, p.kernels["tight"], np.min(ys), ys, p)
+    up = _stage("tight_upper", y, p.lambda0, p.kernels["tight"], ys, np.max(ys), p)
     return _sandwich(y, p, low.x_hat.samples, up.x_hat.samples, (low, up))
 
 
@@ -145,16 +151,17 @@ def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
     if p.coarse is None:
         raise InputError("debiased pipeline requires coarse params")
     ys = y.samples
-    c_low = _stage("coarse_lower", y, p.coarse.lam, p.coarse.sigma, -np.inf, ys, p)
-    c_up = _stage("coarse_upper", y, p.coarse.lam, p.coarse.sigma, ys, np.inf, p)
+    c_low = _stage("coarse_lower", y, p.coarse.lam, p.kernels["coarse"], -np.inf, ys, p)
+    c_up = _stage("coarse_upper", y, p.coarse.lam, p.kernels["coarse"], ys, np.inf, p)
     l0 = c_low.x_hat.samples
     u0 = c_up.x_hat.samples
 
     # biased residuals are single-signed up to solver tolerance
     w_low = y.with_samples(ys - u0)  # <= 0
     w_up = y.with_samples(ys - l0)  # >= 0
-    low = _stage("tight_lower", w_low, p.lambda0, p.sigma0, -np.inf, w_low.samples, p)
-    up = _stage("tight_upper", w_up, p.lambda0, p.sigma0, w_up.samples, np.inf, p)
+    tight = p.kernels["tight"]
+    low = _stage("tight_lower", w_low, p.lambda0, tight, -np.inf, w_low.samples, p)
+    up = _stage("tight_upper", w_up, p.lambda0, tight, w_up.samples, np.inf, p)
     return _sandwich(
         y, p, u0 + low.x_hat.samples, l0 + up.x_hat.samples,
         (c_low, c_up, low, up),

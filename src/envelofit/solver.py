@@ -7,19 +7,20 @@ The primal problem
 is attacked through a dual in the variable ``z`` (with ``x = P_B(y - z/lam)``
 at the optimum), reformulated over the circulant extension of ``C`` so every
 iteration costs one FFT pair.  The iteration, ``u <- R_g R_f u``, is undamped
-(``SolveParams`` derives its step and gives its rate) and
+(the circulant derives its step and gives its rate) and
 Anderson-accelerated: each new iterate is extrapolated from the last
 ``_ANDERSON_MEMORY`` differences of the map's values, held in two
 contiguous blocks so that the update is three matrix-vector products and
 one small LAPACK solve.  That leaves the fixed point, and so the solution
 and the gap that certifies it, as they are.  ``SolveParams`` extends the
 settings with the problem data; both check their values when built, and
-``SolveParams`` derives the stage's band, circulant and step on first use.
+``SolveParams`` builds the stage's band and circulant on first use.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,8 +59,8 @@ _ANDERSON_MEMORY = 3
 class SolverSettings:
     """Splitting hyperparameters of every solve, checked when built.
 
-    The step size is not a setting: ``SolveParams`` derives it from the
-    problem.  Anderson extrapolation (type II, over the last
+    The step size is not a setting: the stage's circulant derives it from
+    its spectrum.  Anderson extrapolation (type II, over the last
     ``_ANDERSON_MEMORY`` differences, a constant and not a setting) cuts the
     iterations about threefold; a step whose fixed-point residual grows
     falls back to the plain one.  ``tol`` is relative to ``||y||_inf``, or
@@ -86,10 +87,8 @@ class SolveParams(SolverSettings):
 
     The stage's ``band`` and ``circulant`` (sized from ``N + K`` up to an
     FFT-friendly length that still embeds the band exactly) are built on
-    first use and kept; ``dataclasses.replace`` builds them again.  The step
-    ``alpha = 1 / sqrt(eig_min * eig_max)`` of that circulant balances the
-    spectrum's ends, so the undamped iteration contracts at
-    ``(sqrt(kappa) - 1) / (sqrt(kappa) + 1)`` (Giselsson and Boyd 2017).
+    first use and kept; ``dataclasses.replace`` builds them again.
+    ``alpha`` is that circulant's step.
     """
 
     y: Signal
@@ -116,10 +115,7 @@ class SolveParams(SolverSettings):
 
     @property
     def alpha(self) -> float:
-        if self.circulant.eig_min <= 0:
-            raise NumericalError(f"step-size rule needs a positive kernel spectrum, "
-                                 f"got eig_min {self.circulant.eig_min:.3e}")
-        return 1.0 / math.sqrt(self.circulant.eig_min * self.circulant.eig_max)
+        return self.circulant.alpha
 
     @property
     def tol_abs(self) -> float:
@@ -129,8 +125,10 @@ class SolveParams(SolverSettings):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """``stage`` names the pipeline stage that ran the solve; a direct
-    ``solve_constrained_filter`` call leaves it empty."""
+    """One solve's record: outputs, iterations, gaps, the step ``alpha``,
+    circulant size ``m``, band half-width ``k``, spectrum extremes and
+    ``wall_s`` (band and circulant builds included).  ``stage`` names the
+    pipeline stage that ran it; a direct call leaves it empty."""
 
     x_hat: Signal
     z: np.ndarray
@@ -138,6 +136,12 @@ class SolveResult:
     residual_inf: float
     residual_trace: tuple[tuple[int, float], ...]
     converged: bool
+    alpha: float
+    m: int
+    k: int
+    eig_min: float
+    eig_max: float
+    wall_s: float
     stage: str = ""
 
 
@@ -198,6 +202,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     buffer.  A gap that is not finite means the iteration diverged: the
     first such checkpoint raises ``NumericalError``.
     """
+    start = time.perf_counter()
     n, band, op, alpha = len(p.y), p.band, p.circulant, p.alpha
     prox_params = ProxParams(lam=p.lam, alpha=alpha, y=p.y.samples, box=p.box)
     tol_abs, cap, every, mem = p.tol_abs, p.max_iters, p.trace_every, _ANDERSON_MEMORY
@@ -217,7 +222,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     iters = 0
     # a diverging iterate passes through inf and NaN silently: its gap reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        apply_resolvent(op, alpha, u, r, spec)
+        apply_resolvent(op, u, r, spec)
         while iters < cap:
             r *= 2.0  # t = 2r - u takes r's row, dead until the next resolvent
             r -= u
@@ -251,7 +256,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
                 np.subtract(g_last, u, out=u)
             last_sq = f_sq
             iters += 1
-            apply_resolvent(op, alpha, u, r, spec)
+            apply_resolvent(op, u, r, spec)
             if iters % every == 0 or iters == cap:
                 res = residual(r_head, p,
                                toeplitz_from_resolvent(band, alpha, u, r, g[:n]), work)
@@ -270,4 +275,6 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         residual_inf=res,
         residual_trace=tuple(trace),
         converged=res < tol_abs,
+        alpha=alpha, m=op.size, k=band.half_width, eig_min=op.eig_min, eig_max=op.eig_max,
+        wall_s=time.perf_counter() - start,
     )

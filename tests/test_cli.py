@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import envelofit.pipeline
 from envelofit.baseline import default_baselines
 from envelofit.bench import PROPOSED, run_mse_experiment
 from envelofit.cli import build_parser, main
@@ -19,6 +21,7 @@ from envelofit.pipeline import (
     SolverSettings,
     decompose_debiased,
 )
+from envelofit.solver import SolveResult
 from envelofit.synth import TrialSpec
 
 FAST = ["--max-iters", "2000"]
@@ -63,11 +66,9 @@ EXIT_CODES = {
     "bench_lengths": (["bench", "--baseline-lengths", 101, 101], None, 2,
                       "baseline lengths must be distinct, got [101, 101]"),
     "sigma_underflow": (["decompose", "--sigma0", 1e-200], 300, 2,
-                        "sigma and sigma**2 must be positive and finite, got 1e-200 "
-                        "(stage tight_lower)"),
+                        "sigma and sigma**2 must be positive and finite, got 1e-200"),
     "sigma_overflow": (["decompose", "--sigma0", 1e160, "--sigma1", 1e160], 300, 2,
-                       "sigma and sigma**2 must be positive and finite, got 1e+160 "
-                       "(stage tight_lower)"),
+                       "sigma and sigma**2 must be positive and finite, got 1e+160"),
 }
 
 
@@ -112,6 +113,20 @@ def test_setting_rejected_before_any_stage(argv, sine_csv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert argv[-2].rsplit("-", 1)[1] in err
     assert "(stage" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--sigma0", "1e-200"],
+                                  ["--debias", "--coarse-sigma", "1e200"]])
+def test_kernel_width_rejected_before_any_stage(argv, sine_csv, tmp_path, capsys,
+                                                monkeypatch):
+    # sigma**2 underflows or overflows: PipelineParams builds each stage's
+    # KernelSpec, so the error names no stage and no solve runs first
+    monkeypatch.setattr(envelofit.pipeline, "solve_constrained_filter",
+                        lambda p: pytest.fail("a stage ran"))
+    assert run(["decompose", sine_csv, *argv, "--output-dir", tmp_path / "out",
+                "--quiet"]) == 2
+    assert capsys.readouterr().err == ("error: sigma and sigma**2 must be positive "
+                                       f"and finite, got {float(argv[-1])}\n")
 
 
 @pytest.mark.parametrize("gp", ["warp", "mag", "transient"])
@@ -296,6 +311,25 @@ class TestDecompose:
         assert all({"iters", "residual_inf", "converged"} <= set(s)
                    for s in diag["stages"])
 
+    def test_stages_hold_every_record_field(self, sine_csv, tmp_path):
+        """Each ``stages[i]`` is its stage's ``SolveResult`` but ``x_hat`` and
+        ``z``; every field but the wall time repeats in a fresh solve."""
+        out = tmp_path / "out"
+        assert run(["decompose", sine_csv, "--debias", "--output-dir", out, "--quiet",
+                    *FAST]) == 0
+        stages = json.loads((out / "sine_diagnostics.json").read_text())["stages"]
+        dec = decompose_debiased(read_signal_csv(sine_csv), PipelineParams(
+            coarse=CoarseParams(), solver=SolverSettings(max_iters=2000)))
+        names = {f.name for f in dataclasses.fields(SolveResult)} - {"x_hat", "z"}
+        for s, r in zip(stages, dec.diagnostics, strict=True):
+            assert set(s) == names
+            assert isinstance(s.pop("wall_s"), float)
+            want = json.loads(json.dumps({name: getattr(r, name) for name in names}))
+            del want["wall_s"]
+            assert s == want
+            assert s["alpha"] == 1.0 / np.sqrt(s["eig_min"] * s["eig_max"]) > 0
+            assert s["m"] >= len(r.x_hat) + s["k"]
+
     @pytest.mark.parametrize("debias", [False, True])
     def test_metadata_round_trip(self, sine_csv, tmp_path, debias):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -309,10 +343,14 @@ class TestDecompose:
         flags = [x for k, v in p.items() for x in (f"--{k.replace('_', '-')}", v)]
         assert run(["decompose", sine_csv, *mode, *flags,
                     "--output-dir", d2, "--quiet"]) == 0
-        for suffix in ("smooth.csv", "transient.csv", "envelopes.csv",
-                       "diagnostics.json"):
+        for suffix in ("smooth.csv", "transient.csv", "envelopes.csv"):
             name = f"sine_{suffix}"
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        # the diagnostics repeat but for each stage's wall time
+        diags = [json.loads((d / "sine_diagnostics.json").read_text()) for d in (d1, d2)]
+        for s in diags[0]["stages"] + diags[1]["stages"]:
+            del s["wall_s"]
+        assert diags[0] == diags[1]
 
     def test_additivity_of_written_files(self, sine_csv, tmp_path):
         out = tmp_path / "out"

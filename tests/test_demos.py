@@ -25,6 +25,7 @@ def test_demo_exits_zero(path, tmp_path):
     assert list(tmp_path.iterdir()) == []
     if path.name == "02_solver_anatomy.py":
         assert "converged=True" in proc.stdout
+        assert "alpha=" in proc.stdout and "kappa=" in proc.stdout
     if path.name == "07_short_transient_regime.py":
         assert proc.stdout.count("/10") == 2  # one row per regime
 

@@ -12,7 +12,6 @@ import scipy.linalg
 
 from envelofit.core import InputError, NumericalError
 from envelofit.kernel import (
-    SPECTRUM_FLOOR,
     KernelSpec,
     ToeplitzBand,
     apply_resolvent,
@@ -141,7 +140,9 @@ class TestBuildBand:
             assert op.eig_max == np.max(op.eigenvalues)
         # truncation alone leaves wide kernels indefinite
         if sigma >= 5.0 and tau <= 1e-3:
-            assert embed_circulant(truncated_band(spec, n)).eig_min < 0
+            row = truncated_band(spec, n).first_row  # its minimal circulant's spectrum:
+            circ = np.concatenate([row, np.zeros(n - 1 - k), row[:0:-1]])
+            assert scipy.fft.rfft(circ).real.min() < 0
 
     def test_band_must_fit(self):
         with pytest.raises(InputError):
@@ -244,15 +245,10 @@ class TestApplyCirculant:
 
 
 class TestApplyResolvent:
-    def test_alpha_zero_is_identity(self):
-        op = toy_op()
-        v = np.arange(5.0)
-        np.testing.assert_allclose(apply_resolvent(op, 0.0, v), v)
-
     def test_constant_eigenvector(self):
-        op = toy_op()
+        op = toy_op()  # the constant vector's eigenvalue is the row sum, 2
         np.testing.assert_allclose(
-            apply_resolvent(op, 1.0, np.ones(5)), np.ones(5) / 3.0
+            apply_resolvent(op, np.ones(5)), np.ones(5) / (1.0 + 2.0 * op.alpha)
         )
 
     @pytest.mark.parametrize("seed", range(10))
@@ -263,14 +259,11 @@ class TestApplyResolvent:
         band = build_band(spec, n)
         op = embed_circulant(band)
         dense = dense_circulant(op)
-        alpha = rng.uniform(0.01, 2.0)
-        if np.min(1.0 + alpha * op.eigenvalues) <= 1e-12:
-            pytest.skip("spectrum too negative for this alpha")
         ident = np.eye(op.size)
         for _ in range(10):
             v = rng.standard_normal(op.size)
-            got = apply_resolvent(op, alpha, v)
-            want = np.linalg.solve(ident + alpha * dense, v)
+            got = apply_resolvent(op, v)
+            want = np.linalg.solve(ident + op.alpha * dense, v)
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_contraction_for_nonnegative_spectrum(self):
@@ -281,47 +274,30 @@ class TestApplyResolvent:
             pytest.skip("spectrum not nonnegative")
         for _ in range(20):
             v = rng.standard_normal(op.size)
-            out = apply_resolvent(op, 1.3, v)
+            out = apply_resolvent(op, v)
             assert np.linalg.norm(out) <= np.linalg.norm(v) * (1 + 1e-12)
 
-    def test_negative_spectrum_guard(self):
-        band = truncated_band(KernelSpec(sigma=20.0, tau=1e-3), 200)
-        op = embed_circulant(band)
-        assert np.min(op.eigenvalues) < 0  # truncation ripple
-        huge = 2.0 / abs(np.min(op.eigenvalues))
-        with pytest.raises(NumericalError):
-            apply_resolvent(op, huge, np.ones(op.size))
-
-    @pytest.mark.parametrize("sigma,tau,n", [
+    CASES = pytest.mark.parametrize("sigma,tau,n", [
         (5.0, 1e-5, 300), (20.0, 1e-5, 400), (20.0, 1e-3, 200), (50.0, 1e-5, 600),
     ])
-    def test_floor_check_matches_full_spectrum(self, sigma, tau, n):
-        # the O(1) check on eig_min must raise exactly when the full
-        # denominator's minimum is at or below the floor, ulp for ulp; only
-        # the band without its shift has a negative spectrum to check
-        op = embed_circulant(truncated_band(KernelSpec(sigma=sigma, tau=tau), n))
-        assert op.eig_min == np.min(op.eigenvalues) < 0
-        v = np.random.default_rng(n).standard_normal(op.size)
-        edges = (-1.0 / op.eig_min, (SPECTRUM_FLOOR - 1.0) / op.eig_min)
-        alphas = [0.0, 1e-3, 1.0]
-        for edge in edges:
-            alphas += [edge]
-            for direction in (-np.inf, np.inf):
-                a = edge
-                for _ in range(3):
-                    a = np.nextafter(a, direction)
-                    alphas.append(a)
-        outcomes = set()
-        for alpha in alphas:
-            singular = np.min(1.0 + alpha * op.eigenvalues) <= SPECTRUM_FLOOR
-            outcomes.add(singular)
-            if singular:
-                with pytest.raises(NumericalError):
-                    apply_resolvent(op, alpha, v)
-            else:
-                got = apply_resolvent(op, alpha, v)
-                assert np.array_equal(got, apply_resolvent_reference(op, alpha, v))
-        assert outcomes == {True, False}
+
+    @CASES
+    def test_step_and_multipliers_follow_the_spectrum(self, sigma, tau, n):
+        op = embed_circulant(build_band(KernelSpec(sigma=sigma, tau=tau), n))
+        assert op.eig_min == np.min(op.eigenvalues) and op.eig_max == np.max(op.eigenvalues)
+        assert op.alpha == 1.0 / math.sqrt(op.eig_min * op.eig_max)
+        m = op.multipliers
+        assert op.multipliers is m  # built once
+        assert not m.flags.writeable and m.dtype == complex
+        want = 1.0 / (1.0 + op.alpha * op.eigenvalues)
+        assert np.array_equal(m.real, want) and not np.any(m.imag)
+        assert not np.any(np.signbit(m.imag))  # +0, the bits of a real divisor
+
+    @CASES
+    def test_spectrum_that_is_not_positive_rejected(self, sigma, tau, n):
+        # the band without its diagonal shift has no step
+        with pytest.raises(NumericalError, match="eig_min -"):
+            embed_circulant(truncated_band(KernelSpec(sigma=sigma, tau=tau), n))
 
 
 class TestResolventBuffers:
@@ -333,52 +309,30 @@ class TestResolventBuffers:
         v = np.random.default_rng(size).standard_normal(size)
         out = np.empty(size)
         spec = np.empty(size // 2 + 1, dtype=complex)
-        want = apply_resolvent_reference(op, 0.7, v)
-        assert apply_resolvent(op, 0.7, v, out, spec) is out
+        want = apply_resolvent_reference(op, op.alpha, v)
+        assert apply_resolvent(op, v, out, spec) is out
         assert np.array_equal(out, want)
-        assert np.array_equal(apply_resolvent(op, 0.7, v), want)
+        assert np.array_equal(apply_resolvent(op, v), want)
 
     def test_buffered_call_allocates_no_spectrum_copy(self):
-        """With ``out`` and ``spec`` given, a call with cached multipliers
-        allocates no spectrum-sized array (at this size one is 132 KB)."""
+        """With ``out`` and ``spec`` given, a call once the multipliers are
+        built allocates no spectrum-sized array (at this size one is 132 KB)."""
         size = 2**15 + 2**10
         op = embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
         v = np.random.default_rng(0).standard_normal(size)
         out = np.empty(size)
         spec = np.empty(size // 2 + 1, dtype=complex)
-        apply_resolvent(op, 0.7, v, out, spec)  # caches the multipliers
+        apply_resolvent(op, v, out, spec)  # builds the multipliers
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            apply_resolvent(op, 0.7, v, out, spec)
+            apply_resolvent(op, v, out, spec)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert np.array_equal(out, apply_resolvent_reference(op, 0.7, v))
+        assert np.array_equal(out, apply_resolvent_reference(op, op.alpha, v))
         assert peak < 16 * 1024
-
-    def test_multipliers_cached_read_only(self):
-        op = embed_circulant(truncated_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
-        m = op.resolvent_multipliers(0.5)
-        assert not m.flags.writeable
-        assert op.resolvent_multipliers(0.5) is m
-        assert np.array_equal(m, 1.0 / (1.0 + 0.5 * op.eigenvalues))
-        assert np.array_equal(op.resolvent_multipliers(2.0), 1.0 / (1.0 + 2.0 * op.eigenvalues))
-        assert op.resolvent_multipliers(0.5) is not m  # only the last alpha is kept
-        m = op.resolvent_multipliers(0.5)
-        for _ in range(2):  # a failed floor check is not cached and keeps the last alpha
-            with pytest.raises(NumericalError):
-                op.resolvent_multipliers(2.0 / abs(op.eig_min))
-        assert op.resolvent_multipliers(0.5) is m
-
-    def test_floor_raises_every_call(self):
-        op = embed_circulant(truncated_band(KernelSpec(sigma=20.0, tau=1e-3), 200))
-        huge = 2.0 / abs(op.eig_min)
-        for _ in range(2):
-            with pytest.raises(NumericalError):
-                op.resolvent_multipliers(huge)
-
 
 class TestBoundTransforms:
     """The pocketfft kernels an operator binds give ``numpy.fft``'s bits."""
@@ -394,12 +348,11 @@ class TestBoundTransforms:
         spec = np.empty(size // 2 + 1, dtype=complex)
         assert op._rfft(v, 1.0, out=spec) is spec
         assert np.array_equal(spec, np.fft.rfft(v))
-        # alpha = 0: the multipliers are all 1, so the result is irfft(rfft(v))
-        want = np.fft.irfft(np.fft.rfft(v), n=size)
+        want = np.fft.irfft(np.fft.rfft(v) * op.multipliers, n=size)
         out = np.empty(size)
-        assert apply_resolvent(op, 0.0, v, out, spec) is out
+        assert apply_resolvent(op, v, out, spec) is out
         assert np.array_equal(out, want)
-        assert np.array_equal(apply_resolvent(op, 0.0, v), want)
+        assert np.array_equal(apply_resolvent(op, v), want)
 
     @pytest.mark.parametrize("n,sigma,tau,pad", [
         (64, 1.0, 0.1, 0), (257, 3.3, 1e-3, 0), (2000, 5.0, 1e-5, 7),
@@ -418,9 +371,9 @@ class TestBoundTransforms:
         op = self.op_of_size(65)
         v = np.ones(65)
         with pytest.raises(InputError):
-            apply_resolvent(op, 0.7, v, np.empty(64))
+            apply_resolvent(op, v, np.empty(64))
         with pytest.raises(InputError):
-            apply_resolvent(op, 0.7, v, None, np.empty(32, dtype=complex))
+            apply_resolvent(op, v, None, np.empty(32, dtype=complex))
 
 
 class TestToeplitzFromResolvent:
@@ -434,7 +387,7 @@ class TestToeplitzFromResolvent:
         band = build_band(KernelSpec(sigma=sigma, tau=tau), n)
         op = embed_circulant(band, n + band.half_width + extra)
         u = np.random.default_rng(n + extra).standard_normal(op.size)
-        r = apply_resolvent(op, alpha, u)
+        r = apply_resolvent_reference(op, alpha, u)
         z = r[:n]
         out = np.empty(n)
         assert toeplitz_from_resolvent(band, alpha, u, r, out) is out

@@ -13,7 +13,6 @@ import envelofit.solver
 from envelofit.core import BoxConstraint, InputError, NumericalError, Signal
 from envelofit.kernel import (
     KernelSpec,
-    apply_resolvent,
     apply_toeplitz,
     build_band,
     embed_circulant,
@@ -22,6 +21,7 @@ from envelofit.kernel import (
 from envelofit.solver import SolveParams, SolverSettings, residual, solve_constrained_filter
 
 from oracles import (
+    apply_resolvent_reference,
     inject_truncated_band,
     residual_reference,
     solve_reference_dense,
@@ -179,10 +179,10 @@ class TestClosedFormN1:
                 singular.append(len(reflected))
                 raise
 
-        def checked_resolvent(op, alpha, u, *args):
+        def checked_resolvent(op, u, *args):
             if singular and singular[-1] == len(reflected):
                 plain.append(np.array_equal(u[:1], reflected[-1]))
-            return resolvent(op, alpha, u, *args)
+            return resolvent(op, u, *args)
 
         monkeypatch.setattr(envelofit.solver, "reflect_g", recorded_prox)
         monkeypatch.setattr(envelofit.solver, "apply_resolvent", checked_resolvent)
@@ -333,6 +333,9 @@ class TestFusedLoopMatchesReference:
         assert got.residual_trace == want.residual_trace
         assert got.residual_inf == want.residual_inf
         assert got.converged == want.converged
+        for name in ("alpha", "m", "k", "eig_min", "eig_max"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.wall_s > 0
         return got
 
     @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper", "mixed"])
@@ -382,7 +385,7 @@ class TestFusedLoopMatchesReference:
         buffers = set()
         original = envelofit.solver.apply_resolvent
         monkeypatch.setattr(envelofit.solver, "apply_resolvent",
-                            lambda *a: buffers.add((id(a[3]), id(a[4]))) or original(*a))
+                            lambda *a: buffers.add((id(a[2]), id(a[3]))) or original(*a))
         res = solve_constrained_filter(loop_instance("lower", max_iters=30))
         assert len(buffers) == 1
         assert res.z.base is None  # z holds no view of the solve's work block
@@ -405,10 +408,10 @@ class TestAndersonSafeguard:
             reflected.append(prox(t, params, out, work).copy())
             return out
 
-        def checked_resolvent(op, alpha, u, *a):
+        def checked_resolvent(op, u, *a):
             if reflected:
                 plain.append(np.array_equal(u[:n], reflected[-1]))
-            return resolvent(op, alpha, u, *a)
+            return resolvent(op, u, *a)
 
         monkeypatch.setattr(envelofit.solver, "reflect_g", recorded_prox)
         monkeypatch.setattr(envelofit.solver, "apply_resolvent", checked_resolvent)
@@ -437,7 +440,7 @@ class TestCheckpointProduct:
     @pytest.mark.parametrize("case", CASES)
     def test_matches_convolution_at_checkpoints(self, case, alpha, monkeypatch):
         p = loop_instance(trace_every=10, **case)
-        op = dataclasses.replace(p).circulant  # the loop's keeps its own step's reciprocal
+        op = p.circulant
         eps = np.finfo(float).eps
         seen = []
 
@@ -456,7 +459,7 @@ class TestCheckpointProduct:
         def checked(band, alpha_, u, r, out):
             cz = toeplitz_from_resolvent(band, alpha_, u, r, out)
             assert gap_error(band, alpha_, u, r, cz) <= 1e-6 * p.tol_abs
-            r_at = apply_resolvent(op, alpha, u)
+            r_at = apply_resolvent_reference(op, alpha, u)
             gap_error(band, alpha, u, r_at,
                       toeplitz_from_resolvent(band, alpha, u, r_at, np.empty(band.n)))
             seen.append(alpha_)
@@ -487,7 +490,7 @@ class TestLoopAllocation:
 
         def record_sizes(*a):
             if not sizes:
-                sizes.append((a[0].size, a[4].size, len(a[0].eigenvalues)))
+                sizes.append((a[0].size, a[3].size, len(a[0].eigenvalues)))
             return resolvent(*a)
 
         monkeypatch.setattr(envelofit.solver, "reflect_g", first_prox)
@@ -525,15 +528,13 @@ def inject_nonfinite_reflection(monkeypatch, at):
 
 
 class TestSpectrumGuard:
-    """The floor and divergence checks.  The positive definite band and the
-    derived step trip neither, so each solve here has a fault injected."""
+    """The spectrum and divergence checks.  The positive definite band and
+    the derived step trip neither, so each solve here has a fault injected."""
 
     def test_raises_before_first_iteration(self, monkeypatch):
         """The negated band, built on the solve's first use of the params,
-        has a negative spectrum: the step rule rejects it before any
-        reflection or gap.  (The step is derived from the band the solve
-        uses, so the resolvent's own floor check is left to
-        ``test_kernel.py``.)"""
+        has a negative spectrum: the circulant's step rule rejects it
+        before any reflection or gap."""
         p = loop_instance("two_sided", sigma=20.0, tau=1e-3)
 
         def negated_band(spec, n):
