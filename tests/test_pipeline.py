@@ -232,6 +232,15 @@ def test_default_debiased_call_takes_at_most_1000_iterations(seed):
     assert sum(iters) <= 1000, iters
 
 
+def test_default_debiased_iterations_over_five_seeds():
+    """Anderson's memory of four: default ``decompose_debiased`` takes 3 200
+    iterations over seeds 1001-1005 (3 750 with a memory of three)."""
+    iters = [r.iters for seed in range(1001, 1006)
+             for r in decompose_debiased(generate_trial(TrialSpec(seed=seed)).observation,
+                                         PipelineParams(coarse=CoarseParams())).diagnostics]
+    assert sum(iters) <= 3300, iters
+
+
 @pytest.mark.parametrize("decompose,stages", [(decompose_debiased, 5), (decompose_basic, 3)])
 def test_one_band_and_one_circulant_per_stage(decompose, stages, short_trial, monkeypatch):
     """Each stage builds its band and circulant once, on the solve's first
