@@ -63,8 +63,8 @@ def design_fir(kind: str, cutoffs_hz, fs_hz: float, length: int,
     """Windowed-sinc design, normalized to unit gain at DC (lowpass) or at
     the passband center (bandpass)."""
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
-    if fs_hz <= 0:
-        raise InputError(f"fs_hz must be > 0, got {fs_hz}")
+    if not 0 < fs_hz < np.inf:
+        raise InputError(f"fs_hz must be positive and finite, got {fs_hz}")
     if length < 1 or length % 2 == 0:
         raise InputError(f"length must be a positive odd integer, got {length}")
     if window not in _WINDOWS:

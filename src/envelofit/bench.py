@@ -76,20 +76,16 @@ def run_mse_experiment(
     return BenchReport(mses=mses, diagnostics=tuple(diagnostics), wall_s=wall_s)
 
 
-def run_scaling(
-    n_list: list[int],
-    sigma: float = 20.0,
-    lam: float = 1.0,
-    iters: int = 30,
-    repeats: int = 5,
-    seed: int = 0,
-) -> list[tuple[int, float]]:
+def run_scaling(n_list: list[int], iters: int = 30,
+                repeats: int = 5) -> list[tuple[int, float]]:
     """Median per-iteration solver wall time for each signal length.
 
-    Each repeat times every size once, in turn, so a slow phase of the host
-    spreads over the sizes instead of landing on one of them.
+    Every size solves one seeded problem: a noisy sine at 10 Hz in a box of
+    half-width 1, with ``lam = 1`` and ``sigma = 20``.  Each repeat times
+    every size once, in turn, so a slow phase of the host spreads over the
+    sizes instead of landing on one of them.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     problems = []
     for n in n_list:
         t = np.arange(n) / 10.0
@@ -98,8 +94,8 @@ def run_scaling(
         box_hi = y.samples + 1.0
         problems.append(SolveParams(  # its first solve raises if the band does not fit n
             y=y,
-            lam=lam,
-            kernel=KernelSpec(sigma=sigma),
+            lam=1.0,
+            kernel=KernelSpec(sigma=20.0),
             box=BoxConstraint(box_lo, box_hi),
             max_iters=iters,
             trace_every=iters,  # one gap, at the cap

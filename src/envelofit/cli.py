@@ -12,8 +12,9 @@ Every successful run writes a metadata JSON holding the resolved parameters,
 enough to reproduce the outputs exactly.  Exit codes: 0 success; 1 numerical
 failure (``NumericalError``: a factorization or spectral solve failed, or an
 iteration diverged, on valid input); 2 usage or input error (``InputError``:
-an invalid argument, length, bound, signal or file).  An error inside a
-pipeline stage ends with the stage's name.
+an invalid argument, length, bound, signal or file).  Flags parse as plain
+numbers; each value is checked once, by the parameter class or function that
+owns it.  An error inside a pipeline stage ends with the stage's name.
 """
 
 from __future__ import annotations
@@ -52,20 +53,6 @@ _GP_COEFFS = ("c0", "c1", "c2")
 _PIPELINE = (PipelineParams, CoarseParams, SolverSettings)
 
 
-def _positive(value: str) -> float:
-    x = float(value)
-    if not 0 < x < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return x
-
-
-def _positive_int(value: str) -> int:
-    x = int(value)
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return x
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", default=".", help="directory for output files")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -80,8 +67,8 @@ def _knobs(cls):
 def _add_flags(p, *classes) -> None:
     for cls in classes:
         for name, f in _knobs(cls):
-            kind = _positive_int if isinstance(f.default, int) else _positive
-            p.add_argument("--" + name.replace("_", "-"), type=kind, default=f.default,
+            p.add_argument("--" + name.replace("_", "-"), type=type(f.default),
+                           default=f.default,
                            help=f.metadata["help"] + " (default %(default)s)")
 
 
@@ -90,11 +77,10 @@ def _from_args(cls, args, **rest):
 
 
 def _pipeline_from_args(args, with_coarse: bool) -> PipelineParams:
-    return _from_args(
-        PipelineParams, args,
-        coarse=_from_args(CoarseParams, args) if with_coarse else None,
-        solver=_from_args(SolverSettings, args),
-    )
+    # the coarse flags are checked even when the run has no coarse stage
+    coarse = _from_args(CoarseParams, args)
+    return _from_args(PipelineParams, args, coarse=coarse if with_coarse else None,
+                      solver=_from_args(SolverSettings, args))
 
 
 def _parameters(p: PipelineParams) -> dict:
@@ -109,8 +95,8 @@ def _out(args, name: str) -> str:
 
 
 def cmd_decompose(args) -> int:
-    sig = read_signal_csv(args.input, fs_override=args.fs)
     pipeline = _pipeline_from_args(args, with_coarse=args.debias)
+    sig = read_signal_csv(args.input, fs_override=args.fs)
     decompose = decompose_debiased if args.debias else decompose_basic
     dec = decompose(sig, pipeline)
 
@@ -242,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input CSV with header t,value")
     p.add_argument("--debias", action="store_true",
                    help="use coarse-envelope debiasing")
-    p.add_argument("--fs", type=_positive, default=None,
+    p.add_argument("--fs", type=float, default=None,
                    help="override sample rate inferred from the t column")
     p.add_argument("--prefix", default=None, help="output filename prefix")
     _add_flags(p.add_argument_group("pipeline / solver overrides"), *_PIPELINE)
@@ -255,17 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, TrialSpec)
     for gp in _GPS:
         for c in _GP_COEFFS:
-            # c2 is white jitter: zero is allowed
-            p.add_argument(f"--{gp}-{c}", type=float if c == "c2" else _positive,
-                           default=getattr(getattr(ts, gp), c))
+            p.add_argument(f"--{gp}-{c}", type=float, default=getattr(getattr(ts, gp), c))
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="run the multi-trial MSE benchmark")
-    p.add_argument("--trials", type=_positive_int, default=20)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     _add_flags(p, TrialSpec)
-    p.add_argument("--baseline-lengths", type=_positive_int, nargs="+",
+    p.add_argument("--baseline-lengths", type=int, nargs="+",
                    default=list(DEFAULT_BASELINE_LENGTHS),
                    help="Hamming lowpass lengths to compare against")
     _add_flags(p.add_argument_group("pipeline / solver overrides"), *_PIPELINE)
@@ -274,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peaks", help="peak picking on a transient CSV")
     p.add_argument("input")
-    p.add_argument("--fs", type=_positive, default=None)
-    p.add_argument("--min-separation", type=_positive, default=0.33,
+    p.add_argument("--fs", type=float, default=None)
+    p.add_argument("--min-separation", type=float, default=0.33,
                    help="minimum peak spacing, seconds (default 0.33)")
-    p.add_argument("--min-prominence", type=_positive, default=None,
+    p.add_argument("--min-prominence", type=float, default=None,
                    help="default: 0.25 x 95th percentile of |signal|")
     _add_common(p)
     p.set_defaults(func=cmd_peaks)
@@ -285,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="apply a zero-delay FIR filter")
     p.add_argument("input")
     p.add_argument("--kind", choices=["lowpass", "bandpass"], default="lowpass")
-    p.add_argument("--cutoff", type=_positive, nargs="+", default=[0.45],
+    p.add_argument("--cutoff", type=float, nargs="+", default=[0.45],
                    help="cutoff frequency (Hz); two values for bandpass")
-    p.add_argument("--length", type=_positive_int, default=1001)
+    p.add_argument("--length", type=int, default=1001)
     p.add_argument("--window", choices=["hamming", "rect"], default="hamming")
-    p.add_argument("--fs", type=_positive, default=None)
+    p.add_argument("--fs", type=float, default=None)
     p.add_argument("--prefix", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_filter)

@@ -42,8 +42,8 @@ def knob(default, help: str, name: str | None = None):
     """A parameter field that the command line exposes as ``--name``.
 
     ``name`` is the field's own name if unset, and ``_`` in it becomes ``-``
-    in the flag.  The flag parses as an integer when the default is one, else
-    as a float, and rejects values that are not positive and finite.
+    in the flag, which parses as the default's type.  The field's class
+    checks the value.
     """
     return field(default=default, metadata={"help": help, "name": name})
 

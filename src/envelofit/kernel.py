@@ -8,10 +8,11 @@ leaves the band indefinite; the middle term bounds how far the dropped tail
 lowers the (positive) untruncated symbol, so every Toeplitz and circulant
 eigenvalue exceeds the floor ``1/(2(K + 1))``, for any size.  The condition
 number, about ``2 sqrt(pi) sigma (K + 1)``, then sets the splitting
-iterations per solve.  Embedding that band into an
-``(N + K) x (N + K)`` circulant makes both the matrix-vector product and the
-resolvent ``(I + alpha C)^-1``, at the step the circulant derives, diagonal
-in the Fourier basis, so each costs one FFT pair.  The transforms are
+iterations per solve.  Every solve embeds that band in a circulant of size
+``next_fast_len(N + K)``, at least ``N + K``, which makes both the
+matrix-vector product and the resolvent ``(I + alpha C)^-1``, at the step
+the circulant derives, diagonal in the Fourier basis, so each costs one FFT
+pair.  The transforms are
 numpy's pocketfft kernels, bound once per operator; ``toeplitz_from_resolvent``
 reads the banded product off a resolvent instead of convolving.
 """

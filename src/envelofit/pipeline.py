@@ -39,6 +39,11 @@ class CoarseParams:
     sigma: float = knob(50.0, "coarse envelope kernel width for --debias",
                         name="coarse_sigma")
 
+    def __post_init__(self):
+        if not (0 < self.lam < np.inf and 0 < self.sigma < np.inf):
+            raise InputError(f"coarse lambda and sigma must be positive and finite, "
+                             f"got {self.lam}, {self.sigma}")
+
 
 @dataclass(frozen=True)
 class PipelineParams:
@@ -73,12 +78,10 @@ class PipelineParams:
             raise InputError(
                 f"need 0 < sigma0 <= sigma1, got {self.sigma0}, {self.sigma1}"
             )
-        if self.coarse is not None and not (self.sigma1 <= self.coarse.sigma < np.inf):
+        if self.coarse is not None and not self.sigma1 <= self.coarse.sigma:
             raise InputError(
                 f"need sigma1 <= coarse sigma, got {self.sigma1}, {self.coarse.sigma}"
             )
-        if self.coarse is not None and not (0 < self.coarse.lam < np.inf):
-            raise InputError(f"coarse lambda must be positive and finite, got {self.coarse.lam}")
         kernels = {"tight": KernelSpec(self.sigma0, self.tau),
                    "smooth": KernelSpec(self.sigma1, self.tau)}
         if self.coarse is not None:

@@ -20,6 +20,7 @@ settings with the problem data; both check their values when built, and
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,8 +78,12 @@ class SolverSettings:
     def __post_init__(self):
         if not (0 < self.tol < math.inf):
             raise InputError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1 or self.trace_every < 1:
-            raise InputError(f"max_iters and trace_every must be >= 1, "
+        try:
+            ok = min(operator.index(self.max_iters), operator.index(self.trace_every)) >= 1
+        except TypeError:  # not an integer: nan, inf, 2.5
+            ok = False
+        if not ok:
+            raise InputError(f"max_iters and trace_every must be >= 1 and integers, "
                              f"got {self.max_iters}, {self.trace_every}")
 
 

@@ -20,6 +20,11 @@ class TestDesignFir:
         with pytest.raises(InputError):
             design_fir("lowpass", (0.45,), 10.0, 100)
 
+    @pytest.mark.parametrize("fs", [0.0, -1.0, np.inf, np.nan])
+    def test_rate_positive_and_finite(self, fs):
+        with pytest.raises(InputError, match="fs_hz"):
+            design_fir("lowpass", (0.45,), fs, 101)
+
     def test_cutoff_range(self):
         with pytest.raises(InputError):
             design_fir("lowpass", (6.0,), 10.0, 101)  # above Nyquist

@@ -136,6 +136,14 @@ def test_gp_error_names_its_flags(gp, tmp_path, capsys):
     assert err.startswith(f"error: --{gp}-c0/c1/c2: ") and err.count("\n") == 1
 
 
+INF_MESSAGES = {
+    "--coarse-sigma": "coarse lambda and sigma must be positive and finite, got 1.0, inf",
+    "--sigma1": "need 0 < sigma0 <= sigma1, got 5.0, inf",
+    "--lambda0": "need 0 < lambda1 < lambda0, got 0.5, inf",
+    "--duration": "fs_hz and duration_s must be positive and finite, got 10.0, inf",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "IN", "--debias", "--coarse-sigma", "inf"],
     ["decompose", "IN", "--sigma1", "inf"],
@@ -143,36 +151,41 @@ def test_gp_error_names_its_flags(gp, tmp_path, capsys):
     ["synth", "--duration", "inf"],
 ])
 def test_infinite_value_is_usage_error(argv, sine_csv, tmp_path, capsys):
+    # the flag parses as a float; the class that owns the value rejects it
     argv = [sine_csv if a == "IN" else a for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        run([*argv, "--output-dir", tmp_path / "out", "--quiet"])
-    assert exc.value.code == 2
-    assert f"{argv[-2]}: must be positive and finite, got inf" in capsys.readouterr().err
+    assert run([*argv, "--output-dir", tmp_path / "out", "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {INF_MESSAGES[argv[-2]]}\n"
 
 
-P, F, I = "_positive", "float", "_positive_int"
+F, I = "float", "int"
 SOLVER_FLAGS = {
-    "--lambda0": (50.0, P), "--lambda1": (0.5, P), "--sigma0": (5.0, P),
-    "--sigma1": (20.0, P), "--coarse-lambda": (1.0, P), "--coarse-sigma": (50.0, P),
-    "--tol": (1e-6, P),
-    "--max-iters": (10000, I), "--tau": (1e-5, P),
+    "--lambda0": (50.0, F), "--lambda1": (0.5, F), "--sigma0": (5.0, F),
+    "--sigma1": (20.0, F), "--coarse-lambda": (1.0, F), "--coarse-sigma": (50.0, F),
+    "--tol": (1e-6, F),
+    "--max-iters": (10000, I), "--tau": (1e-5, F),
 }
 COMMON_FLAGS = {"--output-dir": (".", None), "--quiet": (False, None)}
-# flag -> (default, name of the parse function) of the commands whose flags
-# are derived from the parameter dataclasses; a derivation that adds, drops,
-# renames or retypes a flag, or moves a default, fails here
+# flag -> (default, name of the parse function) of each command; the
+# decompose, bench and synth flags are derived from the parameter
+# dataclasses, and a change that adds, drops, renames or retypes a flag, or
+# moves a default, fails here
 SURFACE = {
     "decompose": {**SOLVER_FLAGS, **COMMON_FLAGS, "--debias": (False, None),
-                  "--fs": (None, P), "--prefix": (None, None)},
+                  "--fs": (None, F), "--prefix": (None, None)},
     "bench": {**SOLVER_FLAGS, **COMMON_FLAGS, "--trials": (20, I),
-              "--seed": (1, "int"), "--fs": (10.0, P), "--duration": (200.0, P),
+              "--seed": (1, I), "--fs": (10.0, F), "--duration": (200.0, F),
               "--baseline-lengths": ([101, 501, 1001, 2001], I)},
-    "synth": {**COMMON_FLAGS, "--seed": (0, "int"), "--fs": (10.0, P),
-              "--duration": (200.0, P),
-              "--warp-c0": (25.0, P), "--warp-c1": (500.0, P), "--warp-c2": (1e-3, F),
-              "--mag-c0": (25.0, P), "--mag-c1": (2500.0, P), "--mag-c2": (5e-4, F),
-              "--transient-c0": (0.1, P), "--transient-c1": (10.0, P),
+    "synth": {**COMMON_FLAGS, "--seed": (0, I), "--fs": (10.0, F),
+              "--duration": (200.0, F),
+              "--warp-c0": (25.0, F), "--warp-c1": (500.0, F), "--warp-c2": (1e-3, F),
+              "--mag-c0": (25.0, F), "--mag-c1": (2500.0, F), "--mag-c2": (5e-4, F),
+              "--transient-c0": (0.1, F), "--transient-c1": (10.0, F),
               "--transient-c2": (1e-5, F)},
+    "peaks": {**COMMON_FLAGS, "--fs": (None, F), "--min-separation": (0.33, F),
+              "--min-prominence": (None, F)},
+    "filter": {**COMMON_FLAGS, "--kind": ("lowpass", None), "--cutoff": ([0.45], F),
+               "--length": (1001, I), "--window": ("hamming", None), "--fs": (None, F),
+               "--prefix": (None, None)},
 }
 
 
@@ -184,6 +197,49 @@ def test_flags_defaults_and_parsers_are_pinned(command):
            for a in sub.choices[command]._actions
            if a.option_strings and a.dest != "help"}
     assert got == SURFACE[command]
+
+
+def _bad_values(flag, kind):
+    """Values the owner of ``flag`` rejects.  A seed, a GP's white jitter
+    ``c2`` and ``--min-prominence`` may be 0."""
+    zero_ok = flag == "--seed" or flag.endswith("-c2") or flag == "--min-prominence"
+    return [v for v in ("0", "-1", "inf", "nan")[: 2 if kind == I else 4]
+            if not (zero_ok and v == "0")]
+
+
+# every numeric flag of every command, given each value its owner rejects,
+# and that value as the owner's message prints it
+BAD_VALUES = [
+    pytest.param(cmd, flag, value, str((int if kind == I else float)(value)),
+                 id=" ".join([*cmd, flag, value]))
+    for cmd in (["decompose"], ["decompose", "--debias"], ["bench"], ["synth"],
+                ["peaks"], ["filter"])
+    for flag, (_, kind) in SURFACE[cmd[0]].items() if kind in (F, I)
+    for value in _bad_values(flag, kind)
+]
+
+
+@pytest.mark.parametrize("cmd, flag, value, shown", BAD_VALUES)
+def test_bad_value_is_one_error_line(cmd, flag, value, shown, sine_csv, tmp_path,
+                                     capsys, monkeypatch):
+    # no argparse check: the flag parses, its owner raises InputError before
+    # any stage runs or any output directory exists, and main prints one line
+    monkeypatch.setattr(envelofit.pipeline, "solve_constrained_filter",
+                        lambda p: pytest.fail("a stage ran"))
+    inputs = [sine_csv] if cmd[0] in ("decompose", "peaks", "filter") else []
+    out = tmp_path / "out"
+    assert run([cmd[0], *inputs, *cmd[1:], flag, value, "--output-dir", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert shown in err and "(stage" not in err
+    assert not out.exists()
+
+
+def test_zero_min_prominence_runs(sine_csv, tmp_path):
+    assert run(["peaks", sine_csv, "--min-prominence", 0, "--output-dir", tmp_path,
+                "--quiet"]) == 0
+    assert json.loads((tmp_path / "stats.json").read_text())["min_prominence"] == 0.0
 
 
 def _csv_rows(path):
@@ -383,10 +439,11 @@ class TestPeaks:
         assert stats["n_peaks"] == 0
         assert stats["mean_interval_s"] is None
 
-    def test_zero_separation_usage_error(self, sine_csv, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["peaks", sine_csv, "--min-separation", 0])
-        assert exc.value.code == 2
+    def test_zero_separation_usage_error(self, sine_csv, tmp_path, capsys):
+        assert run(["peaks", sine_csv, "--min-separation", 0,
+                    "--output-dir", tmp_path / "p"]) == 2
+        assert capsys.readouterr().err == ("error: min_separation_s must be "
+                                           "positive and finite, got 0.0\n")
 
 
 class TestFilter:
@@ -411,10 +468,9 @@ class TestBench:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["trials"] == 2 and len(meta["ordering"]) == 2
 
-    def test_invalid_trials_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["bench", "--trials", 0, "--output-dir", tmp_path])
-        assert exc.value.code == 2
+    def test_invalid_trials_usage_error(self, tmp_path, capsys):
+        assert run(["bench", "--trials", 0, "--output-dir", tmp_path / "b"]) == 2
+        assert capsys.readouterr().err == "error: n_trials must be >= 1, got 0\n"
 
     def test_bytewise_determinism(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

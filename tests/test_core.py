@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,8 @@ from envelofit.core import (
     mse,
     project_box,
 )
+from envelofit.pipeline import CoarseParams, PipelineParams, SolverSettings
+from envelofit.synth import TrialSpec
 
 
 class TestSignal:
@@ -125,3 +129,20 @@ class TestProjectBox:
         b = BoxConstraint(lo, hi)
         once = project_box(v, b)
         np.testing.assert_array_equal(project_box(once, b), once)
+
+
+# Every core.knob field becomes a command-line flag that parses as a plain
+# number, so its class must reject each value outside its range by itself:
+# a knob added without a check fails here.
+KNOB_VALUES = [
+    pytest.param(cls, f.name, v, id=f"{cls.__name__}.{f.name}={v}")
+    for cls in (PipelineParams, CoarseParams, SolverSettings, TrialSpec)
+    for f in dataclasses.fields(cls) if "help" in f.metadata
+    for v in ((0, -1) if type(f.default) is int else (0.0, -1.0, np.inf, np.nan))
+]
+
+
+@pytest.mark.parametrize("cls, name, value", KNOB_VALUES)
+def test_every_knob_checked_by_its_class(cls, name, value):
+    with pytest.raises(InputError):
+        cls(**{name: value})

@@ -49,13 +49,15 @@ class TestParamValidation:
             PipelineParams(sigma1=20.0, coarse=CoarseParams(1.0, 10.0))
 
     @pytest.mark.parametrize("kw", [
-        dict(lambda0=np.inf), dict(sigma1=np.inf), dict(coarse=CoarseParams(sigma=np.inf)),
+        dict(lambda0=np.inf), dict(sigma1=np.inf), dict(coarse=dict(sigma=np.inf)),
         dict(tau=0.0), dict(tau=1.5), dict(tau=np.nan),
-        dict(coarse=CoarseParams(lam=-1.0)), dict(coarse=CoarseParams(lam=np.nan)),
+        dict(coarse=dict(lam=-1.0)), dict(coarse=dict(lam=np.nan)),
     ])
     def test_out_of_range_rejected_when_built(self, kw):
+        # a bad coarse value is rejected when its CoarseParams is built
         with pytest.raises(InputError):
-            PipelineParams(**kw)
+            PipelineParams(**{k: CoarseParams(**v) if k == "coarse" else v
+                              for k, v in kw.items()})
 
     def test_tau_reaches_every_stage_kernel(self, short_trial, monkeypatch):
         kernels = []

@@ -63,7 +63,8 @@ class TestParamValidation:
         pytest.param({name: v}, id=f"{name}={v}")
         for name, values in [("alpha", (0.0, -1.0, np.inf, np.nan)),
                              ("tol", (0.0, np.inf, np.nan)),
-                             ("max_iters", (-1, 0)), ("trace_every", (-1, 0))]
+                             ("max_iters", (-1, 0, np.nan, 2.5, np.inf)),
+                             ("trace_every", (-1, 0, np.nan, 2.5, np.inf))]
         for v in values
     ])
     def test_settings_rejected_when_built(self, kw):
