@@ -34,7 +34,7 @@ p = SolveParams(
     y=y, box=box,
     kernel=KernelSpec(sigma=sigma),
     lam=lam,  # the step size is derived: 1 / sqrt(eig_min * eig_max)
-    tol=1e-8, max_iters=20000, trace_every=200,
+    tol=1e-8, max_iters=20000,
 )
 
 res = solve_constrained_filter(p)

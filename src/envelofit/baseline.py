@@ -128,8 +128,6 @@ def lti_smooth_estimate(y: Signal, f: FirFilter) -> tuple[Signal, Signal]:
     return smooth, transient
 
 
-def default_baselines(fs_hz: float,
-                      lengths=DEFAULT_BASELINE_LENGTHS,
-                      cutoff_hz: float = DEFAULT_LOWPASS_CUTOFF_HZ) -> list[FirFilter]:
+def default_baselines(fs_hz: float, lengths=DEFAULT_BASELINE_LENGTHS) -> list[FirFilter]:
     """The four Hamming lowpass comparison filters used by the benchmark."""
-    return [design_fir("lowpass", (cutoff_hz,), fs_hz, n) for n in lengths]
+    return [design_fir("lowpass", (DEFAULT_LOWPASS_CUTOFF_HZ,), fs_hz, n) for n in lengths]

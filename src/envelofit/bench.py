@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import FirFilter, lti_smooth_estimate
-from .core import BoxConstraint, InputError, Signal, mse
+from .core import BoxConstraint, InputError, Signal, check_int, mse
 from .kernel import KernelSpec
 from .pipeline import PipelineParams, decompose_debiased
 from .solver import SolveParams, SolveResult, solve_constrained_filter
@@ -51,8 +51,7 @@ def run_mse_experiment(
     trial_spec: TrialSpec | None = None,
 ) -> BenchReport:
     """Smooth-component MSE of the pipeline, each baseline and the identity."""
-    if n_trials < 1:
-        raise InputError(f"n_trials must be >= 1, got {n_trials}")
+    check_int(n_trials, "n_trials", 1)  # base_seed is checked as each trial's seed
     lengths = [f.length for f in baselines]
     if len(set(lengths)) < len(lengths):
         raise InputError(f"baseline lengths must be distinct, got {lengths}")
@@ -76,29 +75,27 @@ def run_mse_experiment(
     return BenchReport(mses=mses, diagnostics=tuple(diagnostics), wall_s=wall_s)
 
 
-def run_scaling(n_list: list[int], iters: int = 30,
+def run_scaling(n_list: list[int], iters: int = 20,
                 repeats: int = 5) -> list[tuple[int, float]]:
     """Median per-iteration solver wall time for each signal length.
 
     Every size solves one seeded problem: a noisy sine at 10 Hz in a box of
-    half-width 1, with ``lam = 1`` and ``sigma = 20``.  Each repeat times
-    every size once, in turn, so a slow phase of the host spreads over the
-    sizes instead of landing on one of them.
+    half-width 1, with ``lam = 1``, ``sigma = 20`` and ``tau = 1e-5`` (``K = 67``);
+    ``iters`` up to the gap-check cadence, 25, check the gap once.  Each
+    repeat times every size once, in turn, so a slow phase of the host
+    spreads over the sizes instead of landing on one of them.
     """
     rng = np.random.default_rng(0)
     problems = []
     for n in n_list:
         t = np.arange(n) / 10.0
         y = Signal(np.sin(0.5 * t) + 0.1 * rng.standard_normal(n), 10.0)
-        box_lo = y.samples - 1.0
-        box_hi = y.samples + 1.0
         problems.append(SolveParams(  # its first solve raises if the band does not fit n
             y=y,
             lam=1.0,
             kernel=KernelSpec(sigma=20.0),
-            box=BoxConstraint(box_lo, box_hi),
+            box=BoxConstraint(y.samples - 1.0, y.samples + 1.0),
             max_iters=iters,
-            trace_every=iters,  # one gap, at the cap
         ))
     times = np.empty((repeats, len(problems)))
     for rep in range(repeats):

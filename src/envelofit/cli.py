@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .baseline import (
     DEFAULT_BASELINE_LENGTHS,
+    DEFAULT_LOWPASS_CUTOFF_HZ,
     default_baselines,
     design_fir,
     filter_zero_delay,
@@ -161,9 +162,9 @@ def cmd_bench(args) -> int:
     )
     write_csv(_out(args, "mse.csv"), ["trial_id", "method", "mse"],
               ((i, name, v[i]) for i in range(args.trials) for name, v in report.mses.items()))
-    write_csv(_out(args, "traces.csv"), ["trial_id", "iter", "residual"],
-              ((i, it, res) for i, stages in enumerate(report.diagnostics)
-               for it, res in stages[-1].residual_trace))
+    write_csv(_out(args, "traces.csv"), ["trial_id", "stage", "iter", "residual"],
+              ((i, r.stage, it, res) for i, stages in enumerate(report.diagnostics)
+               for r in stages for it, res in r.residual_trace))
     meta = {
         "command": "bench",
         "trials": args.trials,
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="apply a zero-delay FIR filter")
     p.add_argument("input")
     p.add_argument("--kind", choices=["lowpass", "bandpass"], default="lowpass")
-    p.add_argument("--cutoff", type=float, nargs="+", default=[0.45],
+    p.add_argument("--cutoff", type=float, nargs="+", default=[DEFAULT_LOWPASS_CUTOFF_HZ],
                    help="cutoff frequency (Hz); two values for bandpass")
     p.add_argument("--length", type=int, default=1001)
     p.add_argument("--window", choices=["hamming", "rect"], default="hamming")

@@ -9,6 +9,7 @@ that side".
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,16 @@ def knob(default, help: str, name: str | None = None):
     checks the value.
     """
     return field(default=default, metadata={"help": help, "name": name})
+
+
+def check_int(value, name: str, low: int) -> None:
+    """Raise ``InputError`` unless ``operator.index`` takes ``value`` and it is >= ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError:  # nan, inf, 2.5
+        raise InputError(f"{name} must be an integer, got {value}") from None
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
 
 
 def _frozen_array(x, name: str) -> np.ndarray:

@@ -42,9 +42,9 @@ __all__ = [
     "next_fast_len",
 ]
 
-#: Default truncation threshold of a ``KernelSpec`` built directly and of
-#: ``run_scaling``; the pipeline uses ``PipelineParams.tau`` instead.
-DEFAULT_TAU = 1e-3
+#: Truncation threshold of a ``KernelSpec`` that names none, and the default
+#: of ``PipelineParams.tau``, whose docstring gives the trade it sets.
+DEFAULT_TAU = 1e-5
 
 
 @dataclass(frozen=True)

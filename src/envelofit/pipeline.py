@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import BoxConstraint, EnvelofitError, InputError, Signal, knob
-from .kernel import KernelSpec
+from .kernel import DEFAULT_TAU, KernelSpec
 from .solver import SolveParams, SolveResult, SolverSettings, solve_constrained_filter
 
 __all__ = [
@@ -52,7 +52,7 @@ class PipelineParams:
     ``lambda0``/``sigma0`` drive the tight envelopes (heavy fit, narrow
     kernel), ``lambda1``/``sigma1`` the final smoothing (light fit, wide
     kernel).  Widths are in samples.  ``tau``, every stage's kernel
-    truncation, is tighter than the kernel-module default.  It sets the band
+    truncation, defaults to ``kernel.DEFAULT_TAU``.  It sets the band
     half-width ``K``, and ``K`` the diagonal floor ``1/(2(K + 1))``, which
     trades quality for iterations.  ``kernels`` holds each stage's
     ``KernelSpec`` (``tight``, ``smooth`` and ``coarse`` with ``coarse``),
@@ -64,7 +64,7 @@ class PipelineParams:
     lambda1: float = knob(0.5, "smoothing data-fit weight")
     sigma0: float = knob(5.0, "envelope kernel width, samples")
     sigma1: float = knob(20.0, "smoothing kernel width, samples")
-    tau: float = knob(1e-5, "kernel truncation threshold of every stage")
+    tau: float = knob(DEFAULT_TAU, "kernel truncation threshold of every stage")
     coarse: CoarseParams | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
     kernels: dict = field(init=False, repr=False, compare=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import InputError, NumericalError, Signal, knob
+from .core import InputError, NumericalError, Signal, check_int, knob
 
 __all__ = [
     "GpParams",
@@ -58,8 +58,7 @@ class TrialSpec:
     transient: GpParams = field(default_factory=lambda: GpParams(0.1, 10.0, 1e-5))
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.seed, "seed", 0)
         if not (0 < self.fs_hz < np.inf and 0 < self.duration_s < np.inf):
             raise InputError(f"fs_hz and duration_s must be positive and finite, "
                              f"got {self.fs_hz}, {self.duration_s}")

@@ -56,6 +56,17 @@ class TestRunMseExperiment:
         with pytest.raises(InputError):
             run_mse_experiment(0, 0, FAST_PIPELINE, [identity_filter()], SHORT)
 
+    @pytest.mark.parametrize("n_trials, base_seed, name", [
+        (2.5, 0, "n_trials"), (np.nan, 0, "n_trials"),
+        (1, 2.5, "seed"), (1, np.nan, "seed"),
+    ])
+    def test_counts_and_seeds_must_be_integers(self, n_trials, base_seed, name, monkeypatch):
+        # rejected before any trial runs
+        monkeypatch.setattr("envelofit.bench.decompose_debiased",
+                            lambda *a: pytest.fail("a trial ran"))
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            run_mse_experiment(n_trials, base_seed, FAST_PIPELINE, [identity_filter()], SHORT)
+
     def test_trace_final_residual_consistency(self):
         # trial 0's trace and iteration count are those of a direct call
         from envelofit.pipeline import decompose_debiased
@@ -75,7 +86,7 @@ class TestRunScaling:
         assert all(t > 0 for _, t in table)
 
     def test_too_small_n_rejected(self):
-        # sigma=20, tau=1e-3: band half-width ~52 exceeds n
-        with pytest.raises(InputError, match="half-width 52 does not fit signal length 16"):
+        # sigma=20, tau=1e-5: band half-width 67 exceeds n
+        with pytest.raises(InputError, match="half-width 67 does not fit signal length 16"):
             run_scaling([16], iters=5, repeats=1)
 

@@ -265,7 +265,7 @@ def test_every_csv_cell_is_a_plain_number(tmp_path):
         assert rows
         for row in rows:
             for name, cell in zip(header, row, strict=True):
-                if name != "method":
+                if name not in ("method", "stage"):
                     (int if name in ("index", "trial_id", "iter") else float)(cell)
 
     sig = read_signal_csv(obs)
@@ -480,19 +480,34 @@ class TestBench:
         assert (d1 / "mse.csv").read_bytes() == (d2 / "mse.csv").read_bytes()
         assert (d1 / "traces.csv").read_bytes() == (d2 / "traces.csv").read_bytes()
 
-    def test_mse_csv_round_trips_report(self, tmp_path):
-        # trial-major rows, methods in the report's order, floats read back exactly
+    @staticmethod
+    def bench_and_report(out):
+        """Two short trials through the CLI into ``out``, and the same two
+        through ``run_mse_experiment``."""
         assert run(["bench", "--trials", 2, "--duration", 40, "--baseline-lengths", 101,
-                    "--output-dir", tmp_path, "--quiet", *FAST]) == 0
-        report = run_mse_experiment(2, 1, PipelineParams(
+                    "--output-dir", out, "--quiet", *FAST]) == 0
+        return run_mse_experiment(2, 1, PipelineParams(
             coarse=CoarseParams(), solver=SolverSettings(max_iters=2000)),
             default_baselines(10.0, (101,)), TrialSpec(duration_s=40.0))
+
+    def test_mse_csv_round_trips_report(self, tmp_path):
+        # trial-major rows, methods in the report's order, floats read back exactly
+        report = self.bench_and_report(tmp_path)
         header, rows = _csv_rows(tmp_path / "mse.csv")
         assert header == ["trial_id", "method", "mse"]
         assert [(int(i), m) for i, m, _ in rows] == [
             (i, m) for i in range(2) for m in report.mses]
         for i, m, v in rows:
             assert float(v) == report.mses[m][int(i)]
+
+    def test_traces_csv_round_trips_report(self, tmp_path):
+        # every stage of every trial, in diagnostics order, floats read back exactly
+        report = self.bench_and_report(tmp_path)
+        header, rows = _csv_rows(tmp_path / "traces.csv")
+        assert header == ["trial_id", "stage", "iter", "residual"]
+        assert [(int(i), stage, int(it), float(v)) for i, stage, it, v in rows] == [
+            (i, r.stage, it, v) for i, stages in enumerate(report.diagnostics)
+            for r in stages for it, v in r.residual_trace]
 
     def test_ordering_is_stable_argsort_of_proposed(self, tmp_path):
         assert run(["bench", "--trials", 3, "--duration", 40, "--baseline-lengths", 101,

@@ -230,7 +230,7 @@ class TestApplyCirculant:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense_multiply(self, seed):
         rng = np.random.default_rng(seed)
-        spec = KernelSpec(sigma=rng.uniform(1, 10))
+        spec = KernelSpec(sigma=rng.uniform(1, 10), tau=1e-3)
         n = band_half_width(spec) + int(rng.integers(8, 200))
         band = build_band(spec, n)
         op = embed_circulant(band)
@@ -254,7 +254,7 @@ class TestApplyResolvent:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense_solve(self, seed):
         rng = np.random.default_rng(seed + 100)
-        spec = KernelSpec(sigma=rng.uniform(1, 8))
+        spec = KernelSpec(sigma=rng.uniform(1, 8), tau=1e-3)
         n = band_half_width(spec) + int(rng.integers(8, 150))
         band = build_band(spec, n)
         op = embed_circulant(band)
@@ -415,7 +415,7 @@ class TestApplyToeplitz:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense(self, seed):
         rng = np.random.default_rng(seed + 50)
-        spec = KernelSpec(sigma=rng.uniform(0.8, 6.0))
+        spec = KernelSpec(sigma=rng.uniform(0.8, 6.0), tau=1e-3)
         n = band_half_width(spec) + int(rng.integers(8, 256))
         band = build_band(spec, n)
         dense = dense_toeplitz(band)
@@ -426,7 +426,7 @@ class TestApplyToeplitz:
 
     def test_agrees_with_circulant_path(self):
         rng = np.random.default_rng(3)
-        band = build_band(KernelSpec(sigma=4.0), 64)
+        band = build_band(KernelSpec(sigma=4.0, tau=1e-3), 64)
         op = embed_circulant(band)
         z = rng.standard_normal(64)
         padded = np.concatenate([z, np.zeros(op.size - 64)])

@@ -257,16 +257,31 @@ def test_one_band_and_one_circulant_per_stage(decompose, stages, short_trial, mo
     assert calls == ["build_band", "embed_circulant"] * stages
 
 
-def test_benchmark_stage_names_match_pipeline(short_trial, monkeypatch):
-    """``perfbench/workloads.py`` keeps its own copy of the stage names; it
-    must list them in the order the pipelines run and name their results."""
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded as the benchmark loads it."""
     bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(bench_dir))  # for its ``import longgen``
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", bench_dir / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_warmup_is_one_gap_check(workloads):
+    """Each workload warms up with a cap of one gap-check cadence, read off
+    ``SolverSettings``, so a renamed constant fails here and not only when a
+    benchmark run exits non-zero."""
+    assert workloads.WORKLOADS
+    for w in workloads.WORKLOADS.values():
+        assert w.warmup_params().solver.max_iters == SolverSettings.trace_every
+
+
+def test_benchmark_stage_names_match_pipeline(short_trial, workloads):
+    """``perfbench/workloads.py`` keeps its own copy of the stage names; it
+    must list them in the order the pipelines run and name their results."""
     p = PipelineParams(coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
     for decompose, stages in ((decompose_debiased, workloads.DEBIASED_STAGES),
                               (decompose_basic, workloads.BASIC_STAGES)):

@@ -33,7 +33,7 @@ def pd_instance(rng, n_range=(8, 64)):
     """Random small instance with a narrow kernel; the band is positive
     definite by construction, as the dense oracle requires."""
     n = int(rng.integers(*n_range))
-    spec = KernelSpec(sigma=float(rng.uniform(0.8, 3.0)))
+    spec = KernelSpec(sigma=float(rng.uniform(0.8, 3.0)), tau=1e-3)
     y = Signal(rng.normal(scale=2.0, size=n), 10.0)
     which = rng.integers(3)
     if which == 0:
@@ -52,12 +52,12 @@ def pd_instance(rng, n_range=(8, 64)):
 
 
 class TestParamValidation:
-    @pytest.mark.parametrize("caps", [{"max_iters": -5}, {"trace_every": -3}])
+    @pytest.mark.parametrize("caps", [{"max_iters": -5}])
     def test_negative_caps_rejected(self, caps):
         y = Signal([1.0, 2.0], 1.0)
         box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
         with pytest.raises(InputError, match="must be >= 1"):
-            SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, **caps)
+            SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0, tau=1e-3), box=box, **caps)
 
     @pytest.mark.parametrize("kw", [
         pytest.param({name: v}, id=f"{name}={v}")
@@ -68,17 +68,25 @@ class TestParamValidation:
         for v in values
     ])
     def test_settings_rejected_when_built(self, kw):
-        # the step size is derived, not a setting: no value of it is taken
-        with pytest.raises(TypeError if "alpha" in kw else InputError,
-                           match=next(iter(kw))):
+        # the step size is derived and the gap-check cadence a constant, not
+        # settings: no value of either is taken
+        name = next(iter(kw))
+        with pytest.raises(TypeError if name in ("alpha", "trace_every") else InputError,
+                           match=name):
             SolverSettings(**kw)
+
+    def test_gap_check_cadence_is_a_constant(self):
+        assert [f.name for f in dataclasses.fields(SolverSettings)] == ["max_iters", "tol"]
+        assert SolverSettings.trace_every == SolveParams.trace_every == 25
+        with pytest.raises(TypeError, match="trace_every"):
+            dataclasses.replace(SolverSettings(), trace_every=10)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
     def test_lam_positive_and_finite(self, lam):
         y = Signal([1.0, 2.0], 1.0)
         box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
         with pytest.raises(InputError, match="lam"):
-            SolveParams(y=y, lam=lam, kernel=KernelSpec(1.0), box=box)
+            SolveParams(y=y, lam=lam, kernel=KernelSpec(1.0, tau=1e-3), box=box)
 
     def test_one_declaration_of_the_settings(self):
         assert issubclass(SolveParams, SolverSettings)
@@ -88,7 +96,7 @@ class TestParamValidation:
         y = Signal([1.0, 2.0], 1.0)
         box = BoxConstraint([-1.0, -1.0], [3.0, 3.0])
         with pytest.raises(TypeError, match="alpha"):
-            SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0), box=box, alpha=1.0)
+            SolveParams(y=y, lam=1.0, kernel=KernelSpec(1.0, tau=1e-3), box=box, alpha=1.0)
 
     def test_unset_alpha_stores_the_stage_rule(self):
         for n, sigma, tau in [(30, 2.0, 1e-3), (2000, 50.0, 1e-5), (1, 1.0, 0.5)]:
@@ -199,7 +207,7 @@ class TestPinnedBounds:
         rng = np.random.default_rng(0)
         y = Signal(rng.normal(size=24), 10.0)
         pin = rng.normal(size=24)
-        p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(2.0),
+        p = SolveParams(y=y, lam=1.0, kernel=KernelSpec(2.0, tau=1e-3),
                         box=BoxConstraint(pin, pin))
         res = solve_constrained_filter(p)
         np.testing.assert_array_equal(res.x_hat.samples, pin)
@@ -281,10 +289,10 @@ class TestResidual:
 
     def test_trace_every_past_the_cap_checks_at_the_cap(self):
         rng = np.random.default_rng(3)
-        q = dataclasses.replace(pd_instance(rng), trace_every=100, max_iters=50)
+        q = dataclasses.replace(pd_instance(rng), max_iters=20)
         res = solve_constrained_filter(q)
-        assert res.iters == 50
-        assert res.residual_trace == ((50, res.residual_inf),)
+        assert res.iters == 20
+        assert res.residual_trace == ((20, res.residual_inf),)
 
 
 class TestFeasibility:
@@ -358,15 +366,15 @@ class TestFusedLoopMatchesReference:
         self.assert_identical(loop_instance(box_kind, n=2**15, max_iters=50))
 
     def test_trace_every_at_the_cap(self):
-        res = self.assert_identical(loop_instance("mixed", max_iters=40, trace_every=40))
-        assert [k for k, _ in res.residual_trace] == [40]
+        res = self.assert_identical(loop_instance("mixed", max_iters=25))
+        assert [k for k, _ in res.residual_trace] == [25]
 
     def test_one_iteration_cap(self):
         res = self.assert_identical(loop_instance("two_sided", max_iters=1))
         assert res.iters == 1 and [k for k, _ in res.residual_trace] == [1]
 
     def test_cap_not_multiple_of_trace_every(self):
-        res = self.assert_identical(loop_instance("lower", max_iters=107, trace_every=25))
+        res = self.assert_identical(loop_instance("lower", max_iters=107))
         assert [k for k, _ in res.residual_trace] == [25, 50, 75, 100, 107]
 
     def test_converges_early(self):
@@ -379,7 +387,7 @@ class TestFusedLoopMatchesReference:
         original = envelofit.solver.apply_resolvent
         monkeypatch.setattr(envelofit.solver, "apply_resolvent",
                             lambda *a: calls.append(1) or original(*a))
-        res = solve_constrained_filter(loop_instance("upper", max_iters=60, trace_every=7))
+        res = solve_constrained_filter(loop_instance("upper", max_iters=110))
         assert len(calls) == res.iters + 1
 
     def test_resolvent_reuses_its_buffers(self, monkeypatch):
@@ -428,19 +436,24 @@ class TestCheckpointProduct:
     convolution at the loop's own states: at the loop's step and, from the
     same ``u``, at the step ``alpha``, whose resolvent is taken afresh.  Only
     the loop's own gap is held within ``1e-6 * tol_abs``: at a far smaller
-    step the resolvent's rounding, about ``eps * ||u|| / alpha``, is not."""
+    step the resolvent's rounding, about ``eps * ||u|| / alpha``, is not.
+    The solves of length 2000 and 20 converge within 175 iterations, so a
+    second seed of each checks more of the loop's states."""
 
     CASES = [
-        *[dict(box_kind=kind, n=n, max_iters=100 if n == 2000 else 30)
+        *[dict(box_kind=kind, n=n, max_iters=250 if n == 2000 else 75)
           for kind in ("two_sided", "lower", "upper") for n in (2000, 2**15)],
-        dict(box_kind="two_sided", sigma=1.0, tau=0.5, max_iters=60),  # K = 0
-        dict(box_kind="lower", n=20, sigma=5.0, tau=1e-3, max_iters=60),  # n < 2K
+        dict(box_kind="two_sided", sigma=1.0, tau=0.5, max_iters=150),  # K = 0
+        dict(box_kind="lower", n=20, sigma=5.0, tau=1e-3, max_iters=150),  # n < 2K
+        *[dict(box_kind=kind, n=2000, max_iters=250, seed=1)
+          for kind in ("two_sided", "lower", "upper")],
+        dict(box_kind="lower", n=20, sigma=5.0, tau=1e-3, max_iters=150, seed=1),
     ]
 
     @pytest.mark.parametrize("alpha", [1e-3, 0.1, 14.1, 50.0])
     @pytest.mark.parametrize("case", CASES)
     def test_matches_convolution_at_checkpoints(self, case, alpha, monkeypatch):
-        p = loop_instance(trace_every=10, **case)
+        p = loop_instance(**case)
         op = p.circulant
         eps = np.finfo(float).eps
         seen = []
@@ -484,7 +497,7 @@ class TestLoopAllocation:
         """From the first prox to the last resolvent the solve's traced peak
         exceeds its fixed buffers by less than one float64 n-vector."""
         n = 2**15
-        p = loop_instance(box_kind, n=n, max_iters=20, trace_every=20)
+        p = loop_instance(box_kind, n=n, max_iters=20)
         solve_constrained_filter(p)  # FFT plans and caches warm
         p = dataclasses.replace(p)  # a fresh stage: band and circulant not yet built
         held, peak, sizes = [], [], []
@@ -560,13 +573,13 @@ class TestSpectrumGuard:
         assert called == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("trace_every", [25, 100])
-    def test_divergence_raises_at_first_nonfinite_gap(self, trace_every, monkeypatch):
+    @pytest.mark.parametrize("max_iters", [60, 40])
+    def test_divergence_raises_at_first_nonfinite_gap(self, max_iters, monkeypatch):
         """A non-finite reflection at iteration 30 makes every later iterate
-        NaN; the next checkpoint (mid-run at 50, or at the cap, 60) says
+        NaN; the next checkpoint (mid-run at 50, or at the cap, 40) says
         so, without numpy warnings, instead of returning NaNs."""
         inject_nonfinite_reflection(monkeypatch, at=30)
-        p = loop_instance("lower", n=2000, max_iters=60, trace_every=trace_every)
+        p = loop_instance("lower", n=2000, max_iters=max_iters)
         gaps = []
 
         def recorded(*args):
@@ -576,8 +589,8 @@ class TestSpectrumGuard:
         monkeypatch.setattr(envelofit.solver, "residual", recorded)
         with pytest.raises(NumericalError) as exc:
             solve_constrained_filter(p)
-        iters, checks = (50, 2) if trace_every == 25 else (60, 1)
-        assert len(gaps) == checks
+        iters = min(50, max_iters)
+        assert len(gaps) == 2
         assert np.all(np.isfinite(gaps[:-1])) and not np.isfinite(gaps[-1])
         assert f"at iteration {iters} with alpha={p.alpha}" in str(exc.value)
 

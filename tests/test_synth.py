@@ -69,6 +69,11 @@ class TestGpParams:
         with pytest.raises(InputError, match="positive and finite"):
             TrialSpec(**{field: value})
 
+    @pytest.mark.parametrize("seed", [2.5, np.nan, np.inf, 3.0])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InputError, match=f"seed must be an integer, got {seed}"):
+            TrialSpec(seed=seed)
+
 
 class TestSampleGp:
     def test_determinism(self):
