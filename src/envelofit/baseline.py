@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, Signal
+from .core import InputError, Signal, check_int
 from .kernel import next_fast_len
 
 __all__ = [
@@ -65,7 +65,8 @@ def design_fir(kind: str, cutoffs_hz, fs_hz: float, length: int,
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
     if not 0 < fs_hz < np.inf:
         raise InputError(f"fs_hz must be positive and finite, got {fs_hz}")
-    if length < 1 or length % 2 == 0:
+    check_int(length, "length", 1)
+    if length % 2 == 0:
         raise InputError(f"length must be a positive odd integer, got {length}")
     if window not in _WINDOWS:
         raise InputError(f"unknown window {window!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import os
 import sys
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import (
+    _WINDOWS,
     DEFAULT_BASELINE_LENGTHS,
     DEFAULT_LOWPASS_CUTOFF_HZ,
     default_baselines,
@@ -260,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("peaks", help="peak picking on a transient CSV")
     p.add_argument("input")
     p.add_argument("--fs", type=float, default=None)
-    p.add_argument("--min-separation", type=float, default=0.33,
-                   help="minimum peak spacing, seconds (default 0.33)")
+    p.add_argument("--min-separation", type=float,
+                   default=inspect.signature(detect_peaks).parameters["min_separation_s"].default,
+                   help="minimum peak spacing, seconds (default %(default)s)")
     p.add_argument("--min-prominence", type=float, default=None,
                    help="default: 0.25 x 95th percentile of |signal|")
     _add_common(p)
@@ -273,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, nargs="+", default=[DEFAULT_LOWPASS_CUTOFF_HZ],
                    help="cutoff frequency (Hz); two values for bandpass")
     p.add_argument("--length", type=int, default=1001)
-    p.add_argument("--window", choices=["hamming", "rect"], default="hamming")
+    p.add_argument("--window", choices=_WINDOWS,
+                   default=inspect.signature(design_fir).parameters["window"].default)
     p.add_argument("--fs", type=float, default=None)
     p.add_argument("--prefix", default=None)
     _add_common(p)

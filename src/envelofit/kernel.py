@@ -8,13 +8,13 @@ leaves the band indefinite; the middle term bounds how far the dropped tail
 lowers the (positive) untruncated symbol, so every Toeplitz and circulant
 eigenvalue exceeds the floor ``1/(2(K + 1))``, for any size.  The condition
 number, about ``2 sqrt(pi) sigma (K + 1)``, then sets the splitting
-iterations per solve.  Every solve embeds that band in a circulant of size
-``next_fast_len(N + K)``, at least ``N + K``, which makes both the
-matrix-vector product and the resolvent ``(I + alpha C)^-1``, at the step
-the circulant derives, diagonal in the Fourier basis, so each costs one FFT
-pair.  The transforms are
-numpy's pocketfft kernels, bound once per operator; ``toeplitz_from_resolvent``
-reads the banded product off a resolvent instead of convolving.
+iterations per solve.  ``embed_circulant`` embeds a band in the circulant
+of size ``next_fast_len(N + K)``, which carries the band and derives the
+step, and makes both the matrix-vector product and the resolvent
+``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs one FFT
+pair.  The transforms are numpy's pocketfft kernels, bound once per
+operator; ``toeplitz_from_resolvent`` reads the band's product off a
+resolvent instead of convolving.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .core import InputError, NumericalError
+from .core import InputError, NumericalError, check_int
 
 __all__ = [
     "KernelSpec",
@@ -73,7 +73,8 @@ class ToeplitzBand:
 
 @dataclass(frozen=True)
 class CirculantOperator:
-    """Spectral form of the circulant extension of a ToeplitzBand, and its step.
+    """Spectral form of the circulant extension of ``band``, and its step;
+    a product read off its resolvent takes both from it.
 
     ``eigenvalues`` is the rfft half of the spectrum (length ``size // 2 + 1``);
     the even-symmetric first row makes the other half its mirror image, so the
@@ -87,6 +88,7 @@ class CirculantOperator:
     transform skips ``numpy.fft``'s per-call dispatch.
     """
 
+    band: ToeplitzBand
     size: int
     eigenvalues: np.ndarray
     eig_min: float = field(init=False)
@@ -168,8 +170,7 @@ def band_half_width(spec: KernelSpec) -> int:
 def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
     """Banded first row of the covariance for a length-``n`` signal, its
     diagonal raised as the module docstring states."""
-    if n < 1:
-        raise InputError(f"signal length must be >= 1, got {n}")
+    check_int(n, "signal length", 1)
     k = band_half_width(spec)
     if k >= n:
         raise InputError(
@@ -183,20 +184,15 @@ def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
     return ToeplitzBand(first_row=row, half_width=k, n=n)
 
 
-def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOperator:
+def embed_circulant(band: ToeplitzBand) -> CirculantOperator:
     """Circulant extension whose top-left N x N block equals the Toeplitz band.
 
-    ``size=None`` gives the minimal extension ``M = N + K``.  Any larger size
-    also embeds the band exactly (extra zeros in the first row) and may be
-    chosen for FFT efficiency.
+    Its size is ``next_fast_len(N + K)``, the first FFT-friendly size from
+    ``N + K``, the least that embeds the band; zeros fill the first row's
+    middle, so every such size embeds it exactly.
     """
     k = band.half_width
-    m_min = band.n + k
-    m = m_min if size is None else int(size)
-    if m < m_min:
-        raise InputError(
-            f"circulant size {m} below minimal embedding size {m_min}"
-        )
+    m = next_fast_len(band.n + k)
     row = np.zeros(m)
     row[: k + 1] = band.first_row
     if k > 0:
@@ -204,7 +200,7 @@ def embed_circulant(band: ToeplitzBand, size: int | None = None) -> CirculantOpe
     # even-symmetric row => real spectrum; discard round-off imaginary part
     eig = _rfft_kernel(m)(row, 1.0, out=np.empty(m // 2 + 1, dtype=complex)).real.copy()
     eig.flags.writeable = False
-    return CirculantOperator(size=m, eigenvalues=eig)
+    return CirculantOperator(band=band, size=m, eigenvalues=eig)
 
 
 def apply_resolvent(op: CirculantOperator, v, out=None, spec=None) -> np.ndarray:
@@ -245,9 +241,9 @@ def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:
     return np.convolve(z, kern, mode="full")[k : k + band.n]
 
 
-def toeplitz_from_resolvent(band: ToeplitzBand, alpha: float, u, r,
-                            out=None) -> np.ndarray:
-    """Banded product ``C z`` for ``z = r[:n]``, read off ``r = (I + alpha C~)^-1 u``.
+def toeplitz_from_resolvent(op: CirculantOperator, u, r, out=None) -> np.ndarray:
+    """Banded product ``C z`` for ``z = r[:n]``, read off ``r = (I + alpha C~)^-1 u``,
+    the resolvent of ``op`` at its step ``alpha``.
 
     ``(I + alpha C~) r = u`` gives ``C~ r = (u - r) / alpha``.  Its first
     ``n`` rows are ``C z`` plus the band's reach into the tail ``r[n:]``,
@@ -257,9 +253,10 @@ def toeplitz_from_resolvent(band: ToeplitzBand, alpha: float, u, r,
     resolvent's rounding over ``alpha``, of order ``eps * ||u|| / alpha``.
     ``out`` (length ``n``) may be any buffer that overlaps neither input.
     """
+    band = op.band
     n, k = band.n, band.half_width
     cz = np.subtract(u[:n], r[:n], out=out)
-    cz /= alpha
+    cz /= op.alpha
     if k:
         taps = band.first_row[:0:-1]  # c[K], ..., c[1]
         cz[n - k:] -= np.convolve(r[n : n + k], taps)[:k]

@@ -14,7 +14,8 @@ contiguous blocks so that the update is three matrix-vector products and
 one small LAPACK solve.  That leaves the fixed point, and so the solution
 and the gap that certifies it, as they are.  ``SolveParams`` extends the
 settings with the problem data; both check their values when built, and
-``SolveParams`` builds the stage's band and circulant on first use.
+``SolveParams`` builds the stage's circulant, which carries the band and
+derives the step, on first use.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ from .core import BoxConstraint, InputError, NumericalError, Signal, check_int, 
 from .kernel import (
     CirculantOperator,
     KernelSpec,
-    ToeplitzBand,
     apply_resolvent,
     apply_toeplitz,
     build_band,
     embed_circulant,
-    next_fast_len,
     toeplitz_from_resolvent,
 )
 from .prox import ProxParams, reflect_g
@@ -84,10 +83,9 @@ class SolverSettings:
 class SolveParams(SolverSettings):
     """Problem data plus the inherited splitting settings.
 
-    The stage's ``band`` and ``circulant`` (sized from ``N + K`` up to an
-    FFT-friendly length that still embeds the band exactly) are built on
-    first use and kept; ``dataclasses.replace`` builds them again.
-    ``alpha`` is that circulant's step.
+    The stage's ``circulant``, which sizes itself, keeps the kernel's band
+    and derives the step ``alpha``, is built on first use and kept;
+    ``dataclasses.replace`` builds it again.
     """
 
     y: Signal
@@ -105,12 +103,8 @@ class SolveParams(SolverSettings):
             )
 
     @cached_property
-    def band(self) -> ToeplitzBand:
-        return build_band(self.kernel, len(self.y))
-
-    @cached_property
     def circulant(self) -> CirculantOperator:
-        return embed_circulant(self.band, next_fast_len(len(self.y) + self.band.half_width))
+        return embed_circulant(build_band(self.kernel, len(self.y)))
 
     @property
     def alpha(self) -> float:
@@ -148,17 +142,17 @@ def residual(z, p: SolveParams, cz=None, out=None) -> float:
     """Sup-norm optimality gap ``||C z - P_B(y - z/lam)||_inf``.
 
     Zero exactly at the dual optimum; drives the convergence check.  ``cz``
-    is ``C z`` when the caller has it; without it ``p.band`` is
-    convolved.  Every intermediate is written into one n-long buffer:
-    ``out`` when given (overlapping neither ``z`` nor ``cz``), so the loop's
-    gap allocates nothing, otherwise a fresh one.
+    is ``C z`` when the caller has it; without it the band that
+    ``p.circulant`` carries is convolved.  Every intermediate is written
+    into one n-long buffer: ``out`` when given (overlapping neither ``z``
+    nor ``cz``), so the loop's gap allocates nothing, otherwise a fresh one.
     """
     z = np.asarray(z, dtype=float)
     n = len(p.y)
     if z.shape != (n,):
         raise InputError(f"z length {z.shape} != {n}")
     if cz is None:
-        cz = apply_toeplitz(p.band, z)
+        cz = apply_toeplitz(p.circulant.band, z)
     elif np.shape(cz) != z.shape:
         raise InputError(f"C z length {np.shape(cz)} != {n}")
     if out is None:
@@ -202,7 +196,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     first such checkpoint raises ``NumericalError``.
     """
     start = time.perf_counter()
-    n, band, op, alpha = len(p.y), p.band, p.circulant, p.alpha
+    n, op, alpha = len(p.y), p.circulant, p.alpha
     prox_params = ProxParams(lam=p.lam, alpha=alpha, y=p.y.samples, box=p.box)
     tol_abs, cap, every, mem = p.tol_abs, p.max_iters, p.trace_every, _ANDERSON_MEMORY
 
@@ -257,8 +251,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
             iters += 1
             apply_resolvent(op, u, r, spec)
             if iters % every == 0 or iters == cap:
-                res = residual(r_head, p,
-                               toeplitz_from_resolvent(band, alpha, u, r, g[:n]), work)
+                res = residual(r_head, p, toeplitz_from_resolvent(op, u, r, g[:n]), work)
                 trace.append((iters, res))
                 if res < tol_abs or not math.isfinite(res):
                     break
@@ -274,6 +267,6 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         residual_inf=res,
         residual_trace=tuple(trace),
         converged=res < tol_abs,
-        alpha=alpha, m=op.size, k=band.half_width, eig_min=op.eig_min, eig_max=op.eig_max,
+        alpha=alpha, m=op.size, k=op.band.half_width, eig_min=op.eig_min, eig_max=op.eig_max,
         wall_s=time.perf_counter() - start,
     )

@@ -93,8 +93,7 @@ def sample_gp(p: GpParams, n: int, fs: float,
     ``_gp_factor.cache_clear()`` frees it.
     """
     rng = np.random.default_rng(rng)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_int(n, "n", 1)
     if n > DENSE_GP_LIMIT:
         raise InputError(
             f"dense GP sampling limited to n <= {DENSE_GP_LIMIT}, got {n}"

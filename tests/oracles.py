@@ -2,17 +2,19 @@
 
 None of these run in the pipeline: a scalar prox with its own case table,
 the vector prox ``(reflect_g + I) / 2``, which the tests hold to a
-brute-force minimiser, the band without its diagonal shift, a circulant
-product and a resolvent at any step straight from the spectrum, a dense
-solve of the primal problem with a generic bound-constrained minimiser, the
-unfused splitting loop (with its ``np.select`` prox, divided resolvent,
-Anderson history of fresh vectors and out-of-place checkpoint product and
-gap) that
-the package's in-place loop must reproduce bit for bit, and the uncached
+brute-force minimiser, the band without its diagonal shift, the first row
+of a band's circulant at any size, an operator at a step its spectrum does
+not derive, a circulant product and a resolvent at any step straight from
+the spectrum, a dense solve of the primal problem with a generic
+bound-constrained minimiser, the unfused splitting loop (with its
+``np.select`` prox, divided resolvent, Anderson history of fresh vectors
+and out-of-place checkpoint product and gap) that the package's in-place
+loop must reproduce bit for bit, and the uncached
 out-of-place GP factor and sampler (``np.linalg.cholesky`` on a second
 array) that the cached, in-place one must reproduce bit for bit.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -71,6 +73,26 @@ def inject_truncated_band(monkeypatch) -> None:
     """Make every solve build ``truncated_band``, whose negative eigenvalues
     the step-size rule rejects."""
     monkeypatch.setattr(envelofit.solver, "build_band", truncated_band)
+
+
+def circulant_row(band: ToeplitzBand, size: int) -> np.ndarray:
+    """First row of the band's circulant extension of any ``size >= n + K``,
+    built straight from the band (no FFT round trip)."""
+    k = band.half_width
+    row = np.zeros(size)
+    row[: k + 1] = band.first_row
+    row[size - k:] = band.first_row[1:][::-1]
+    return row
+
+
+def at_step(op: CirculantOperator, alpha: float) -> CirculantOperator:
+    """A copy of ``op`` whose step is ``alpha``, not the one its spectrum
+    derives.  The package builds no such operator, but the identity that
+    ``toeplitz_from_resolvent`` reads holds at any step, and its rounding,
+    about ``eps * ||u|| / alpha``, is checked over a range of them."""
+    forced = dataclasses.replace(op)  # a fresh copy builds its own multipliers
+    object.__setattr__(forced, "alpha", alpha)
+    return forced
 
 
 def dense_toeplitz(band: ToeplitzBand) -> np.ndarray:
@@ -238,7 +260,8 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
     start = time.perf_counter()
     n = len(p.y)
     band = build_band(p.kernel, n)
-    op = embed_circulant(band, size=scipy.fft.next_fast_len(n + band.half_width))
+    op = embed_circulant(band)
+    assert op.size == scipy.fft.next_fast_len(n + band.half_width)
     mem = envelofit.solver._ANDERSON_MEMORY
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)

@@ -29,6 +29,7 @@ from envelofit.synth import TrialSpec, generate_trial
 
 from oracles import (
     apply_circulant,
+    circulant_row,
     dense_toeplitz,
     prox_r,
     prox_scalar_q,
@@ -149,11 +150,7 @@ def test_criterion_4_circulant_embedding():
         n = int(rng.integers(max(k + 1, 4), 400))
         band = build_band(spec, n)
         op = embed_circulant(band)
-        # oracle row built directly from the band (no FFT round trip)
-        row = np.zeros(op.size)
-        row[: k + 1] = band.first_row
-        if k > 0:
-            row[-k:] = band.first_row[1:][::-1]
+        row = circulant_row(band, op.size)  # straight from the band, no FFT round trip
         dense_circ = scipy.linalg.circulant(row).T
         np.testing.assert_array_equal(dense_circ[:n, :n], dense_toeplitz(band))
         if op.size <= 512:
@@ -223,7 +220,9 @@ def test_criterion_7_mse_symmetry(experiment):
 
 def test_criterion_8_scaling():
     sizes = [2 ** k for k in range(12, 17)]
-    table = run_scaling(sizes, iters=20, repeats=7)
+    # the median of 31 repeats: of 7, and now and then of 15, a slow phase of
+    # the host pushed one ratio past the bound
+    table = run_scaling(sizes, iters=20, repeats=31)
     times = [t for _, t in table]
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     ok = all(r < 2.6 for r in ratios)

@@ -20,6 +20,11 @@ class TestDesignFir:
         with pytest.raises(InputError):
             design_fir("lowpass", (0.45,), 10.0, 100)
 
+    @pytest.mark.parametrize("length", [3.0, 2.5, np.nan, 0, -1])
+    def test_length_must_be_a_positive_integer(self, length):
+        with pytest.raises(InputError, match="length must be"):
+            design_fir("lowpass", 0.45, 10.0, length)
+
     @pytest.mark.parametrize("fs", [0.0, -1.0, np.inf, np.nan])
     def test_rate_positive_and_finite(self, fs):
         with pytest.raises(InputError, match="fs_hz"):

@@ -26,6 +26,8 @@ from envelofit.kernel import (
 from oracles import (
     apply_circulant,
     apply_resolvent_reference,
+    at_step,
+    circulant_row,
     dense_toeplitz,
     truncated_band,
 )
@@ -126,27 +128,33 @@ class TestBuildBand:
     @pytest.mark.parametrize("sigma", [0.7, 5.0, 20.0, 50.0])
     @pytest.mark.parametrize("tau", [0.9, 0.3, 1e-3, 1e-5])
     def test_spectrum_above_floor(self, sigma, tau):
-        # every Toeplitz and circulant eigenvalue exceeds 1/(2(K + 1)), also
-        # at circulant sizes beyond the minimal one
+        # every Toeplitz and circulant eigenvalue exceeds 1/(2(K + 1)): the
+        # operator's, and an oracle circulant's at the minimal size and beyond
+        # the operator's own
         spec = KernelSpec(sigma=sigma, tau=tau)
         k = band_half_width(spec)
         floor = 0.5 / (k + 1)
         n = k + 1 + int(max(k, 16))
         band = build_band(spec, n)
         assert np.linalg.eigvalsh(dense_toeplitz(band)).min() > floor
-        for size in (n + k, n + k + 7, 2 * (n + k)):
-            op = embed_circulant(band, size)
-            assert op.eig_min == np.min(op.eigenvalues) > floor
-            assert op.eig_max == np.max(op.eigenvalues)
+        op = embed_circulant(band)
+        assert op.eig_min == np.min(op.eigenvalues) > floor
+        assert op.eig_max == np.max(op.eigenvalues)
+        for size in (n + k, op.size + 7, 2 * op.size):
+            assert scipy.fft.rfft(circulant_row(band, size)).real.min() > floor
         # truncation alone leaves wide kernels indefinite
         if sigma >= 5.0 and tau <= 1e-3:
-            row = truncated_band(spec, n).first_row  # its minimal circulant's spectrum:
-            circ = np.concatenate([row, np.zeros(n - 1 - k), row[:0:-1]])
-            assert scipy.fft.rfft(circ).real.min() < 0
+            row = circulant_row(truncated_band(spec, n), n + k)
+            assert scipy.fft.rfft(row).real.min() < 0
 
     def test_band_must_fit(self):
         with pytest.raises(InputError):
             build_band(KernelSpec(sigma=10.0, tau=0.01), 10)
+
+    @pytest.mark.parametrize("n", [20.5, 20.0, math.nan, 0, -3])
+    def test_length_must_be_a_positive_integer(self, n):
+        with pytest.raises(InputError, match="signal length must be"):
+            build_band(KernelSpec(sigma=2.0), n)
 
 
 class TestEmbedCirculant:
@@ -184,26 +192,21 @@ class TestEmbedCirculant:
             band = build_band(spec, n + band_half_width(spec))
         dense_toep = dense_toeplitz(band)
         op = embed_circulant(band)
-        # build the circulant row straight from the band; first_row(op) goes
-        # through an FFT round trip and is only accurate to ~1e-16
-        row = np.zeros(op.size)
-        k = band.half_width
-        row[: k + 1] = band.first_row
-        if k > 0:
-            row[-k:] = band.first_row[1:][::-1]
+        # built straight from the band: first_row(op) goes through an FFT
+        # round trip and is only accurate to ~1e-16
+        row = circulant_row(band, op.size)
         block = scipy.linalg.circulant(row).T[: band.n, : band.n]
         np.testing.assert_array_equal(block, dense_toep)
 
-    def test_oversized_embedding_still_exact(self):
-        band = build_band(KernelSpec(sigma=2.0, tau=1e-2), 10)
-        op = embed_circulant(band, size=32)
-        block = dense_circulant(op)[:10, :10]
-        np.testing.assert_allclose(block, dense_toeplitz(band), atol=1e-14)
-
-    def test_undersized_embedding_rejected(self):
-        band = build_band(KernelSpec(sigma=2.0, tau=1e-2), 10)
-        with pytest.raises(InputError):
-            embed_circulant(band, size=band.n + band.half_width - 1)
+    @pytest.mark.parametrize("sigma,tau", [(1.0, 0.1), (5.0, 1e-3), (20.0, 1e-5)])
+    def test_sizes_itself_and_keeps_its_band(self, sigma, tau):
+        # scipy's rule, from N + K: equal to it on 11-smooth sizes, above it between
+        spec = KernelSpec(sigma=sigma, tau=tau)
+        k = band_half_width(spec)
+        for n in range(k + 1, k + 300):
+            band = build_band(spec, n)
+            op = embed_circulant(band)
+            assert op.size == scipy.fft.next_fast_len(n + k) and op.band is band
 
 
 def toy_op():
@@ -300,12 +303,21 @@ class TestApplyResolvent:
             embed_circulant(truncated_band(KernelSpec(sigma=sigma, tau=tau), n))
 
 
+def op_reaching(reach):
+    """The operator of a band with ``K = 1`` and ``n + K = reach``: its size is
+    ``reach`` where that is 11-smooth, else the next such size (65 -> 66,
+    2049 -> 2058, 2067 -> 2079), so the cases reach odd and even sizes,
+    equal to and beyond ``n + K``."""
+    return embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), reach - 1))
+
+
 class TestResolventBuffers:
     # the bound kernels with output buffers must give the bits of the scipy.fft reference
-    @pytest.mark.parametrize("size", [3, 64, 65, 2016, 2049, 2079, 2160, 2178, 4158,
-                                      32928, 65610, 131220, 131250])
-    def test_buffers_match_reference(self, size):
-        op = embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
+    @pytest.mark.parametrize("reach", [3, 64, 65, 2016, 2049, 2067, 2079, 2160, 2178, 4158,
+                                       32928, 65610, 131220, 131250])
+    def test_buffers_match_reference(self, reach):
+        op = op_reaching(reach)
+        size = op.size
         v = np.random.default_rng(size).standard_normal(size)
         out = np.empty(size)
         spec = np.empty(size // 2 + 1, dtype=complex)
@@ -317,8 +329,8 @@ class TestResolventBuffers:
     def test_buffered_call_allocates_no_spectrum_copy(self):
         """With ``out`` and ``spec`` given, a call once the multipliers are
         built allocates no spectrum-sized array (at this size one is 132 KB)."""
-        size = 2**15 + 2**10
-        op = embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
+        op = op_reaching(2**15 + 2**10)
+        size = op.size
         v = np.random.default_rng(0).standard_normal(size)
         out = np.empty(size)
         spec = np.empty(size // 2 + 1, dtype=complex)
@@ -337,13 +349,11 @@ class TestResolventBuffers:
 class TestBoundTransforms:
     """The pocketfft kernels an operator binds give ``numpy.fft``'s bits."""
 
-    @staticmethod
-    def op_of_size(size):
-        return embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), size - 1), size)
-
-    @pytest.mark.parametrize("size", [3, 64, 65, 2016, 2079, 2178, 32928, 131220, 131250])
-    def test_kernels_match_numpy_fft(self, size):
-        op = self.op_of_size(size)
+    @pytest.mark.parametrize("reach", [3, 64, 65, 2016, 2067, 2079, 2178, 32928, 131220,
+                                       131250])
+    def test_kernels_match_numpy_fft(self, reach):
+        op = op_reaching(reach)
+        size = op.size
         v = np.random.default_rng(size).standard_normal(size)
         spec = np.empty(size // 2 + 1, dtype=complex)
         assert op._rfft(v, 1.0, out=spec) is spec
@@ -354,43 +364,43 @@ class TestBoundTransforms:
         assert np.array_equal(out, want)
         assert np.array_equal(apply_resolvent(op, v), want)
 
-    @pytest.mark.parametrize("n,sigma,tau,pad", [
+    # a band of n + extra samples: sizes 66, 270, 2025, 2079 (= n + K), 2178, 32928
+    @pytest.mark.parametrize("n,sigma,tau,extra", [
         (64, 1.0, 0.1, 0), (257, 3.3, 1e-3, 0), (2000, 5.0, 1e-5, 7),
         (2000, 20.0, 1e-5, 12), (2000, 50.0, 1e-5, 0), (2**15, 20.0, 1e-5, 25),
     ])
-    def test_eigenvalues_match_scipy_fft(self, n, sigma, tau, pad):
-        band = build_band(KernelSpec(sigma=sigma, tau=tau), n)
-        op = embed_circulant(band, n + band.half_width + pad)
-        k = band.half_width
-        row = np.zeros(op.size)
-        row[: k + 1] = band.first_row
-        row[op.size - k:] = band.first_row[1:][::-1]
-        assert np.array_equal(op.eigenvalues, scipy.fft.rfft(row).real)
+    def test_eigenvalues_match_scipy_fft(self, n, sigma, tau, extra):
+        band = build_band(KernelSpec(sigma=sigma, tau=tau), n + extra)
+        op = embed_circulant(band)
+        assert np.array_equal(op.eigenvalues, scipy.fft.rfft(circulant_row(band, op.size)).real)
 
     def test_wrong_buffer_shapes_rejected(self):
-        op = self.op_of_size(65)
-        v = np.ones(65)
+        op = op_reaching(65)
+        v = np.ones(op.size)
         with pytest.raises(InputError):
-            apply_resolvent(op, v, np.empty(64))
+            apply_resolvent(op, v, np.empty(op.size - 1))
         with pytest.raises(InputError):
             apply_resolvent(op, v, None, np.empty(32, dtype=complex))
 
 
 class TestToeplitzFromResolvent:
-    @pytest.mark.parametrize("n,sigma,tau,extra", [
+    # sizes 2079 and 308 (beyond n + K), 50, 33 and 28 (n + K), 35 (beyond);
+    # each operator is taken at the step ``alpha``, each input from ``seed``
+    @pytest.mark.parametrize("n,sigma,tau,seed", [
         (2000, 20.0, 1e-5, 0), (2000, 20.0, 1e-5, 12), (300, 3.0, 1e-3, 200),
         (50, 1.0, 0.5, 5),  # K = 0
         (20, 5.0, 1e-3, 0), (15, 5.0, 1e-3, 31),  # n < 2K: the corrections share rows
+        (21, 5.0, 1e-3, 0),  # n < 2K, beyond n + K
     ])
     @pytest.mark.parametrize("alpha", [1e-3, 1.0, 50.0])
-    def test_matches_convolution(self, n, sigma, tau, extra, alpha):
+    def test_matches_convolution(self, n, sigma, tau, seed, alpha):
         band = build_band(KernelSpec(sigma=sigma, tau=tau), n)
-        op = embed_circulant(band, n + band.half_width + extra)
-        u = np.random.default_rng(n + extra).standard_normal(op.size)
+        op = at_step(embed_circulant(band), alpha)
+        u = np.random.default_rng(seed).standard_normal(op.size)
         r = apply_resolvent_reference(op, alpha, u)
         z = r[:n]
         out = np.empty(n)
-        assert toeplitz_from_resolvent(band, alpha, u, r, out) is out
+        assert toeplitz_from_resolvent(op, u, r, out) is out
         # the identity carries the resolvent's rounding over alpha, the
         # convolution its own rounding over the band's row sum
         row_sum = band.first_row[0] + 2.0 * band.first_row[1:].sum()

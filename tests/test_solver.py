@@ -11,17 +11,13 @@ import envelofit
 import envelofit.pipeline
 import envelofit.solver
 from envelofit.core import BoxConstraint, InputError, NumericalError, Signal
-from envelofit.kernel import (
-    KernelSpec,
-    apply_toeplitz,
-    build_band,
-    embed_circulant,
-    toeplitz_from_resolvent,
-)
+from envelofit.kernel import KernelSpec, apply_toeplitz, build_band, toeplitz_from_resolvent
 from envelofit.solver import SolveParams, SolverSettings, residual, solve_constrained_filter
 
 from oracles import (
     apply_resolvent_reference,
+    at_step,
+    circulant_row,
     inject_truncated_band,
     residual_reference,
     solve_reference_dense,
@@ -306,9 +302,10 @@ class TestFeasibility:
 
 
 def rule_alpha(kernel, n):
-    """``1 / sqrt(eig_min * eig_max)`` of a length-``n`` solve's circulant."""
+    """``1 / sqrt(eig_min * eig_max)`` of a length-``n`` solve's circulant,
+    sized by scipy's ``next_fast_len`` and transformed by numpy's rfft."""
     band = build_band(kernel, n)
-    eig = embed_circulant(band, next_fast_len(n + band.half_width)).eigenvalues
+    eig = np.fft.rfft(circulant_row(band, next_fast_len(n + band.half_width))).real
     return 1.0 / math.sqrt(eig.min() * eig.max())
 
 
@@ -434,11 +431,13 @@ class TestAndersonSafeguard:
 class TestCheckpointProduct:
     """The checkpoint's ``C z``, read off the resolvent, against the
     convolution at the loop's own states: at the loop's step and, from the
-    same ``u``, at the step ``alpha``, whose resolvent is taken afresh.  Only
-    the loop's own gap is held within ``1e-6 * tol_abs``: at a far smaller
-    step the resolvent's rounding, about ``eps * ||u|| / alpha``, is not.
-    The solves of length 2000 and 20 converge within 175 iterations, so a
-    second seed of each checks more of the loop's states."""
+    same ``u``, at the step ``alpha`` of a copy of the operator
+    (``oracles.at_step``), whose resolvent is taken afresh.  Only the loop's
+    own gap is held within ``1e-6 * tol_abs``: at a far smaller step the
+    resolvent's rounding, about ``eps * ||u|| / alpha``, is not.  The
+    circulant sizes are 2079 and 32928 (beyond ``n + K``), 200 and 33 (equal
+    to it).  The solves of length 2000 and 20 converge within 175
+    iterations, so a second seed of each checks more of the loop's states."""
 
     CASES = [
         *[dict(box_kind=kind, n=n, max_iters=250 if n == 2000 else 75)
@@ -455,15 +454,17 @@ class TestCheckpointProduct:
     def test_matches_convolution_at_checkpoints(self, case, alpha, monkeypatch):
         p = loop_instance(**case)
         op = p.circulant
+        op_at = at_step(op, alpha)
         eps = np.finfo(float).eps
         seen = []
 
-        def gap_error(band, alpha_, u, r, cz):
+        def gap_error(op_, u, r, cz):
+            band = op_.band
             z = r[: band.n]
             direct = apply_toeplitz(band, z)
             gap = np.max(np.abs(cz - direct))
             row_sum = band.first_row[0] + 2.0 * band.first_row[1:].sum()
-            assert gap <= 16 * eps * (np.max(np.abs(u)) / alpha_
+            assert gap <= 16 * eps * (np.max(np.abs(u)) / op_.alpha
                                       + row_sum * np.max(np.abs(z)))
             # both gaps are sup-norms against the same projection P, computed
             # bit for bit alike.  Rounding is monotone, so each computed gap is
@@ -477,18 +478,18 @@ class TestCheckpointProduct:
                                + eps * max(gap_a, gap_b))
             return res_gap
 
-        def checked(band, alpha_, u, r, out):
-            cz = toeplitz_from_resolvent(band, alpha_, u, r, out)
-            assert gap_error(band, alpha_, u, r, cz) <= 1e-6 * p.tol_abs
+        def checked(op_, u, r, out):
+            cz = toeplitz_from_resolvent(op_, u, r, out)
+            assert gap_error(op_, u, r, cz) <= 1e-6 * p.tol_abs
             r_at = apply_resolvent_reference(op, alpha, u)
-            gap_error(band, alpha, u, r_at,
-                      toeplitz_from_resolvent(band, alpha, u, r_at, np.empty(band.n)))
-            seen.append(alpha_)
+            gap_error(op_at, u, r_at,
+                      toeplitz_from_resolvent(op_at, u, r_at, np.empty(len(p.y))))
+            seen.append(op_ is op)
             return cz
 
         monkeypatch.setattr(envelofit.solver, "toeplitz_from_resolvent", checked)
         res = solve_constrained_filter(p)
-        assert seen == [p.alpha] * len(res.residual_trace)
+        assert seen == [True] * len(res.residual_trace)
 
 
 class TestLoopAllocation:

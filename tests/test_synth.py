@@ -88,6 +88,11 @@ class TestSampleGp:
         with pytest.raises(InputError):
             sample_gp(GpParams(1.0, 1.0, 1e-6), 0, 10.0)
 
+    @pytest.mark.parametrize("n", [2.5, 64.0, np.nan, 0, -1])
+    def test_length_must_be_a_positive_integer(self, n):
+        with pytest.raises(InputError, match="n must be"):
+            sample_gp(GpParams(1.0, 1.0, 1e-6), n, 10.0)
+
     def test_moments_match_covariance(self):
         # Monte-Carlo check of variance and lag-1 covariance
         p = GpParams(2.0, 1.0, 1e-9)
