@@ -75,15 +75,16 @@ def run_mse_experiment(
     return BenchReport(mses=mses, diagnostics=tuple(diagnostics), wall_s=wall_s)
 
 
-def run_scaling(n_list: list[int], iters: int = 20,
-                repeats: int = 5) -> list[tuple[int, float]]:
-    """Median per-iteration solver wall time for each signal length.
+def run_scaling(n_list: list[int], iters: int = 20, repeats: int = 5) -> np.ndarray:
+    """Per-iteration solver wall time, one row per repeat and one column per
+    signal length.
 
     Every size solves one seeded problem: a noisy sine at 10 Hz in a box of
     half-width 1, with ``lam = 1``, ``sigma = 20`` and ``tau = 1e-5`` (``K = 67``);
-    ``iters`` up to the gap-check cadence, 25, check the gap once.  Each
-    repeat times every size once, in turn, so a slow phase of the host
-    spreads over the sizes instead of landing on one of them.
+    ``iters`` up to the gap-check cadence, 25, check the gap once, at the
+    cap.  Each repeat times every size once, in turn, within a fraction of
+    a second, so ratios taken within a row compare sizes in one phase of
+    the host.
     """
     rng = np.random.default_rng(0)
     problems = []
@@ -103,4 +104,4 @@ def run_scaling(n_list: list[int], iters: int = 20,
             t0 = time.perf_counter()
             solve_constrained_filter(params)
             times[rep, j] = (time.perf_counter() - t0) / iters
-    return [(n, float(m)) for n, m in zip(n_list, np.median(times, axis=0))]
+    return times

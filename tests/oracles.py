@@ -9,7 +9,8 @@ the spectrum, a dense solve of the primal problem with a generic
 bound-constrained minimiser, the unfused splitting loop (with its
 ``np.select`` prox, divided resolvent, Anderson history of fresh vectors
 and out-of-place checkpoint product and gap) that the package's in-place
-loop must reproduce bit for bit, and the uncached
+loop must reproduce bit for bit (or, checking the gap after every
+iteration, the first iteration that meets the tolerance), and the uncached
 out-of-place GP factor and sampler (``np.linalg.cholesky`` on a second
 array) that the cached, in-place one must reproduce bit for bit.
 """
@@ -244,7 +245,7 @@ def toeplitz_via_resolvent(band: ToeplitzBand, alpha: float, u, r) -> np.ndarray
     return cz
 
 
-def solve_reference_loop(p: SolveParams) -> SolveResult:
+def solve_reference_loop(p: SolveParams, every_iteration: bool = False) -> SolveResult:
     """The Anderson-accelerated splitting iteration in its unfused form.
 
     Fresh temporaries every iteration, the ``np.select`` prox, the history
@@ -256,6 +257,14 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
     same operands, in the same order.  A product's bits depend on how many
     rows it takes, so the Gram matrix gains one column per difference, as
     the package's does, and is never rebuilt.
+
+    The gap is taken on the package's schedule: every ``trace_every``
+    iterations, at the cap, and after a failed check at the first iteration
+    whose ``||f||^2`` falls below the last check's ``||f||^2`` scaled by
+    ``(tol_abs / gap)^2``.  With ``every_iteration`` it is taken after
+    every iteration instead, so the solve stops at the first iteration
+    whose gap meets the tolerance; checks leave the iterates as they are,
+    so the trajectory is the same.
     """
     start = time.perf_counter()
     n = len(p.y)
@@ -273,6 +282,7 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
     gram = np.zeros((mem, mem))
     count = 0  # differences since the last restart
     last = None  # (f, g, ||f||^2) of the last iteration
+    check_sq = 0.0  # ||f||^2 below which the gap may meet tol
     trace: list[tuple[int, float]] = []
     iters = 0
     while iters < p.max_iters:
@@ -301,13 +311,15 @@ def solve_reference_loop(p: SolveParams) -> SolveResult:
             u = g - np.dot(gamma, np.array(dg[:k]))
         last = (f, g, f_sq)
         iters += 1
-        if iters % p.trace_every == 0 or iters == p.max_iters:
+        if (every_iteration or iters % p.trace_every == 0 or iters == p.max_iters
+                or f_sq < check_sq):
             r = apply_resolvent_reference(op, p.alpha, u)
             z = r[:n]
             res = residual_reference(z, p, toeplitz_via_resolvent(band, p.alpha, u, r))
             trace.append((iters, res))
             if res < tol_abs:
                 break
+            check_sq = f_sq * (tol_abs / res) ** 2
     x_hat = project_box(p.y.samples - z / p.lam, p.box)
     return SolveResult(
         x_hat=p.y.with_samples(x_hat),

@@ -81,9 +81,9 @@ class TestRunMseExperiment:
 
 class TestRunScaling:
     def test_row_count_and_positive_times(self):
-        table = run_scaling([256, 512], iters=10, repeats=2)
-        assert [n for n, _ in table] == [256, 512]
-        assert all(t > 0 for _, t in table)
+        times = run_scaling([256, 512], iters=10, repeats=3)
+        assert times.shape == (3, 2)  # one row per repeat, one column per size
+        assert np.all(times > 0)
 
     def test_too_small_n_rejected(self):
         # sigma=20, tau=1e-5: band half-width 67 exceeds n

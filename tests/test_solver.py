@@ -346,7 +346,12 @@ class TestFusedLoopMatchesReference:
 
     @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper", "mixed"])
     def test_box_shapes(self, box_kind):
-        self.assert_identical(loop_instance(box_kind, max_iters=300))
+        """Each solve converges, and every check before the last misses the
+        tolerance: a solve stops on its first measured pass."""
+        p = loop_instance(box_kind, max_iters=300)
+        res = self.assert_identical(p)
+        assert res.converged
+        assert all(gap >= p.tol_abs for _, gap in res.residual_trace[:-1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_two_sided(self, seed):
@@ -373,6 +378,14 @@ class TestFusedLoopMatchesReference:
     def test_cap_not_multiple_of_trace_every(self):
         res = self.assert_identical(loop_instance("lower", max_iters=107))
         assert [k for k, _ in res.residual_trace] == [25, 50, 75, 100, 107]
+
+    def test_predicted_check_off_the_cadence(self):
+        """The gap at 100 misses the tolerance by 16%; ``||f||`` then falls
+        enough by 102 to predict a pass, and the gap there meets it."""
+        p = loop_instance("upper")
+        res = self.assert_identical(p)
+        assert [k for k, _ in res.residual_trace] == [25, 50, 75, 100, 102]
+        assert res.converged
 
     def test_converges_early(self):
         p = loop_instance("two_sided", sigma=2.0, tau=1e-3, lam=5.0, max_iters=20000)
