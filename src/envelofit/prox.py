@@ -3,17 +3,14 @@
 The dual objective couples a circulant quadratic with a separable piecewise
 quadratic; this module implements the proximity operator of that piecewise
 term in its change-of-variables form, as the reflected map ``reflect_g``
-(``2 prox - I``) that the iteration uses; it holds the one case table and
-is pure and elementwise.
+(``2 prox - I``) that the iteration uses.  It is pure and elementwise.
 
-The case table is a clamp.  The interior line
-``m(t) = ((1 - alpha/lam)*t + 2*alpha*y) / (1 + alpha/lam)`` has slope below
-1, and each outer line meets it at its threshold: ``t + 2*alpha*a`` at
-``c = lam*(y - (1 + alpha/lam)*a)`` and ``t + 2*alpha*b`` at
-``d = lam*(y - (1 + alpha/lam)*b)``.  So the lower-bound line lies above
-``m`` exactly where ``t > c`` and the upper-bound line below it exactly where
-``t < d``; with ``a <= b`` (so ``d <= c``) the table is
-``min(max(m(t), t + 2*alpha*a), t + 2*alpha*b)``.
+By Moreau's decomposition the reflection is one box projection of a line:
+``t + 2*alpha*P_B((lam*y - t)/(lam + alpha))``.  Inside the box that is the
+interior line ``((lam - alpha)*t + 2*alpha*lam*y) / (lam + alpha)``; where
+the projection meets a bound it is the outer line ``t + 2*alpha*a`` or
+``t + 2*alpha*b``.  Scaled by ``2*alpha``, the projection is a clip of
+``k*(lam*y - t)``, ``k = 2*alpha/(lam + alpha)``, to ``[2*alpha*a, 2*alpha*b]``.
 """
 
 from __future__ import annotations
@@ -29,23 +26,20 @@ __all__ = ["ProxParams", "reflect_g"]
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Precomputed per-sample lines and loop constants for the dual prox.
+    """The dual prox's slope ``k``, offset ``off = k*lam*y`` and scaled bounds.
 
-    ``has_lower``/``has_upper`` say whether that side is bounded anywhere;
-    ``reflect_g`` skips a side that is not.
+    ``lo = 2*alpha*a`` and ``hi = 2*alpha*b`` are ``None`` where that side
+    is unbounded everywhere, so the clip skips it.
     """
 
     lam: float
     alpha: float
     y: np.ndarray
     box: BoxConstraint
-    two_alpha_y: np.ndarray = field(init=False)
-    two_alpha_a: np.ndarray = field(init=False)
-    two_alpha_b: np.ndarray = field(init=False)
-    shrink: float = field(init=False)
-    scale: float = field(init=False)
-    has_lower: bool = field(init=False)
-    has_upper: bool = field(init=False)
+    k: float = field(init=False)
+    off: np.ndarray = field(init=False)
+    lo: np.ndarray | None = field(init=False)
+    hi: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         if not (self.lam > 0 and self.alpha > 0):
@@ -59,37 +53,31 @@ class ProxParams:
             )
         a, b = self.box.lower, self.box.upper
         two_alpha = 2.0 * self.alpha
+        k = two_alpha / (self.lam + self.alpha)
         derived = dict(
-            y=y, scale=1.0 + self.alpha / self.lam, shrink=1.0 - self.alpha / self.lam,
-            two_alpha_y=two_alpha * y, two_alpha_a=two_alpha * a,
-            two_alpha_b=two_alpha * b, has_lower=bool(np.any(np.isfinite(a))),
-            has_upper=bool(np.any(np.isfinite(b))),
+            y=y, k=k, off=k * (self.lam * y),
+            lo=two_alpha * a if np.any(np.isfinite(a)) else None,
+            hi=two_alpha * b if np.any(np.isfinite(b)) else None,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
 
-def reflect_g(t, p: ProxParams, out=None, work=None) -> np.ndarray:
-    """Reflected prox ``(2 J - I)`` of the separable dual term, as a clamp.
+def reflect_g(t, p: ProxParams, out=None) -> np.ndarray:
+    """Reflected prox ``(2 J - I)`` of the separable dual term, as
+    ``t + clip(off - k*t, lo, hi)``.
 
-    Written to ``out`` when given; ``work`` (length of ``t``) holds each
-    outer line, so with both given a call allocates nothing.  Neither may
-    overlap ``t``.  Off the thresholds ``c`` and ``d`` the result has the
-    case table's bits.  At a threshold, or within rounding of one, it is one
-    of the two lines' computed values, which agree there to the rounding of
-    the interior formula.  ``fmax``/``fmin`` pass NaN in ``t`` through and
-    ignore the NaN that ``inf - inf`` gives on an unbounded side.  The tail
-    block's prox is the zero map, so its reflection, plain negation, is left
-    to the caller.
+    Written to ``out`` when given, so a call allocates nothing; ``out`` may
+    not overlap ``t``.  NaN in ``t`` passes through.  Where a side is
+    unbounded, ``t = +-inf`` gives NaN (``inf - inf``); only an overflowing
+    iterate makes one, and its gap reports it.  The tail block's prox is
+    the zero map, so its reflection, plain negation, is left to the caller.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != p.y.shape:
         raise InputError(f"t length {t.shape} != {p.y.shape}")
-    v = np.multiply(p.shrink, t, out=out)
-    v += p.two_alpha_y
-    v /= p.scale
-    if p.has_lower:
-        np.fmax(v, np.add(t, p.two_alpha_a, out=work), out=v)
-    if p.has_upper:
-        np.fmin(v, np.add(t, p.two_alpha_b, out=work), out=v)
+    v = np.multiply(p.k, t, out=out)
+    np.subtract(p.off, v, out=v)
+    np.clip(v, p.lo, p.hi, out=v)
+    v += t
     return v

@@ -188,8 +188,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     iteration's and when the Gram solve is singular (every difference zero:
     ``u`` is the fixed point).  Besides the blocks the solve holds five
     rows: ``u`` (which ``f`` overwrites), ``r`` (which ``t = 2r - u``
-    overwrites), ``g`` and the last ``f`` and ``g``; the spectrum buffer,
-    dead between resolvents, holds the prox's outer lines.
+    overwrites), ``g`` and the last ``f`` and ``g``.
 
     A checkpoint reads ``C z``, ``z = r[:n]`` for the resolvent ``r`` of
     ``u``, off that resolvent (``toeplitz_from_resolvent``) into the ``g``
@@ -207,7 +206,6 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     """
     start = time.perf_counter()
     n, op, alpha = len(p.y), p.circulant, p.alpha
-    prox_params = ProxParams(lam=p.lam, alpha=alpha, y=p.y.samples, box=p.box)
     tol_abs, cap, every, mem = p.tol_abs, p.max_iters, p.trace_every, _ANDERSON_MEMORY
 
     # every full-length vector shares one block: freeing it raises glibc's
@@ -222,6 +220,8 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     check_sq = 0.0  # no gap yet to predict from: the first check is on the cadence
     spec = np.empty(op.size // 2 + 1, dtype=complex)
     work = spec.view(float)[:n]
+    # built after the block and spectrum: built before, long signals peak ~6% higher
+    prox_params = ProxParams(lam=p.lam, alpha=alpha, y=p.y.samples, box=p.box)
     trace: list[tuple[int, float]] = []
     iters = 0
     # a diverging iterate passes through inf and NaN silently: its gap reports it
@@ -230,7 +230,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         while iters < cap:
             r *= 2.0  # t = 2r - u takes r's row, dead until the next resolvent
             r -= u
-            reflect_g(r_head, prox_params, g[:n], work)
+            reflect_g(r_head, prox_params, g[:n])
             np.negative(r_tail, out=g[n:])  # the tail's reflection (see reflect_g)
             f = np.subtract(g, u, out=u)  # u is dead once f is formed
             f_sq = np.dot(f, f)

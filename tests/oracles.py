@@ -218,9 +218,7 @@ def reflect_g_select(t, t_tilde, p: ProxParams) -> tuple[np.ndarray, np.ndarray]
     t = np.asarray(t, dtype=float)
     if t.shape != p.y.shape:
         raise InputError(f"t length {t.shape} != {p.y.shape}")
-    mid = (2.0 * p.alpha * p.y + (1.0 - p.alpha / p.lam) * t) / (
-        1.0 + p.alpha / p.lam
-    )
+    mid = t + (p.k * (p.lam * p.y) - p.k * t)  # the package's interior arithmetic
     low = t + 2.0 * p.alpha * p.box.upper
     high = t + 2.0 * p.alpha * p.box.lower
     c, d = prox_thresholds(p)

@@ -125,7 +125,7 @@ class TestProxParams:
         p = ProxParams(lam=1.0, alpha=1.0, y=np.zeros(1), box=box)
         c, d = prox_thresholds(p)
         assert c[0] == np.inf and d[0] == -np.inf
-        assert not (p.has_lower or p.has_upper)
+        assert p.lo is None and p.hi is None
 
     def test_ordering_d_le_c(self):
         rng = np.random.default_rng(5)
@@ -198,7 +198,7 @@ class TestReflectG:
 
 
 class TestReflectGMatchesSelect:
-    """The in-place clamp prox against the ``np.select`` case table, bit for bit."""
+    """The in-place clipped prox against the ``np.select`` case table, bit for bit."""
 
     @staticmethod
     def bounds(rng, n, kind):
@@ -222,11 +222,11 @@ class TestReflectGMatchesSelect:
         y, box = self.bounds(rng, n, kind)
         p = ProxParams(lam=float(rng.uniform(0.2, 5.0)),
                        alpha=float(rng.uniform(0.2, 8.0)), y=y, box=box)
-        assert p.has_lower == (kind not in ("lower_inf", "both_inf"))
-        assert p.has_upper == (kind not in ("upper_inf", "both_inf"))
+        assert (p.lo is None) == (kind in ("lower_inf", "both_inf"))
+        assert (p.hi is None) == (kind in ("upper_inf", "both_inf"))
         t = rng.normal(scale=6.0, size=n)
         t[:3] = [np.nan, np.inf, -np.inf]
-        with np.errstate(invalid="ignore"):  # inf - inf in unselected branches
+        with np.errstate(invalid="ignore"):  # inf - inf where t = +-inf meets no bound
             want, _ = reflect_g_select(t, np.zeros(0), p)
             got = reflect_g(t, p)
             buf = np.full(n, 7.0)
@@ -238,7 +238,7 @@ class TestReflectGMatchesSelect:
 
 
 class TestReflectGClampTies:
-    """At and within an ulp of a threshold the clamp returns one of the two lines."""
+    """At and within an ulp of a threshold the clip returns one of the two lines."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_thresholds(self, seed):
@@ -252,12 +252,12 @@ class TestReflectGClampTies:
         p = ProxParams(lam=lam, alpha=alpha, y=y, box=BoxConstraint(a, b))
         c, d = prox_thresholds(p)
         eps = np.finfo(float).eps
-        for thr, bound, two_alpha_bound in ((c, a, p.two_alpha_a), (d, b, p.two_alpha_b)):
+        for thr, bound, two_alpha_bound in ((c, a, p.lo), (d, b, p.hi)):
             # magnitude of the terms both lines and the threshold round
             size = np.abs(thr) + (lam + 2 * alpha) * np.abs(y) + (lam + 3 * alpha) * np.abs(bound)
             for t in (np.nextafter(thr, -np.inf), thr, np.nextafter(thr, np.inf)):
                 got = reflect_g(t, p)
-                interior = (p.shrink * t + p.two_alpha_y) / p.scale
+                interior = t + (p.off - p.k * t)
                 outer = t + two_alpha_bound
                 assert np.all((got == interior) | (got == outer))
                 assert np.all(np.abs(interior - outer) <= 4 * eps * size)

@@ -173,8 +173,8 @@ class TestClosedFormN1:
         prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
         solve1 = envelofit.solver._umath_linalg.solve1
 
-        def recorded_prox(t, params, out, work):
-            reflected.append(prox(t, params, out, work).copy())
+        def recorded_prox(t, params, out):
+            reflected.append(prox(t, params, out).copy())
             return out
 
         def recorded_solve(*args, **kw):
@@ -423,8 +423,8 @@ class TestAndersonSafeguard:
         reflected, plain = [], []
         prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
 
-        def recorded_prox(t, params, out, work):
-            reflected.append(prox(t, params, out, work).copy())
+        def recorded_prox(t, params, out):
+            reflected.append(prox(t, params, out).copy())
             return out
 
         def checked_resolvent(op, u, *a):
@@ -541,9 +541,11 @@ class TestLoopAllocation:
         m, h, k = sizes[0]
         # work block (the two blocks of the Anderson differences of f and g,
         # then u, r, g and the last f and g: the memory budget),
-        # spectrum (complex), eigenvalues, reciprocal (complex), 2*alpha*(y, a, b)
+        # spectrum (complex), eigenvalues, reciprocal (complex), the prox's
+        # offset k*lam*y and 2*alpha times each bounded side
         rows = 2 * envelofit.solver._ANDERSON_MEMORY + 5
-        fixed = 8 * (rows * m + 2 * h + k + 2 * h + 3 * n)
+        prox_rows = 1 + (2 if box_kind == "two_sided" else 1)
+        fixed = 8 * (rows * m + 2 * h + k + 2 * h + prox_rows * n)
         assert fixed <= held[0] - start < fixed + 64 * 1024
         assert peak[0] - held[0] < 8 * n
 
@@ -553,8 +555,8 @@ def inject_nonfinite_reflection(monkeypatch, at):
     output, as an overflow would."""
     prox, calls = envelofit.solver.reflect_g, []
 
-    def faulty(t, params, out, work):
-        prox(t, params, out, work)
+    def faulty(t, params, out):
+        prox(t, params, out)
         calls.append(1)
         if len(calls) == at:
             out[0] = np.inf
