@@ -10,7 +10,6 @@ recovers the truth.  Run with:
 import numpy as np
 
 from envelofit import (
-    CoarseParams,
     PipelineParams,
     TrialSpec,
     decompose_basic,
@@ -27,7 +26,7 @@ print(f"smooth truth range  [{trial.smooth.samples.min():.2f}, "
       f"{trial.smooth.samples.max():.2f}]")
 print(f"transient truth rms  {np.sqrt(np.mean(trial.transient.samples**2)):.4f}")
 
-params = PipelineParams(coarse=CoarseParams())
+params = PipelineParams()
 
 # Basic variant: outer envelopes hug the observation from inside.
 basic = decompose_basic(y, params)

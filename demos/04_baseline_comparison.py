@@ -11,7 +11,6 @@ estimate (the observation itself) as a reference.  Run with:
 import numpy as np
 
 from envelofit import (
-    CoarseParams,
     PipelineParams,
     default_baselines,
     run_mse_experiment,
@@ -20,7 +19,7 @@ from envelofit import (
 FS = 10.0
 N_TRIALS = 6  # small for a quick demo; the acceptance experiment uses 20
 
-pipeline = PipelineParams(coarse=CoarseParams())
+pipeline = PipelineParams()
 baselines = default_baselines(FS)
 print("baselines:", ", ".join(
     f"{f.length}-tap @ {f.cutoffs_hz[0]:g} Hz" for f in baselines))

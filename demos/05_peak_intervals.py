@@ -10,7 +10,6 @@ with:
 import numpy as np
 
 from envelofit import (
-    CoarseParams,
     PipelineParams,
     TrialSpec,
     decompose_debiased,
@@ -19,8 +18,7 @@ from envelofit import (
 )
 
 trial = generate_trial(TrialSpec(seed=5, duration_s=120.0))
-dec = decompose_debiased(trial.observation,
-                         PipelineParams(coarse=CoarseParams()))
+dec = decompose_debiased(trial.observation, PipelineParams())
 
 # the prominence floor rejects residual noise wiggles; only genuine
 # transient events survive

@@ -15,7 +15,6 @@ identity, and how often the pipeline beats that best FIR.  Run with:
 import numpy as np
 
 from envelofit import (
-    CoarseParams,
     PipelineParams,
     TrialSpec,
     default_baselines,
@@ -27,7 +26,7 @@ SEEDS = range(1001, 1011)  # held out: neither the gate's seeds nor tuned on
 REGIMES = {"default (c1 = 10 s^2)": TrialSpec(),
            "short transient (c1 = 0.1 s^2)": SHORT_TRANSIENT}
 
-pipeline = PipelineParams(coarse=CoarseParams())
+pipeline = PipelineParams()
 print(f"{'regime':32s} {'pipeline':>9s} {'best FIR':>9s} {'identity':>9s}  pipeline wins")
 for name, spec in REGIMES.items():
     report = run_mse_experiment(len(SEEDS), SEEDS[0], pipeline,

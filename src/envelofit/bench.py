@@ -48,21 +48,21 @@ def run_mse_experiment(
     base_seed: int,
     pipeline: PipelineParams,
     baselines: list[FirFilter],
-    trial_spec: TrialSpec | None = None,
+    trial_spec: TrialSpec = TrialSpec(),
 ) -> BenchReport:
-    """Smooth-component MSE of the pipeline, each baseline and the identity."""
+    """Smooth-component MSE of the pipeline, each baseline and the identity,
+    over trials of ``trial_spec`` (its seed replaced by ``base_seed + i``)."""
     check_int(n_trials, "n_trials", 1)  # base_seed is checked as each trial's seed
     lengths = [f.length for f in baselines]
     if len(set(lengths)) < len(lengths):
         raise InputError(f"baseline lengths must be distinct, got {lengths}")
-    template = trial_spec if trial_spec is not None else TrialSpec()
 
     names = [f"hamming_lp_{n}" for n in lengths]
     mses = {name: np.empty(n_trials) for name in (PROPOSED, *names, IDENTITY)}
     diagnostics = []
     wall_s = np.empty(n_trials)
     for i in range(n_trials):
-        trial = generate_trial(replace(template, seed=base_seed + i))
+        trial = generate_trial(replace(trial_spec, seed=base_seed + i))
         t_start = time.perf_counter()
         dec = decompose_debiased(trial.observation, pipeline)
         wall_s[i] = time.perf_counter() - t_start

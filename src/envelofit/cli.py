@@ -79,17 +79,15 @@ def _from_args(cls, args, **rest):
     return cls(**{f.name: getattr(args, name) for name, f in _knobs(cls)}, **rest)
 
 
-def _pipeline_from_args(args, with_coarse: bool) -> PipelineParams:
-    # the coarse flags are checked even when the run has no coarse stage
-    coarse = _from_args(CoarseParams, args)
-    return _from_args(PipelineParams, args, coarse=coarse if with_coarse else None,
+def _pipeline_from_args(args) -> PipelineParams:
+    return _from_args(PipelineParams, args, coarse=_from_args(CoarseParams, args),
                       solver=_from_args(SolverSettings, args))
 
 
 def _parameters(p: PipelineParams) -> dict:
     """The ``parameters`` metadata: every knob of ``p``, by name."""
     return {name: getattr(obj, f.name) for obj in (p, p.coarse, p.solver)
-            if obj is not None for name, f in _knobs(type(obj))}
+            for name, f in _knobs(type(obj))}
 
 
 def _out(args, name: str) -> str:
@@ -98,7 +96,7 @@ def _out(args, name: str) -> str:
 
 
 def cmd_decompose(args) -> int:
-    pipeline = _pipeline_from_args(args, with_coarse=args.debias)
+    pipeline = _pipeline_from_args(args)
     sig = read_signal_csv(args.input, fs_override=args.fs)
     decompose = decompose_debiased if args.debias else decompose_basic
     dec = decompose(sig, pipeline)
@@ -156,7 +154,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    pipeline = _pipeline_from_args(args, with_coarse=True)
+    pipeline = _pipeline_from_args(args)
     spec = _from_args(TrialSpec, args)
     baselines = default_baselines(args.fs, lengths=tuple(args.baseline_lengths))
     report = run_mse_experiment(

@@ -7,7 +7,9 @@ kernel).  The transient component is the remainder.  A debiased variant
 first fits coarse one-sided envelopes so each tight-envelope stage sees a
 single-signed input, which tightens the envelopes and yields a trend
 estimate as a side product.  Every parameter is checked when its object is
-built, so a bad value fails before any stage runs.
+built, and the one relation of the coarse stage, ``sigma1 <= coarse.sigma``,
+when ``decompose_debiased`` is called, so a bad value fails before any stage
+runs.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ class PipelineParams:
     truncation, defaults to ``kernel.DEFAULT_TAU``.  It sets the band
     half-width ``K``, and ``K`` the diagonal floor ``1/(2(K + 1))``, which
     trades quality for iterations.  ``kernels`` holds each stage's
-    ``KernelSpec`` (``tight``, ``smooth`` and ``coarse`` with ``coarse``),
-    built with the other checks.  The splitting settings are declared and
-    checked in ``solver.SolverSettings``.
+    ``KernelSpec`` (``tight``, ``smooth`` and ``coarse``), built with the
+    other checks; ``decompose_basic`` leaves ``coarse`` unused.  The
+    splitting settings are declared and checked in ``solver.SolverSettings``.
     """
 
     lambda0: float = knob(50.0, "envelope data-fit weight")
@@ -65,7 +67,7 @@ class PipelineParams:
     sigma0: float = knob(5.0, "envelope kernel width, samples")
     sigma1: float = knob(20.0, "smoothing kernel width, samples")
     tau: float = knob(DEFAULT_TAU, "kernel truncation threshold of every stage")
-    coarse: CoarseParams | None = None
+    coarse: CoarseParams = field(default_factory=CoarseParams)
     solver: SolverSettings = field(default_factory=SolverSettings)
     kernels: dict = field(init=False, repr=False, compare=False)
 
@@ -78,15 +80,11 @@ class PipelineParams:
             raise InputError(
                 f"need 0 < sigma0 <= sigma1, got {self.sigma0}, {self.sigma1}"
             )
-        if self.coarse is not None and not self.sigma1 <= self.coarse.sigma:
-            raise InputError(
-                f"need sigma1 <= coarse sigma, got {self.sigma1}, {self.coarse.sigma}"
-            )
-        kernels = {"tight": KernelSpec(self.sigma0, self.tau),
-                   "smooth": KernelSpec(self.sigma1, self.tau)}
-        if self.coarse is not None:
-            kernels["coarse"] = KernelSpec(self.coarse.sigma, self.tau)
-        object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "kernels", {
+            "tight": KernelSpec(self.sigma0, self.tau),
+            "smooth": KernelSpec(self.sigma1, self.tau),
+            "coarse": KernelSpec(self.coarse.sigma, self.tau),
+        })
 
 
 @dataclass(frozen=True)
@@ -150,9 +148,10 @@ def decompose_basic(y: Signal, p: PipelineParams) -> Decomposition:
 
 def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
     """Coarse one-sided envelopes first, so the tight stages see a
-    single-signed input; also yields a trend estimate."""
-    if p.coarse is None:
-        raise InputError("debiased pipeline requires coarse params")
+    single-signed input; also yields a trend estimate.  Checks
+    ``sigma1 <= coarse.sigma`` before its first stage."""
+    if not p.sigma1 <= p.coarse.sigma:
+        raise InputError(f"need sigma1 <= coarse sigma, got {p.sigma1}, {p.coarse.sigma}")
     ys = y.samples
     c_low = _stage("coarse_lower", y, p.coarse.lam, p.kernels["coarse"], -np.inf, ys, p)
     c_up = _stage("coarse_upper", y, p.coarse.lam, p.kernels["coarse"], ys, np.inf, p)

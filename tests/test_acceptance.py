@@ -22,7 +22,7 @@ from envelofit.kernel import (
     build_band,
     embed_circulant,
 )
-from envelofit.pipeline import CoarseParams, PipelineParams, decompose_debiased
+from envelofit.pipeline import PipelineParams, decompose_debiased
 from envelofit.prox import ProxParams
 from envelofit.solver import SolveParams, solve_constrained_filter
 from envelofit.synth import TrialSpec, generate_trial
@@ -47,7 +47,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def experiment():
     """20-trial desk-scale experiment shared by criteria 5, 6 and 7."""
-    pipeline = PipelineParams(coarse=CoarseParams())
+    pipeline = PipelineParams()
     baselines = default_baselines(10.0)
 
     def one(i):

@@ -12,12 +12,10 @@ from envelofit.bench import (
 )
 from envelofit.baseline import design_fir
 from envelofit.core import InputError
-from envelofit.pipeline import CoarseParams, PipelineParams, SolverSettings
+from envelofit.pipeline import PipelineParams, SolverSettings
 from envelofit.synth import TrialSpec
 
-FAST_PIPELINE = PipelineParams(
-    coarse=CoarseParams(1.0, 50.0), solver=SolverSettings(max_iters=2000)
-)
+FAST_PIPELINE = PipelineParams(solver=SolverSettings(max_iters=2000))
 SHORT = TrialSpec(duration_s=40.0)
 
 

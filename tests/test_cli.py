@@ -16,7 +16,6 @@ from envelofit.cli import build_parser, main
 from envelofit.core import Signal
 from envelofit.io import read_signal_csv, write_signal_csv
 from envelofit.pipeline import (
-    CoarseParams,
     PipelineParams,
     SolverSettings,
     decompose_debiased,
@@ -270,7 +269,7 @@ def test_every_csv_cell_is_a_plain_number(tmp_path):
 
     sig = read_signal_csv(obs)
     dec = decompose_debiased(sig, PipelineParams(
-        coarse=CoarseParams(), solver=SolverSettings(max_iters=2000)))
+        solver=SolverSettings(max_iters=2000)))
     header, rows = _csv_rows(tmp_path / "decompose" / "observation_envelopes.csv")
     assert header == ["t", "lower", "upper"]
     np.testing.assert_array_equal([float(r[1]) for r in rows], dec.lower_env.samples)
@@ -297,7 +296,7 @@ def test_unconverged_stages_named(command, sine_csv, tmp_path, capsys):
         runs = {"": [(s["stage"], s["converged"]) for s in stages]}
     else:
         report = run_mse_experiment(2, 1, PipelineParams(
-            coarse=CoarseParams(), solver=SolverSettings(max_iters=1)),
+            solver=SolverSettings(max_iters=1)),
             default_baselines(10.0, (101,)), TrialSpec(duration_s=40.0))
         runs = {f"trial {i}: ": [(r.stage, r.converged) for r in stages]
                 for i, stages in enumerate(report.diagnostics)}
@@ -375,7 +374,7 @@ class TestDecompose:
                     *FAST]) == 0
         stages = json.loads((out / "sine_diagnostics.json").read_text())["stages"]
         dec = decompose_debiased(read_signal_csv(sine_csv), PipelineParams(
-            coarse=CoarseParams(), solver=SolverSettings(max_iters=2000)))
+            solver=SolverSettings(max_iters=2000)))
         names = {f.name for f in dataclasses.fields(SolveResult)} - {"x_hat", "z"}
         for s, r in zip(stages, dec.diagnostics, strict=True):
             assert set(s) == names
@@ -393,8 +392,8 @@ class TestDecompose:
         assert run(["decompose", sine_csv, *mode, "--sigma1", 25, "--tol", 1e-5,
                     "--output-dir", d1, "--quiet", *FAST]) == 0
         p = json.loads((d1 / "sine_diagnostics.json").read_text())["parameters"]
-        keys = {"lambda0", "lambda1", "sigma0", "sigma1", "tol", "max_iters", "tau"}
-        assert set(p) == (keys | {"coarse_lambda", "coarse_sigma"} if debias else keys)
+        assert set(p) == {"lambda0", "lambda1", "sigma0", "sigma1", "coarse_lambda",
+                          "coarse_sigma", "tol", "max_iters", "tau"}
         assert None not in p.values()
         flags = [x for k, v in p.items() for x in (f"--{k.replace('_', '-')}", v)]
         assert run(["decompose", sine_csv, *mode, *flags,
@@ -487,7 +486,7 @@ class TestBench:
         assert run(["bench", "--trials", 2, "--duration", 40, "--baseline-lengths", 101,
                     "--output-dir", out, "--quiet", *FAST]) == 0
         return run_mse_experiment(2, 1, PipelineParams(
-            coarse=CoarseParams(), solver=SolverSettings(max_iters=2000)),
+            solver=SolverSettings(max_iters=2000)),
             default_baselines(10.0, (101,)), TrialSpec(duration_s=40.0))
 
     def test_mse_csv_round_trips_report(self, tmp_path):

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -24,11 +25,9 @@ from oracles import solve_reference_loop
 FAST = SolverSettings(max_iters=4000)
 
 
-def small_params(coarse=False):
+def small_params():
     return PipelineParams(
-        lambda0=50.0, lambda1=0.5, sigma0=5.0, sigma1=20.0,
-        coarse=CoarseParams(1.0, 50.0) if coarse else None,
-        solver=FAST,
+        lambda0=50.0, lambda1=0.5, sigma0=5.0, sigma1=20.0, solver=FAST,
     )
 
 
@@ -46,9 +45,30 @@ class TestParamValidation:
         with pytest.raises(InputError):
             PipelineParams(sigma0=30.0, sigma1=20.0)
 
-    def test_coarse_sigma_ordering(self):
-        with pytest.raises(InputError):
-            PipelineParams(sigma1=20.0, coarse=CoarseParams(1.0, 10.0))
+    def test_coarse_sigma_ordering(self, short_trial, monkeypatch):
+        # the relation binds only the coarse stage: it is checked when
+        # decompose_debiased is called, before its first solve
+        p = PipelineParams(sigma1=20.0, coarse=CoarseParams(1.0, 10.0),
+                           solver=SolverSettings(max_iters=50))
+        decompose_basic(short_trial.observation, p)
+        calls = []
+        solve = envelofit.pipeline.solve_constrained_filter
+        monkeypatch.setattr(envelofit.pipeline, "solve_constrained_filter",
+                            lambda q: calls.append(q) or solve(q))
+        with pytest.raises(InputError, match=r"need sigma1 <= coarse sigma, got 20\.0, 10\.0"):
+            decompose_debiased(short_trial.observation, p)
+        assert calls == []
+
+    def test_default_coarse(self, short_trial):
+        assert PipelineParams().coarse == CoarseParams()
+        y = short_trial.observation
+        implicit = decompose_debiased(y, PipelineParams(solver=SolverSettings(max_iters=50)))
+        explicit = decompose_debiased(y, PipelineParams(
+            coarse=CoarseParams(), solver=SolverSettings(max_iters=50)))
+        for a, b in zip(implicit.diagnostics, explicit.diagnostics, strict=True):
+            np.testing.assert_array_equal(a.x_hat.samples, b.x_hat.samples)
+        np.testing.assert_array_equal(implicit.smooth.samples, explicit.smooth.samples)
+        np.testing.assert_array_equal(implicit.trend.samples, explicit.trend.samples)
 
     @pytest.mark.parametrize("kw", [
         dict(lambda0=np.inf), dict(sigma1=np.inf), dict(coarse=dict(sigma=np.inf)),
@@ -66,18 +86,13 @@ class TestParamValidation:
         solve = envelofit.pipeline.solve_constrained_filter
         monkeypatch.setattr(envelofit.pipeline, "solve_constrained_filter",
                             lambda q: kernels.append(q.kernel) or solve(q))
-        p = PipelineParams(tau=1e-4, coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
+        p = PipelineParams(tau=1e-4, solver=SolverSettings(max_iters=50))
         dec = decompose_debiased(short_trial.observation, p)
         assert [(r.stage, k.sigma, k.tau) for r, k in zip(dec.diagnostics, kernels)] == [
             ("coarse_lower", 50.0, 1e-4), ("coarse_upper", 50.0, 1e-4),
             ("tight_lower", 5.0, 1e-4), ("tight_upper", 5.0, 1e-4), ("smooth", 20.0, 1e-4),
         ]
         assert len(kernels) == 5
-
-    def test_debias_requires_coarse(self):
-        y = Signal(np.zeros(50) + 1.0, 10.0)
-        with pytest.raises(InputError):
-            decompose_debiased(y, small_params(coarse=False))
 
 
 class TestConstantSignal:
@@ -94,7 +109,7 @@ class TestConstantSignal:
     def test_debiased_trend_and_transient(self):
         c = -1.5
         y = Signal(np.full(200, c), 10.0)
-        dec = decompose_debiased(y, small_params(coarse=True))
+        dec = decompose_debiased(y, small_params())
         assert np.max(np.abs(dec.transient.samples)) < 1e-3
         # the quadratic penalty shrinks the coarse envelopes slightly toward
         # zero, so the trend tracks c only to a few percent
@@ -105,7 +120,7 @@ class TestSandwichInvariants:
     @pytest.mark.parametrize("debias", [False, True])
     def test_envelopes_and_smooth(self, short_trial, debias):
         y = short_trial.observation
-        p = small_params(coarse=debias)
+        p = small_params()
         dec = (decompose_debiased if debias else decompose_basic)(y, p)
         slack = 10.0 * FAST.tol * np.max(np.abs(y.samples))
         lo, hi = dec.lower_env.samples, dec.upper_env.samples
@@ -117,7 +132,7 @@ class TestSandwichInvariants:
 
     def test_coarse_envelopes_bracket_observation(self, short_trial):
         y = short_trial.observation
-        dec = decompose_debiased(y, small_params(coarse=True))
+        dec = decompose_debiased(y, small_params())
         slack = 10.0 * FAST.tol * np.max(np.abs(y.samples))
         assert np.max(dec.coarse_lower.samples - y.samples) <= slack
         assert np.max(y.samples - dec.coarse_upper.samples) <= slack
@@ -125,7 +140,7 @@ class TestSandwichInvariants:
     @pytest.mark.parametrize("debias", [False, True])
     def test_additivity_bitwise(self, short_trial, debias):
         y = short_trial.observation
-        p = small_params(coarse=debias)
+        p = small_params()
         dec = (decompose_debiased if debias else decompose_basic)(y, p)
         # transient is defined by subtraction; the identity must be bitwise
         np.testing.assert_array_equal(
@@ -135,14 +150,14 @@ class TestSandwichInvariants:
     def test_diagnostics_per_stage(self, short_trial):
         dec_b = decompose_basic(short_trial.observation, small_params())
         assert len(dec_b.diagnostics) == 3
-        dec_d = decompose_debiased(short_trial.observation, small_params(coarse=True))
+        dec_d = decompose_debiased(short_trial.observation, small_params())
         assert len(dec_d.diagnostics) == 5
 
 
 class TestShiftEquivariance:
     def test_debiased_dc_shift(self, short_trial):
         y = short_trial.observation
-        p = small_params(coarse=True)
+        p = small_params()
         base = decompose_debiased(y, p)
         shifted = decompose_debiased(y.with_samples(y.samples + 5.0), p)
         # equivariance is only approximate: the quadratic penalty also acts
@@ -157,7 +172,7 @@ class TestTrendRecovery:
     def test_added_ramp_correlates(self, short_trial):
         y = short_trial.observation
         ramp = np.linspace(0.0, 3.0, len(y))
-        p = small_params(coarse=True)
+        p = small_params()
         dec = decompose_debiased(y.with_samples(y.samples + ramp), p)
         trend = dec.trend.samples
         corr = np.corrcoef(trend, ramp)[0, 1]
@@ -219,7 +234,7 @@ def test_default_stages_converge_within_an_eighth_of_the_cap(seed):
     tolerance in at most an eighth of the iteration cap, at desk scale: the
     undamped iteration's rate, which averaging with the last iterate halves."""
     trial = generate_trial(TrialSpec(seed=seed))
-    p = PipelineParams(coarse=CoarseParams())
+    p = PipelineParams()
     for decompose in (decompose_debiased, decompose_basic):
         for r in decompose(trial.observation, p).diagnostics:
             assert r.converged and r.iters <= p.solver.max_iters // 8, (r.stage, r.iters)
@@ -231,7 +246,7 @@ def test_default_debiased_call_takes_at_most_1000_iterations(seed):
     scale takes at most 1 000 iterations over its five stages (about 2 300
     with the plain undamped iteration)."""
     trial = generate_trial(TrialSpec(seed=seed))
-    dec = decompose_debiased(trial.observation, PipelineParams(coarse=CoarseParams()))
+    dec = decompose_debiased(trial.observation, PipelineParams())
     iters = [r.iters for r in dec.diagnostics]
     assert sum(iters) <= 1000, iters
 
@@ -249,7 +264,7 @@ def five_seed_stages():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(envelofit.pipeline, "solve_constrained_filter",
                            lambda q: seen.append(q) or solve(q))
-                out += zip(seen, decompose(obs, PipelineParams(coarse=CoarseParams())).diagnostics)
+                out += zip(seen, decompose(obs, PipelineParams()).diagnostics)
     return stages
 
 
@@ -292,7 +307,7 @@ def test_one_band_and_one_circulant_per_stage(decompose, stages, short_trial, mo
         f = getattr(envelofit.solver, name)
         monkeypatch.setattr(envelofit.solver, name,
                             lambda *a, _n=name, _f=f: calls.append(_n) or _f(*a))
-    p = PipelineParams(coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
+    p = PipelineParams(solver=SolverSettings(max_iters=50))
     decompose(short_trial.observation, p)
     assert calls == ["build_band", "embed_circulant"] * stages
 
@@ -322,8 +337,25 @@ def test_benchmark_warmup_is_one_gap_check(workloads):
 def test_benchmark_stage_names_match_pipeline(short_trial, workloads):
     """``perfbench/workloads.py`` keeps its own copy of the stage names; it
     must list them in the order the pipelines run and name their results."""
-    p = PipelineParams(coarse=CoarseParams(), solver=SolverSettings(max_iters=50))
+    p = PipelineParams(solver=SolverSettings(max_iters=50))
     for decompose, stages in ((decompose_debiased, workloads.DEBIASED_STAGES),
                               (decompose_basic, workloads.BASIC_STAGES)):
         dec = decompose(short_trial.observation, p)
         assert tuple(r.stage for r in dec.diagnostics) == stages
+
+
+def test_readme_parameter_defaults_match_pipeline_params():
+    """README's Parameters table gives the default of each pipeline setting;
+    each must be the default ``PipelineParams()`` holds."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Parameters\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for names, cell in re.findall(r"^\| (`.*?) \| (.*?) \|", section, re.M):
+        coarse = re.fullmatch(r"`CoarseParams\((.*)\)`", cell)
+        values = ([CoarseParams(*map(float, coarse[1].split(", ")))] if coarse
+                  else [float(v) for v in cell.split(", ")])
+        documented.update(zip(re.findall(r"`(\w+)`", names), values, strict=True))
+    defaults = PipelineParams()
+    assert set(documented) == {"lambda0", "sigma0", "lambda1", "sigma1", "tau", "coarse"}
+    for name, value in documented.items():
+        assert getattr(defaults, name) == value, name
