@@ -12,9 +12,9 @@ iterations per solve.  ``embed_circulant`` embeds a band in the circulant
 of size ``next_fast_len(N + K)``, which carries the band and derives the
 step, and makes both the matrix-vector product and the resolvent
 ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs one FFT
-pair.  The transforms are numpy's pocketfft kernels, bound once per
-operator; ``toeplitz_from_resolvent`` reads the band's product off a
-resolvent instead of convolving.
+pair.  ``apply_resolvent`` calls numpy's pocketfft kernels directly;
+``toeplitz_from_resolvent`` reads the band's product off a resolvent
+instead of convolving.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ class CirculantOperator:
     at which the undamped splitting contracts at ``(sqrt(kappa) - 1) /
     (sqrt(kappa) + 1)`` (Giselsson and Boyd 2017); a spectrum that is not
     positive has no step and raises ``NumericalError``.
-    ``_rfft`` is the pocketfft kernel for this size and ``_inv_size`` the
-    ``1/size`` that ``np.fft.irfft`` passes to its kernel, bound once so a
-    transform skips ``numpy.fft``'s per-call dispatch.
     """
 
     band: ToeplitzBand
@@ -94,8 +91,6 @@ class CirculantOperator:
     eig_min: float = field(init=False)
     eig_max: float = field(init=False)
     alpha: float = field(init=False)
-    _rfft: np.ufunc = field(init=False, repr=False, compare=False)
-    _inv_size: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eig_min, eig_max = float(np.min(self.eigenvalues)), float(np.max(self.eigenvalues))
@@ -103,8 +98,7 @@ class CirculantOperator:
             raise NumericalError(f"step-size rule needs a positive kernel spectrum, "
                                  f"got eig_min {eig_min:.3e}")
         for name, value in (("eig_min", eig_min), ("eig_max", eig_max),
-                            ("alpha", 1.0 / math.sqrt(eig_min * eig_max)),
-                            ("_rfft", _rfft_kernel(self.size)), ("_inv_size", 1.0 / self.size)):
+                            ("alpha", 1.0 / math.sqrt(eig_min * eig_max))):
             object.__setattr__(self, name, value)
 
     @functools.cached_property
@@ -118,11 +112,6 @@ class CirculantOperator:
         recip = recip.astype(complex)
         recip.flags.writeable = False
         return recip
-
-
-def _rfft_kernel(m: int) -> np.ufunc:
-    """The pocketfft kernel ``np.fft.rfft`` picks for length ``m``."""
-    return _pocketfft.rfft_n_odd if m % 2 else _pocketfft.rfft_n_even
 
 
 def next_fast_len(target: int, real: bool = False) -> int:
@@ -198,7 +187,7 @@ def embed_circulant(band: ToeplitzBand) -> CirculantOperator:
     if k > 0:
         row[-k:] = band.first_row[1:][::-1]
     # even-symmetric row => real spectrum; discard round-off imaginary part
-    eig = _rfft_kernel(m)(row, 1.0, out=np.empty(m // 2 + 1, dtype=complex)).real.copy()
+    eig = np.fft.rfft(row).real.copy()
     eig.flags.writeable = False
     return CirculantOperator(band=band, size=m, eigenvalues=eig)
 
@@ -208,8 +197,9 @@ def apply_resolvent(op: CirculantOperator, v, out=None, spec=None) -> np.ndarray
 
     ``out`` (real, ``op.size``) receives the result and ``spec`` (complex,
     ``op.size // 2 + 1``) the spectrum; with both given a call allocates
-    nothing but the FFT's own scratch.  The operator's bound kernels give
-    the bits of ``np.fft.rfft``/``irfft``.  Multiplying by the operator's
+    nothing but the FFT's own scratch.  The transforms call the pocketfft
+    kernels that ``np.fft.rfft``/``irfft`` pick, for their bits without
+    their per-call dispatch.  Multiplying by the operator's
     reciprocal gives the quotient's bits: numpy divides by a real ``d`` as
     ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
     """
@@ -224,9 +214,10 @@ def apply_resolvent(op: CirculantOperator, v, out=None, spec=None) -> np.ndarray
             f"vector, output and spectrum shapes {v.shape}, {out.shape}, {spec.shape} "
             f"do not match circulant size {op.size}"
         )
-    op._rfft(v, 1.0, out=spec)
+    rfft = _pocketfft.rfft_n_odd if op.size % 2 else _pocketfft.rfft_n_even
+    rfft(v, 1.0, out=spec)
     spec *= recip
-    return _pocketfft.irfft(spec, op._inv_size, out=out)
+    return _pocketfft.irfft(spec, 1.0 / op.size, out=out)
 
 
 def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:

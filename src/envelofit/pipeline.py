@@ -123,9 +123,10 @@ def _stage(name: str, y: Signal, lam: float, kernel: KernelSpec, lower, upper,
 
 def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
               stages: tuple[SolveResult, ...], **extra) -> Decomposition:
-    # solver tolerance can leave the envelopes crossed by O(tol); restore
-    # elementwise ordering without moving either beyond that slack, then fit
-    # the smooth component in between
+    # each x_hat lies in its box exactly, so basic envelopes never cross;
+    # debiased ones cross only by the rounding of u0 + (ys - u0), a few ulp
+    # of |y|; restore elementwise ordering, then fit the smooth component
+    # in between
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     sm = _stage("smooth", y, p.lambda1, p.kernels["smooth"], lo, hi, p)
     return Decomposition(

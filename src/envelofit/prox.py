@@ -29,7 +29,7 @@ class ProxParams:
     """The dual prox's slope ``k``, offset ``off = k*lam*y`` and scaled bounds.
 
     ``lo = 2*alpha*a`` and ``hi = 2*alpha*b`` are ``None`` where that side
-    is unbounded everywhere, so the clip skips it.
+    is unbounded everywhere, so the projection skips that side.
     """
 
     lam: float
@@ -65,7 +65,8 @@ class ProxParams:
 
 def reflect_g(t, p: ProxParams, out=None) -> np.ndarray:
     """Reflected prox ``(2 J - I)`` of the separable dual term, as
-    ``t + clip(off - k*t, lo, hi)``.
+    ``t + clip(off - k*t, lo, hi)``, the clip a ``maximum`` with ``lo`` then
+    a ``minimum`` with ``hi`` (the bits of ``np.clip`` without its dispatch).
 
     Written to ``out`` when given, so a call allocates nothing; ``out`` may
     not overlap ``t``.  NaN in ``t`` passes through.  Where a side is
@@ -78,6 +79,9 @@ def reflect_g(t, p: ProxParams, out=None) -> np.ndarray:
         raise InputError(f"t length {t.shape} != {p.y.shape}")
     v = np.multiply(p.k, t, out=out)
     np.subtract(p.off, v, out=v)
-    np.clip(v, p.lo, p.hi, out=v)
+    if p.lo is not None:
+        np.maximum(v, p.lo, out=v)
+    if p.hi is not None:
+        np.minimum(v, p.hi, out=v)
     v += t
     return v

@@ -130,6 +130,22 @@ class TestSandwichInvariants:
         assert np.max(dec.smooth.samples - hi) <= slack
         assert np.max(lo - hi) <= slack
 
+    @pytest.mark.parametrize("seed", [1001, 1002, 1003])
+    def test_envelopes_cross_only_by_rounding(self, seed):
+        """Each stage's ``x_hat`` lies in its box exactly, so basic envelopes
+        bracket ``y`` with no slack; the debiased ones, ``u0 + x_hat`` and
+        ``l0 + x_hat``, cross before the repair only by the rounding of
+        ``u0 + (ys - u0)`` and ``l0 + (ys - l0)``."""
+        y = generate_trial(TrialSpec(seed=seed)).observation
+        ys = y.samples
+        dec = decompose_basic(y, PipelineParams())
+        assert np.all(dec.lower_env.samples <= ys)
+        assert np.all(ys <= dec.upper_env.samples)
+        c_low, c_up, low, up, _ = decompose_debiased(y, PipelineParams()).diagnostics
+        lo = c_up.x_hat.samples + low.x_hat.samples
+        hi = c_low.x_hat.samples + up.x_hat.samples
+        assert np.all(lo - hi <= 4 * np.spacing(np.abs(ys)))
+
     def test_coarse_envelopes_bracket_observation(self, short_trial):
         y = short_trial.observation
         dec = decompose_debiased(y, small_params())
