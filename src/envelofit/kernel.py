@@ -12,9 +12,10 @@ iterations per solve.  ``embed_circulant`` embeds a band in the circulant
 of size ``next_fast_len(N + K)``, which carries the band and derives the
 step, and makes both the matrix-vector product and the resolvent
 ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs one FFT
-pair.  ``apply_resolvent`` calls numpy's pocketfft kernels directly;
-``toeplitz_from_resolvent`` reads the band's product off a resolvent
-instead of convolving.
+pair.  ``apply_resolvent`` runs the pair as pocketfft's halfcomplex
+transforms through scipy's binding, which caches their plans and loads on
+the first call; ``toeplitz_from_resolvent`` reads the band's product off a
+resolvent instead of convolving.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .core import InputError, NumericalError, check_int
 
@@ -45,6 +45,8 @@ __all__ = [
 #: Truncation threshold of a ``KernelSpec`` that names none, and the default
 #: of ``PipelineParams.tau``, whose docstring gives the trade it sets.
 DEFAULT_TAU = 1e-5
+
+_r2r_fftpack = None  # scipy's pocketfft r2r_fftpack, bound by the first resolvent
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,14 @@ class CirculantOperator:
 
     @functools.cached_property
     def multipliers(self) -> np.ndarray:
-        """Read-only ``1 / (1 + alpha * eigenvalues)``, complex with imaginary part
-        +0 so no resolvent casts them; built on first use, after a solve's work
-        block (built ahead of it they raised a 2^17-sample call's peak RSS 5 MB)."""
-        recip = np.multiply(self.alpha, self.eigenvalues)
+        """Read-only ``1 / (1 + alpha * eigenvalues)`` in halfcomplex order: slot 0
+        DC's, slots ``2k - 1`` and ``2k`` the k-th, the last Nyquist's if ``size``
+        is even; built on first use, after a solve's work block (built ahead of
+        it they raised a 2^17-sample call's peak RSS 5 MB)."""
+        recip = np.repeat(self.eigenvalues, 2)[1 : self.size + 1]
+        recip *= self.alpha
         recip += 1.0
         np.divide(1.0, recip, out=recip)
-        recip = recip.astype(complex)
         recip.flags.writeable = False
         return recip
 
@@ -192,32 +195,31 @@ def embed_circulant(band: ToeplitzBand) -> CirculantOperator:
     return CirculantOperator(band=band, size=m, eigenvalues=eig)
 
 
-def apply_resolvent(op: CirculantOperator, v, out=None, spec=None) -> np.ndarray:
+def apply_resolvent(op: CirculantOperator, v, out=None) -> np.ndarray:
     """Spectral solve ``(I + alpha C~)^-1 v`` at the operator's own step.
 
-    ``out`` (real, ``op.size``) receives the result and ``spec`` (complex,
-    ``op.size // 2 + 1``) the spectrum; with both given a call allocates
-    nothing but the FFT's own scratch.  The transforms call the pocketfft
-    kernels that ``np.fft.rfft``/``irfft`` pick, for their bits without
-    their per-call dispatch.  Multiplying by the operator's
-    reciprocal gives the quotient's bits: numpy divides by a real ``d`` as
-    ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
+    ``out`` (real, ``op.size``; ``v`` itself or disjoint from it) receives the
+    spectrum, then the result; given, a call allocates nothing but the FFT's
+    own scratch.  The pair is pocketfft's halfcomplex transform and its
+    inverse over 1/M, whose plans scipy's binding caches (loaded by the first
+    call of a process, about 0.25 s); the real spectrum takes one multiply by
+    the operator's reciprocals.  That gives the bits of ``np.fft``'s
+    ``irfft(rfft(v) / (1 + alpha * eigenvalues))``: numpy divides by a real
+    ``d`` as ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
     """
-    recip = op.multipliers
+    global _r2r_fftpack
+    if _r2r_fftpack is None:
+        from scipy.fft._pocketfft import pypocketfft
+        _r2r_fftpack = pypocketfft.r2r_fftpack
     v = np.asarray(v, dtype=float)
-    if spec is None:
-        spec = np.empty(recip.size, dtype=complex)
     if out is None:
         out = np.empty(op.size)
-    if v.shape != (op.size,) or out.shape != v.shape or spec.shape != recip.shape:
-        raise InputError(
-            f"vector, output and spectrum shapes {v.shape}, {out.shape}, {spec.shape} "
-            f"do not match circulant size {op.size}"
-        )
-    rfft = _pocketfft.rfft_n_odd if op.size % 2 else _pocketfft.rfft_n_even
-    rfft(v, 1.0, out=spec)
-    spec *= recip
-    return _pocketfft.irfft(spec, 1.0 / op.size, out=out)
+    if v.shape != (op.size,) or out.shape != v.shape:
+        raise InputError(f"vector and output shapes {v.shape}, {out.shape} "
+                         f"do not match circulant size {op.size}")
+    _r2r_fftpack(v, (0,), True, True, 0, out)
+    out *= op.multipliers
+    return _r2r_fftpack(out, (0,), False, False, 2, out)
 
 
 def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:

@@ -192,9 +192,10 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
 
     A checkpoint reads ``C z``, ``z = r[:n]`` for the resolvent ``r`` of
     ``u``, off that resolvent (``toeplitz_from_resolvent``) into the ``g``
-    row, dead until the next reflection, and takes the gap in the spectrum
-    buffer.  A gap that is not finite means the iteration diverged: the
-    first such checkpoint raises ``NumericalError``.
+    row, dead until the next reflection, and takes the gap in one n-vector.
+    A gap that is not finite means the iteration diverged: the first such
+    checkpoint raises ``NumericalError``.  The loop copies ``z`` into that
+    n-vector and frees every other buffer before ``x_hat`` is formed.
 
     Checkpoints fall every ``trace_every`` iterations and at the cap.  After
     one at iteration ``j`` fails, the gap is predicted to scale with
@@ -205,12 +206,34 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     trajectory whatever the checks.
     """
     start = time.perf_counter()
+    z, iters, res, trace = _iterate(p)
+    op = p.circulant
+    if not math.isfinite(res):
+        raise NumericalError(f"iteration diverged: gap {res} at iteration {iters} "
+                             f"with alpha={op.alpha}")
+    x_hat = project_box(p.y.samples - z / p.lam, p.box)
+    return SolveResult(
+        x_hat=p.y.with_samples(x_hat),
+        z=z,
+        iters=iters,
+        residual_inf=res,
+        residual_trace=tuple(trace),
+        converged=res < p.tol_abs,
+        alpha=op.alpha, m=op.size, k=op.band.half_width, eig_min=op.eig_min,
+        eig_max=op.eig_max, wall_s=time.perf_counter() - start,
+    )
+
+
+def _iterate(p: SolveParams) -> tuple[np.ndarray, int, float, list[tuple[int, float]]]:
+    """``solve_constrained_filter``'s loop: ``z``, iterations, last gap and trace."""
     n, op, alpha = len(p.y), p.circulant, p.alpha
     tol_abs, cap, every, mem = p.tol_abs, p.max_iters, p.trace_every, _ANDERSON_MEMORY
 
-    # every full-length vector shares one block: freeing it raises glibc's
-    # dynamic mmap threshold past the FFT scratch of this size, so later
-    # solves neither map nor trim that scratch on every resolvent
+    # the gap's buffer, returned as z, goes first, so the block and the prox free one
+    # hole (after them, long signals peak ~1 MB higher); every full-length vector
+    # shares one block: freeing it raises glibc's dynamic mmap threshold past the
+    # FFT scratch of this size, so later solves neither map nor trim that scratch
+    work = np.empty(n)
     rows = np.zeros((2 * mem + 5, op.size))
     hist_f, hist_g = rows[:mem], rows[mem : 2 * mem]
     u, r, g, f_last, g_last = rows[2 * mem :]
@@ -218,15 +241,13 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     gram, eye = np.zeros((mem, mem)), np.eye(mem)  # gram of hist_f, in slot order
     count, last_sq = 0, -math.inf  # no last iteration: the first step is plain
     check_sq = 0.0  # no gap yet to predict from: the first check is on the cadence
-    spec = np.empty(op.size // 2 + 1, dtype=complex)
-    work = spec.view(float)[:n]
-    # built after the block and spectrum: built before, long signals peak ~6% higher
+    # built after the block: built before, long signals peak ~6% higher
     prox_params = ProxParams(lam=p.lam, alpha=alpha, y=p.y.samples, box=p.box)
     trace: list[tuple[int, float]] = []
     iters = 0
     # a diverging iterate passes through inf and NaN silently: its gap reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        apply_resolvent(op, u, r, spec)
+        apply_resolvent(op, u, r)
         while iters < cap:
             r *= 2.0  # t = 2r - u takes r's row, dead until the next resolvent
             r -= u
@@ -260,25 +281,12 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
                 np.subtract(g_last, u, out=u)
             last_sq = f_sq
             iters += 1
-            apply_resolvent(op, u, r, spec)
+            apply_resolvent(op, u, r)
             if iters % every == 0 or iters == cap or f_sq < check_sq:
                 res = residual(r_head, p, toeplitz_from_resolvent(op, u, r, g[:n]), work)
                 trace.append((iters, res))
                 if res < tol_abs or not math.isfinite(res):
                     break
                 check_sq = f_sq * (tol_abs / res) ** 2
-    if not math.isfinite(res):
-        raise NumericalError(f"iteration diverged: gap {res} at iteration {iters} "
-                             f"with alpha={alpha}")
-    z = r_head.copy()  # the work block is freed with the solve
-    x_hat = project_box(p.y.samples - z / p.lam, p.box)
-    return SolveResult(
-        x_hat=p.y.with_samples(x_hat),
-        z=z,
-        iters=iters,
-        residual_inf=res,
-        residual_trace=tuple(trace),
-        converged=res < tol_abs,
-        alpha=alpha, m=op.size, k=op.band.half_width, eig_min=op.eig_min, eig_max=op.eig_max,
-        wall_s=time.perf_counter() - start,
-    )
+    np.copyto(work, r_head)  # z takes the gap's buffer: the block goes on return
+    return work, iters, res, trace

@@ -293,10 +293,13 @@ class TestApplyResolvent:
         assert op.alpha == 1.0 / math.sqrt(op.eig_min * op.eig_max)
         m = op.multipliers
         assert op.multipliers is m  # built once
-        assert not m.flags.writeable and m.dtype == complex
+        assert not m.flags.writeable and m.dtype == float and m.shape == (op.size,)
         want = 1.0 / (1.0 + op.alpha * op.eigenvalues)
-        assert np.array_equal(m.real, want) and not np.any(m.imag)
-        assert not np.any(np.signbit(m.imag))  # +0, the bits of a real divisor
+        # halfcomplex order: DC, then the real and imaginary slot of each
+        # frequency, and Nyquist alone in the last slot when the size is even
+        assert m[0] == want[0]
+        assert np.array_equal(m[1::2], want[1 : op.size // 2 + 1])
+        assert np.array_equal(m[2::2], want[1 : (op.size + 1) // 2])
 
     @CASES
     def test_spectrum_that_is_not_positive_rejected(self, sigma, tau, n):
@@ -322,26 +325,24 @@ class TestResolventBuffers:
         size = op.size
         v = np.random.default_rng(size).standard_normal(size)
         out = np.empty(size)
-        spec = np.empty(size // 2 + 1, dtype=complex)
         want = apply_resolvent_reference(op, op.alpha, v)
-        assert apply_resolvent(op, v, out, spec) is out
+        assert apply_resolvent(op, v, out) is out
         assert np.array_equal(out, want)
         assert np.array_equal(apply_resolvent(op, v), want)
 
     def test_buffered_call_allocates_no_spectrum_copy(self):
-        """With ``out`` and ``spec`` given, a call once the multipliers are
-        built allocates no spectrum-sized array (at this size one is 132 KB)."""
+        """With ``out`` given, a call once the multipliers are built
+        allocates no spectrum-sized array (at this size one is 264 KB)."""
         op = op_reaching(2**15 + 2**10)
         size = op.size
         v = np.random.default_rng(0).standard_normal(size)
         out = np.empty(size)
-        spec = np.empty(size // 2 + 1, dtype=complex)
-        apply_resolvent(op, v, out, spec)  # builds the multipliers
+        apply_resolvent(op, v, out)  # builds the multipliers
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            apply_resolvent(op, v, out, spec)
+            apply_resolvent(op, v, out)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -349,7 +350,7 @@ class TestResolventBuffers:
         assert peak < 16 * 1024
 
 class TestBoundTransforms:
-    """The pocketfft kernels ``apply_resolvent`` calls give ``numpy.fft``'s
+    """The halfcomplex transforms ``apply_resolvent`` calls give ``numpy.fft``'s
     bits, and the operator they serve holds data only."""
 
     def test_operator_holds_data_only(self):
@@ -362,10 +363,9 @@ class TestBoundTransforms:
         op = op_reaching(reach)
         size = op.size
         v = np.random.default_rng(size).standard_normal(size)
-        spec = np.empty(size // 2 + 1, dtype=complex)
-        want = np.fft.irfft(np.fft.rfft(v) * op.multipliers, n=size)
+        want = np.fft.irfft(np.fft.rfft(v) * (1.0 / (1.0 + op.alpha * op.eigenvalues)), n=size)
         out = np.empty(size)
-        assert apply_resolvent(op, v, out, spec) is out
+        assert apply_resolvent(op, v, out) is out
         assert np.array_equal(out, want)
         assert np.array_equal(apply_resolvent(op, v), want)
 
@@ -385,7 +385,9 @@ class TestBoundTransforms:
         with pytest.raises(InputError):
             apply_resolvent(op, v, np.empty(op.size - 1))
         with pytest.raises(InputError):
-            apply_resolvent(op, v, None, np.empty(32, dtype=complex))
+            apply_resolvent(op, v, np.empty((1, op.size)))
+        with pytest.raises(InputError):
+            apply_resolvent(op, np.ones(op.size + 1), np.empty(op.size))
 
 
 class TestToeplitzFromResolvent:

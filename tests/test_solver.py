@@ -404,7 +404,7 @@ class TestFusedLoopMatchesReference:
         buffers = set()
         original = envelofit.solver.apply_resolvent
         monkeypatch.setattr(envelofit.solver, "apply_resolvent",
-                            lambda *a: buffers.add((id(a[2]), id(a[3]))) or original(*a))
+                            lambda *a: buffers.add(id(a[2])) or original(*a))
         res = solve_constrained_filter(loop_instance("lower", max_iters=30))
         assert len(buffers) == 1
         assert res.z.base is None  # z holds no view of the solve's work block
@@ -506,15 +506,19 @@ class TestCheckpointProduct:
 
 
 class TestLoopAllocation:
-    @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper"])
-    def test_iterations_allocate_less_than_a_vector(self, box_kind, monkeypatch):
-        """From the first prox to the last resolvent the solve's traced peak
-        exceeds its fixed buffers by less than one float64 n-vector."""
-        n = 2**15
+    N = 2**15
+
+    @classmethod
+    def traced_solve(cls, box_kind, monkeypatch):
+        """Trace a fresh 20-iteration solve of ``N`` samples.  Returns the bytes
+        of its fixed buffers and the traced bytes at its first prox and at the
+        peaks from there to its last resolvent and to its return, each less
+        those traced at its start."""
+        n = cls.N
         p = loop_instance(box_kind, n=n, max_iters=20)
         solve_constrained_filter(p)  # FFT plans and caches warm
         p = dataclasses.replace(p)  # a fresh stage: band and circulant not yet built
-        held, peak, sizes = [], [], []
+        held, peaks, sizes = [], [], []
         prox, resolvent = envelofit.solver.reflect_g, envelofit.solver.apply_resolvent
 
         def first_prox(*a):
@@ -525,29 +529,45 @@ class TestLoopAllocation:
 
         def record_sizes(*a):
             if not sizes:
-                sizes.append((a[0].size, a[3].size, len(a[0].eigenvalues)))
+                sizes.append((a[0].size, len(a[0].eigenvalues)))
             return resolvent(*a)
 
         monkeypatch.setattr(envelofit.solver, "reflect_g", first_prox)
         monkeypatch.setattr(envelofit.solver, "apply_resolvent", record_sizes)
         monkeypatch.setattr(envelofit.solver, "residual",  # runs once, at the cap
-                            lambda *a: peak.append(tracemalloc.get_traced_memory()[1]) or 1.0)
+                            lambda *a: peaks.append(tracemalloc.get_traced_memory()[1]) or 1.0)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             solve_constrained_filter(p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        m, h, k = sizes[0]
+        m, h = sizes[0]
         # work block (the two blocks of the Anderson differences of f and g,
-        # then u, r, g and the last f and g: the memory budget),
-        # spectrum (complex), eigenvalues, reciprocal (complex), the prox's
-        # offset k*lam*y and 2*alpha times each bounded side
+        # then u, r, g and the last f and g: the memory budget), the gap's
+        # n-vector, eigenvalues, reciprocals (real, in halfcomplex order), the
+        # prox's offset k*lam*y and 2*alpha times each bounded side
         rows = 2 * envelofit.solver._ANDERSON_MEMORY + 5
         prox_rows = 1 + (2 if box_kind == "two_sided" else 1)
-        fixed = 8 * (rows * m + 2 * h + k + 2 * h + prox_rows * n)
-        assert fixed <= held[0] - start < fixed + 64 * 1024
-        assert peak[0] - held[0] < 8 * n
+        fixed = 8 * (rows * m + n + h + m + prox_rows * n)
+        return fixed, held[0] - start, peaks[0] - start, peaks[1] - start
+
+    @pytest.mark.parametrize("box_kind", ["two_sided", "lower", "upper"])
+    def test_iterations_allocate_less_than_a_vector(self, box_kind, monkeypatch):
+        """From the first prox to the last resolvent the solve's traced peak
+        exceeds its fixed buffers by less than one float64 n-vector."""
+        fixed, held, loop, _ = self.traced_solve(box_kind, monkeypatch)
+        assert fixed <= held < fixed + 64 * 1024
+        assert loop - held < 8 * self.N
+
+    def test_buffers_freed_before_the_epilogue(self, monkeypatch):
+        """From the first prox to the return, ``x_hat`` and the record
+        included, the solve's traced peak exceeds its fixed buffers by less
+        than one n-vector: the loop's buffers are freed before ``z / lam``,
+        ``y - z / lam`` and its projection are formed."""
+        _, held, _, whole = self.traced_solve("two_sided", monkeypatch)
+        assert whole - held < 8 * self.N
 
 
 def inject_nonfinite_reflection(monkeypatch, at):
