@@ -117,7 +117,7 @@ def filter_zero_delay(f: FirFilter, x: Signal) -> Signal:
     if g == 0:
         return x.with_samples(f.taps[0] * x.samples)
     padded = np.pad(x.samples, g, mode="symmetric")
-    size = next_fast_len(padded.size + f.length - 1, real=True)
+    size = next_fast_len(padded.size + f.length - 1)
     spec = np.fft.rfft(padded, size) * np.fft.rfft(f.taps, size)
     return x.with_samples(np.fft.irfft(spec, size)[f.length - 1 : padded.size])
 

@@ -9,13 +9,14 @@ lowers the (positive) untruncated symbol, so every Toeplitz and circulant
 eigenvalue exceeds the floor ``1/(2(K + 1))``, for any size.  The condition
 number, about ``2 sqrt(pi) sigma (K + 1)``, then sets the splitting
 iterations per solve.  ``embed_circulant`` embeds a band in the circulant
-of size ``next_fast_len(N + K)``, which carries the band and derives the
-step, and makes both the matrix-vector product and the resolvent
-``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs one FFT
-pair.  ``apply_resolvent`` runs the pair as pocketfft's halfcomplex
-transforms through scipy's binding, which caches their plans and loads on
-the first call; ``toeplitz_from_resolvent`` reads the band's product off a
-resolvent instead of convolving.
+of 5-smooth size ``next_fast_len(N + K)``, which carries the band and
+derives the step, and makes both the matrix-vector product and the
+resolvent ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs
+one FFT pair.  ``apply_resolvent`` runs the pair as pocketfft's real
+halfcomplex transforms through scipy's binding, which caches their plans;
+those transforms have passes of their own for the factors 2, 3, 4 and 5
+only, hence the size.  ``toeplitz_from_resolvent`` reads the band's product
+off a resolvent instead of convolving.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
 #: of ``PipelineParams.tau``, whose docstring gives the trade it sets.
 DEFAULT_TAU = 1e-5
 
-_r2r_fftpack = None  # scipy's pocketfft r2r_fftpack, bound by the first resolvent
+_r2r_fftpack = None  # scipy's pocketfft r2r_fftpack, bound by load_fft
 
 
 @dataclass(frozen=True)
@@ -117,21 +118,21 @@ class CirculantOperator:
         return recip
 
 
-def next_fast_len(target: int, real: bool = False) -> int:
-    """Smallest size ``>= target`` with no prime factor above 11 (above 5
-    with ``real=True``): ``scipy.fft.next_fast_len``'s rule."""
+def next_fast_len(target: int) -> int:
+    """Smallest size ``>= target`` with no prime factor above 5
+    (``scipy.fft.next_fast_len(target, real=True)``'s rule): pocketfft's real
+    transforms run a factor of 7 or 11 through a slower generic pass."""
     if target < 1:
         raise InputError(f"transform size must be >= 1, got {target}")
-    sizes = _smooth_sizes((target - 1).bit_length(), (2, 3, 5) if real else (2, 3, 5, 7, 11))
+    sizes = _smooth_sizes((target - 1).bit_length())
     return sizes[bisect.bisect_left(sizes, target)]
 
 
 @functools.lru_cache(maxsize=None)
-def _smooth_sizes(bits: int, primes: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted sizes up to ``2**bits`` with no prime factor outside ``primes``;
-    one tuple per bit length and prime set in use."""
+def _smooth_sizes(bits: int) -> tuple[int, ...]:
+    """Sorted 5-smooth sizes up to ``2**bits``; one tuple per bit length in use."""
     top, sizes = 1 << bits, [1]
-    for p in primes:
+    for p in (2, 3, 5):
         sizes = [s * p**e for s in sizes for e in range(bits + 1) if s * p**e <= top]
     return tuple(sorted(sizes))
 
@@ -179,9 +180,10 @@ def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
 def embed_circulant(band: ToeplitzBand) -> CirculantOperator:
     """Circulant extension whose top-left N x N block equals the Toeplitz band.
 
-    Its size is ``next_fast_len(N + K)``, the first FFT-friendly size from
-    ``N + K``, the least that embeds the band; zeros fill the first row's
-    middle, so every such size embeds it exactly.
+    Its size is ``next_fast_len(N + K)``, the first size from ``N + K``, the
+    least that embeds the band, that its resolvent's real transforms run fast
+    (5-smooth); zeros fill the first row's middle, so every such size embeds
+    it exactly.
     """
     k = band.half_width
     m = next_fast_len(band.n + k)
@@ -195,31 +197,41 @@ def embed_circulant(band: ToeplitzBand) -> CirculantOperator:
     return CirculantOperator(band=band, size=m, eigenvalues=eig)
 
 
-def apply_resolvent(op: CirculantOperator, v, out=None) -> np.ndarray:
-    """Spectral solve ``(I + alpha C~)^-1 v`` at the operator's own step.
-
-    ``out`` (real, ``op.size``; ``v`` itself or disjoint from it) receives the
-    spectrum, then the result; given, a call allocates nothing but the FFT's
-    own scratch.  The pair is pocketfft's halfcomplex transform and its
-    inverse over 1/M, whose plans scipy's binding caches (loaded by the first
-    call of a process, about 0.25 s); the real spectrum takes one multiply by
-    the operator's reciprocals.  That gives the bits of ``np.fft``'s
-    ``irfft(rfft(v) / (1 + alpha * eigenvalues))``: numpy divides by a real
-    ``d`` as ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
-    """
+def load_fft():
+    """scipy's pocketfft ``r2r_fftpack``, bound on the process's first call,
+    which imports ``scipy.fft`` (about 0.2 s)."""
     global _r2r_fftpack
     if _r2r_fftpack is None:
         from scipy.fft._pocketfft import pypocketfft
         _r2r_fftpack = pypocketfft.r2r_fftpack
+    return _r2r_fftpack
+
+
+def apply_resolvent(op: CirculantOperator, v, out=None) -> np.ndarray:
+    """Spectral solve ``(I + alpha C~)^-1 v`` at the operator's own step.
+
+    ``out`` (real, ``op.size``; ``v`` itself or disjoint from it, else
+    ``InputError``) receives the spectrum, then the result; given, a call
+    allocates nothing but the FFT's own scratch.  The pair is pocketfft's
+    halfcomplex transform and its inverse over 1/M, whose plans scipy's
+    binding caches (``load_fft``); the real spectrum takes one multiply by
+    the operator's reciprocals.  That gives the bits of ``np.fft``'s
+    ``irfft(rfft(v) / (1 + alpha * eigenvalues))``: numpy divides by a real
+    ``d`` as ``(a + b*0) * (1/d)``, which is ``a * (1/d)`` up to a zero's sign.
+    """
+    r2r = load_fft()
     v = np.asarray(v, dtype=float)
     if out is None:
         out = np.empty(op.size)
     if v.shape != (op.size,) or out.shape != v.shape:
         raise InputError(f"vector and output shapes {v.shape}, {out.shape} "
                          f"do not match circulant size {op.size}")
-    _r2r_fftpack(v, (0,), True, True, 0, out)
+    if out is not v and np.may_share_memory(out, v):
+        # the forward transform would overwrite v while reading it
+        raise InputError("output overlaps the vector without being it")
+    r2r(v, (0,), True, True, 0, out)
     out *= op.multipliers
-    return _r2r_fftpack(out, (0,), False, False, 2, out)
+    return r2r(out, (0,), False, False, 2, out)
 
 
 def apply_toeplitz(band: ToeplitzBand, z) -> np.ndarray:

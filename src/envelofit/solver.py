@@ -37,6 +37,7 @@ from .kernel import (
     apply_toeplitz,
     build_band,
     embed_circulant,
+    load_fft,
     toeplitz_from_resolvent,
 )
 from .prox import ProxParams, reflect_g
@@ -122,8 +123,9 @@ class SolveParams(SolverSettings):
 class SolveResult:
     """One solve's record: outputs, iterations, gaps, the step ``alpha``,
     circulant size ``m``, band half-width ``k``, spectrum extremes and
-    ``wall_s`` (band and circulant builds included).  ``stage`` names the
-    pipeline stage that ran it; a direct call leaves it empty."""
+    ``wall_s`` (band and circulant builds included, the process's one-time
+    FFT binding load not).  ``stage`` names the pipeline stage that ran it;
+    a direct call leaves it empty."""
 
     x_hat: Signal
     z: np.ndarray
@@ -205,6 +207,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
     checked iteration whose measured gap meets the tolerance, on the same
     trajectory whatever the checks.
     """
+    load_fft()  # once per process, and not on this stage's clock
     start = time.perf_counter()
     z, iters, res, trace = _iterate(p)
     op = p.circulant

@@ -268,7 +268,7 @@ def solve_reference_loop(p: SolveParams, every_iteration: bool = False) -> Solve
     n = len(p.y)
     band = build_band(p.kernel, n)
     op = embed_circulant(band)
-    assert op.size == scipy.fft.next_fast_len(n + band.half_width)
+    assert op.size == scipy.fft.next_fast_len(n + band.half_width, real=True)
     mem = envelofit.solver._ANDERSON_MEMORY
 
     prox_params = ProxParams(lam=p.lam, alpha=p.alpha, y=p.y.samples, box=p.box)

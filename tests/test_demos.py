@@ -26,6 +26,11 @@ def test_demo_exits_zero(path, tmp_path):
     if path.name == "02_solver_anatomy.py":
         assert "converged=True" in proc.stdout
         assert "alpha=" in proc.stdout and "kappa=" in proc.stdout
+    if path.name == "03_fft_scaling.py":
+        # each length's circulant size M beside its time: the 5-smooth sizes
+        lines = proc.stdout.splitlines()
+        assert lines[0].split() == ["n", "M", "us/iter", "ratio"]
+        assert [int(line.split()[1]) for line in lines[1:6]] == [4320, 8640, 16875, 33750, 65610]
     if path.name == "07_short_transient_regime.py":
         assert proc.stdout.count("/10") == 2  # one row per regime
 

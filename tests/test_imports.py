@@ -75,7 +75,8 @@ def test_private_modules_used_only_where_listed():
     """Each private module skips a public wrapper's per-call cost: numpy's
     LAPACK gufuncs serve the Anderson solve and the GP factor, and scipy's
     pocketfft binding, which caches its plans, the resolvent's FFT pair,
-    loaded where it is called so that importing the package loads no scipy.
+    bound by ``load_fft`` on first use so that importing the package loads
+    no scipy.
     Only scipy 1.17.1 was verified against this list, though the
     requirement stays ``scipy>=1.10``; a new use, or an upgrade that moves
     one of these, should be reviewed against it."""
@@ -83,5 +84,5 @@ def test_private_modules_used_only_where_listed():
     assert private_uses() == {
         "numpy": {(linalg, "solver", "<module>"), (linalg, "solver", "_iterate"),
                   (linalg, "synth", "<module>"), (linalg, "synth", "_gp_factor")},
-        "scipy": {(pocketfft, "kernel", "apply_resolvent")},
+        "scipy": {(pocketfft, "kernel", "load_fft")},
     }

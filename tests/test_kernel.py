@@ -202,13 +202,14 @@ class TestEmbedCirculant:
 
     @pytest.mark.parametrize("sigma,tau", [(1.0, 0.1), (5.0, 1e-3), (20.0, 1e-5)])
     def test_sizes_itself_and_keeps_its_band(self, sigma, tau):
-        # scipy's rule, from N + K: equal to it on 11-smooth sizes, above it between
+        # scipy's real-transform rule, from N + K: equal to it on 5-smooth sizes,
+        # above it between
         spec = KernelSpec(sigma=sigma, tau=tau)
         k = band_half_width(spec)
         for n in range(k + 1, k + 300):
             band = build_band(spec, n)
             op = embed_circulant(band)
-            assert op.size == scipy.fft.next_fast_len(n + k) and op.band is band
+            assert op.size == scipy.fft.next_fast_len(n + k, real=True) and op.band is band
 
 
 def toy_op():
@@ -310,16 +311,16 @@ class TestApplyResolvent:
 
 def op_reaching(reach):
     """The operator of a band with ``K = 1`` and ``n + K = reach``: its size is
-    ``reach`` where that is 11-smooth, else the next such size (65 -> 66,
-    2049 -> 2058, 2067 -> 2079), so the cases reach odd and even sizes,
-    equal to and beyond ``n + K``."""
+    ``reach`` where that is 5-smooth, else the next such size (65 -> 72,
+    2016 -> 2025, 2079 -> 2160, 2178 -> 2187, 131250 -> 135000), so the cases
+    reach odd and even sizes, equal to and beyond ``n + K``."""
     return embed_circulant(build_band(KernelSpec(sigma=1.0, tau=0.1), reach - 1))
 
 
 class TestResolventBuffers:
     # the bound kernels with output buffers must give the bits of the scipy.fft reference
-    @pytest.mark.parametrize("reach", [3, 64, 65, 2016, 2049, 2067, 2079, 2160, 2178, 4158,
-                                       32928, 65610, 131220, 131250])
+    @pytest.mark.parametrize("reach", [3, 64, 65, 2016, 2025, 2049, 2067, 2079, 2160, 2178,
+                                       2187, 4158, 16875, 32928, 65610, 131220, 131250])
     def test_buffers_match_reference(self, reach):
         op = op_reaching(reach)
         size = op.size
@@ -332,7 +333,7 @@ class TestResolventBuffers:
 
     def test_buffered_call_allocates_no_spectrum_copy(self):
         """With ``out`` given, a call once the multipliers are built
-        allocates no spectrum-sized array (at this size one is 264 KB)."""
+        allocates no spectrum-sized array (at this size one is 270 KB)."""
         op = op_reaching(2**15 + 2**10)
         size = op.size
         v = np.random.default_rng(0).standard_normal(size)
@@ -357,8 +358,8 @@ class TestBoundTransforms:
         assert [f.name for f in dataclasses.fields(CirculantOperator)] == [
             "band", "size", "eigenvalues", "eig_min", "eig_max", "alpha"]
 
-    @pytest.mark.parametrize("reach", [3, 64, 65, 2016, 2067, 2079, 2178, 32928, 131220,
-                                       131250])
+    @pytest.mark.parametrize("reach", [3, 64, 65, 2016, 2067, 2079, 2178, 2187, 16875, 32928,
+                                       131220, 131250])
     def test_kernels_match_numpy_fft(self, reach):
         op = op_reaching(reach)
         size = op.size
@@ -369,10 +370,12 @@ class TestBoundTransforms:
         assert np.array_equal(out, want)
         assert np.array_equal(apply_resolvent(op, v), want)
 
-    # a band of n + extra samples: sizes 66, 270, 2025, 2079 (= n + K), 2178, 32928
+    # a band of n + extra samples: sizes 72, 270, 2025, 2160 (twice, once = n + K),
+    # 2187, 33750
     @pytest.mark.parametrize("n,sigma,tau,extra", [
         (64, 1.0, 0.1, 0), (257, 3.3, 1e-3, 0), (2000, 5.0, 1e-5, 7),
-        (2000, 20.0, 1e-5, 12), (2000, 50.0, 1e-5, 0), (2**15, 20.0, 1e-5, 25),
+        (2000, 20.0, 1e-5, 12), (2000, 20.0, 1e-5, 93), (2000, 50.0, 1e-5, 0),
+        (2**15, 20.0, 1e-5, 25),
     ])
     def test_eigenvalues_match_scipy_fft(self, n, sigma, tau, extra):
         band = build_band(KernelSpec(sigma=sigma, tau=tau), n + extra)
@@ -389,15 +392,25 @@ class TestBoundTransforms:
         with pytest.raises(InputError):
             apply_resolvent(op, np.ones(op.size + 1), np.empty(op.size))
 
+    def test_output_overlapping_the_vector_rejected(self):
+        op = op_reaching(65)
+        buf = np.random.default_rng(0).standard_normal(op.size + 1)
+        with pytest.raises(InputError, match="overlaps"):
+            apply_resolvent(op, buf[: op.size], buf[1:])
+        v = buf[: op.size].copy()
+        want = apply_resolvent(op, v)
+        assert apply_resolvent(op, v, v) is v  # in place stays allowed
+        assert np.array_equal(v, want)
+
 
 class TestToeplitzFromResolvent:
-    # sizes 2079 and 308 (beyond n + K), 50, 33 and 28 (n + K), 35 (beyond);
+    # sizes 2160 and 320 (beyond n + K), 50 and 27 (= n + K), 36 and 30 (beyond);
     # each operator is taken at the step ``alpha``, each input from ``seed``
     @pytest.mark.parametrize("n,sigma,tau,seed", [
         (2000, 20.0, 1e-5, 0), (2000, 20.0, 1e-5, 12), (300, 3.0, 1e-3, 200),
         (50, 1.0, 0.5, 5),  # K = 0
-        (20, 5.0, 1e-3, 0), (15, 5.0, 1e-3, 31),  # n < 2K: the corrections share rows
-        (21, 5.0, 1e-3, 0),  # n < 2K, beyond n + K
+        (14, 5.0, 1e-3, 0),  # n < 2K: the corrections share rows
+        (20, 5.0, 1e-3, 0), (15, 5.0, 1e-3, 31), (21, 5.0, 1e-3, 0),  # n < 2K, beyond
     ])
     @pytest.mark.parametrize("alpha", [1e-3, 1.0, 50.0])
     def test_matches_convolution(self, n, sigma, tau, seed, alpha):
@@ -452,11 +465,10 @@ class TestApplyToeplitz:
 
 
 class TestNextFastLen:
-    @pytest.mark.parametrize("real", [False, True])
-    def test_matches_scipy_up_to_2_18(self, real):
+    def test_matches_scipy_up_to_2_18(self):
         targets = range(1, 2**18 + 1)
-        got = [next_fast_len(t, real) for t in targets]
-        want = [scipy.fft.next_fast_len(t, real) for t in targets]
+        got = [next_fast_len(t) for t in targets]
+        want = [scipy.fft.next_fast_len(t, real=True) for t in targets]
         assert got == want
 
     def test_rejects_nonpositive_target(self):
