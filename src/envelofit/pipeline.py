@@ -6,10 +6,12 @@ smoothest signal between those envelopes (light data-fit weight, wider
 kernel).  The transient component is the remainder.  A debiased variant
 first fits coarse one-sided envelopes so each tight-envelope stage sees a
 single-signed input, which tightens the envelopes and yields a trend
-estimate as a side product.  Every parameter is checked when its object is
-built, and the one relation of the coarse stage, ``sigma1 <= coarse.sigma``,
-when ``decompose_debiased`` is called, so a bad value fails before any stage
-runs.
+estimate as a side product.  The coarse pair only has to give each tight
+stage that sign, so it is solved to a looser tolerance derived from the
+shared ``tol`` (``_coarse_tol``); every other stage solves to ``tol``.
+Every parameter is checked when its object is built, and the one relation
+of the coarse stage, ``sigma1 <= coarse.sigma``, when ``decompose_debiased``
+is called, so a bad value fails before any stage runs.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ class PipelineParams:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """A decomposition and its stage records, in run order.  The debiased
+    variant also sets the coarse envelopes and ``trend``, their midpoint,
+    which are solved only to the coarse pair's tolerance (``_coarse_tol``),
+    not to ``tol``; the basic variant leaves them ``None``."""
+
     smooth: Signal
     transient: Signal
     lower_env: Signal
@@ -107,15 +114,28 @@ class BeatStats:
     std_interval_s: float
 
 
+def _coarse_tol(tol: float) -> float:
+    """The coarse pair's relative tolerance: ``max(tol, min(1e3 * tol, 1e-3))``.
+
+    A coarse ``x_hat`` lies in its box exactly, so ``y - u0`` keeps its sign
+    at any tolerance, and the tight stage, which follows a smooth shift of its
+    input, cancels most of the coarse error in ``u0 + tight(y - u0)``.  The
+    rule is 1000 times ``tol`` up to tol = 1e-6 (1e-3 at the default) and
+    never looser than 1e-3 unless ``tol`` is: at 1e-2 the smooth estimate
+    moved over ten times as far as at 1e-3.
+    """
+    return max(tol, min(1e3 * tol, 1e-3))
+
+
 def _stage(name: str, y: Signal, lam: float, kernel: KernelSpec, lower, upper,
-           p: PipelineParams) -> SolveResult:
+           settings: SolverSettings) -> SolveResult:
     """One named solve; its result, and any error it raises, carry ``name``."""
     n = len(y)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
     try:
         params = SolveParams(y=y, lam=lam, kernel=kernel, box=BoxConstraint(lower, upper),
-                             **vars(p.solver))
+                             **vars(settings))
         return replace(solve_constrained_filter(params), stage=name)
     except EnvelofitError as exc:
         raise type(exc)(f"{exc} (stage {name})") from exc
@@ -128,7 +148,7 @@ def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
     # of |y|; restore elementwise ordering, then fit the smooth component
     # in between
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    sm = _stage("smooth", y, p.lambda1, p.kernels["smooth"], lo, hi, p)
+    sm = _stage("smooth", y, p.lambda1, p.kernels["smooth"], lo, hi, p.solver)
     return Decomposition(
         smooth=sm.x_hat,
         transient=y.with_samples(y.samples - sm.x_hat.samples),
@@ -142,29 +162,32 @@ def _sandwich(y: Signal, p: PipelineParams, lo: np.ndarray, hi: np.ndarray,
 def decompose_basic(y: Signal, p: PipelineParams) -> Decomposition:
     """Tight envelopes from the raw observation, then smooth in between."""
     ys = y.samples
-    low = _stage("tight_lower", y, p.lambda0, p.kernels["tight"], np.min(ys), ys, p)
-    up = _stage("tight_upper", y, p.lambda0, p.kernels["tight"], ys, np.max(ys), p)
+    low = _stage("tight_lower", y, p.lambda0, p.kernels["tight"], np.min(ys), ys, p.solver)
+    up = _stage("tight_upper", y, p.lambda0, p.kernels["tight"], ys, np.max(ys), p.solver)
     return _sandwich(y, p, low.x_hat.samples, up.x_hat.samples, (low, up))
 
 
 def decompose_debiased(y: Signal, p: PipelineParams) -> Decomposition:
     """Coarse one-sided envelopes first, so the tight stages see a
-    single-signed input; also yields a trend estimate.  Checks
-    ``sigma1 <= coarse.sigma`` before its first stage."""
+    single-signed input; also yields a trend estimate.  The coarse pair is
+    solved to ``_coarse_tol(p.solver.tol)``, the other stages to
+    ``p.solver.tol``.  Checks ``sigma1 <= coarse.sigma`` before its first
+    stage."""
     if not p.sigma1 <= p.coarse.sigma:
         raise InputError(f"need sigma1 <= coarse sigma, got {p.sigma1}, {p.coarse.sigma}")
     ys = y.samples
-    c_low = _stage("coarse_lower", y, p.coarse.lam, p.kernels["coarse"], -np.inf, ys, p)
-    c_up = _stage("coarse_upper", y, p.coarse.lam, p.kernels["coarse"], ys, np.inf, p)
+    coarse = replace(p.solver, tol=_coarse_tol(p.solver.tol))
+    c_low = _stage("coarse_lower", y, p.coarse.lam, p.kernels["coarse"], -np.inf, ys, coarse)
+    c_up = _stage("coarse_upper", y, p.coarse.lam, p.kernels["coarse"], ys, np.inf, coarse)
     l0 = c_low.x_hat.samples
     u0 = c_up.x_hat.samples
 
-    # biased residuals are single-signed up to solver tolerance
+    # each coarse x_hat lies in its box, so these are single-signed at any tolerance
     w_low = y.with_samples(ys - u0)  # <= 0
     w_up = y.with_samples(ys - l0)  # >= 0
     tight = p.kernels["tight"]
-    low = _stage("tight_lower", w_low, p.lambda0, tight, -np.inf, w_low.samples, p)
-    up = _stage("tight_upper", w_up, p.lambda0, tight, w_up.samples, np.inf, p)
+    low = _stage("tight_lower", w_low, p.lambda0, tight, -np.inf, w_low.samples, p.solver)
+    up = _stage("tight_upper", w_up, p.lambda0, tight, w_up.samples, np.inf, p.solver)
     return _sandwich(
         y, p, u0 + low.x_hat.samples, l0 + up.x_hat.samples,
         (c_low, c_up, low, up),

@@ -67,13 +67,17 @@ class SolverSettings:
     iterations about 3.5-fold; a step whose fixed-point residual grows
     falls back to the plain one.  ``tol`` is relative to ``||y||_inf``, or
     absolute when ``y`` is zero.  A solve stops only on a measured gap below
-    it.  The gap is checked at ``max_iters``, every ``trace_every`` iterations
-    (a constant: at most 25 iterations pass between checks) and in between
-    where the fixed-point residual predicts it may meet ``tol``.
+    it.  The pipeline solves every stage to ``tol`` but the debiased
+    variant's coarse pair, which takes a looser tolerance derived from it
+    (``pipeline._coarse_tol``).  The gap is checked at ``max_iters``, every
+    ``trace_every`` iterations (a constant: at most 25 iterations pass
+    between checks) and in between where the fixed-point residual predicts
+    it may meet ``tol``.
     """
 
     max_iters: int = knob(10000, "iteration cap per solve")
-    tol: float = knob(1e-6, "relative residual tolerance")
+    tol: float = knob(1e-6, "relative residual tolerance of the tight and smooth stages; "
+                            "the coarse --debias stages take max(tol, min(1e3*tol, 1e-3))")
     trace_every: ClassVar[int] = 25
 
     def __post_init__(self):
@@ -121,11 +125,12 @@ class SolveParams(SolverSettings):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """One solve's record: outputs, iterations, gaps, the step ``alpha``,
-    circulant size ``m``, band half-width ``k``, spectrum extremes and
-    ``wall_s`` (band and circulant builds included, the process's one-time
-    FFT binding load not).  ``stage`` names the pipeline stage that ran it;
-    a direct call leaves it empty."""
+    """One solve's record: outputs, iterations, gaps, ``converged`` and the
+    absolute tolerance ``tol_abs`` it was judged against, the step
+    ``alpha``, circulant size ``m``, band half-width ``k``, spectrum extremes
+    and ``wall_s`` (band and circulant builds included, the process's
+    one-time FFT binding load not).  ``stage`` names the pipeline stage that
+    ran it; a direct call leaves it empty."""
 
     x_hat: Signal
     z: np.ndarray
@@ -133,6 +138,7 @@ class SolveResult:
     residual_inf: float
     residual_trace: tuple[tuple[int, float], ...]
     converged: bool
+    tol_abs: float
     alpha: float
     m: int
     k: int
@@ -222,6 +228,7 @@ def solve_constrained_filter(p: SolveParams) -> SolveResult:
         residual_inf=res,
         residual_trace=tuple(trace),
         converged=res < p.tol_abs,
+        tol_abs=p.tol_abs,
         alpha=op.alpha, m=op.size, k=op.band.half_width, eig_min=op.eig_min,
         eig_max=op.eig_max, wall_s=time.perf_counter() - start,
     )

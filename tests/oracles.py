@@ -179,6 +179,7 @@ def solve_reference_dense(p: SolveParams) -> SolveResult:
         residual_inf=res,
         residual_trace=((int(res_opt.nit), res),),
         converged=res < max(p.tol_abs, 1e-7),
+        tol_abs=max(p.tol_abs, 1e-7),
         alpha=float("nan"),  # no splitting step; m, k and the extremes are the dense matrix's
         m=n,
         k=band.half_width,
@@ -326,6 +327,7 @@ def solve_reference_loop(p: SolveParams, every_iteration: bool = False) -> Solve
         residual_inf=res,
         residual_trace=tuple(trace),
         converged=res < tol_abs,
+        tol_abs=tol_abs,
         alpha=p.alpha,
         m=op.size,
         k=band.half_width,

@@ -363,8 +363,14 @@ class TestDecompose:
         diag = json.loads((out / "sine_diagnostics.json").read_text())
         assert diag["debias"] is True
         assert len(diag["stages"]) == 5
-        assert all({"iters", "residual_inf", "converged"} <= set(s)
+        assert all({"iters", "residual_inf", "converged", "tol_abs"} <= set(s)
                    for s in diag["stages"])
+        # the coarse pair and the smooth stage solve on y itself: the coarse
+        # pair to the coarse rule's 1e-3 at the default --tol, smooth to --tol
+        scale = np.max(np.abs(read_signal_csv(sine_csv).samples))
+        tols = [s["tol_abs"] for s in diag["stages"]]
+        assert tols[:2] == pytest.approx([1e-3 * scale] * 2, rel=1e-12)
+        assert tols[4] == pytest.approx(1e-6 * scale, rel=1e-12)
 
     def test_stages_hold_every_record_field(self, sine_csv, tmp_path):
         """Each ``stages[i]`` is its stage's ``SolveResult`` but ``x_hat`` and
