@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputError, Signal, check_int
-from .kernel import next_fast_len
 
 __all__ = [
     "FirFilter",
@@ -105,10 +104,13 @@ def _windowed_sinc(cutoffs, fs_hz: float, length: int, window: str) -> np.ndarra
 def filter_zero_delay(f: FirFilter, x: Signal) -> Signal:
     """Convolve with symmetric edge extension and undo the group delay.
 
-    The linear convolution runs through one real FFT pair at
-    ``next_fast_len``; its "valid" part equals
+    The linear convolution runs through numpy's real FFT pair, sized by
+    ``scipy.fft.next_fast_len(length, real=True)`` (so a first call imports
+    ``scipy.fft``); its "valid" part equals
     ``scipy.signal.fftconvolve(padded, taps, mode="valid")`` bit for bit.
     """
+    from scipy.fft import next_fast_len
+
     g = f.group_delay
     if len(x) <= g:
         raise InputError(
@@ -117,7 +119,7 @@ def filter_zero_delay(f: FirFilter, x: Signal) -> Signal:
     if g == 0:
         return x.with_samples(f.taps[0] * x.samples)
     padded = np.pad(x.samples, g, mode="symmetric")
-    size = next_fast_len(padded.size + f.length - 1)
+    size = next_fast_len(padded.size + f.length - 1, real=True)
     spec = np.fft.rfft(padded, size) * np.fft.rfft(f.taps, size)
     return x.with_samples(np.fft.irfft(spec, size)[f.length - 1 : padded.size])
 

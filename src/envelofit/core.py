@@ -59,6 +59,21 @@ def check_int(value, name: str, low: int) -> None:
         raise InputError(f"{name} must be >= {low}, got {value}")
 
 
+def check_out(out, shape: tuple[int, ...], *inputs) -> np.ndarray:
+    """A kernel's ``out``, or a new float64 array of ``shape`` if it is None;
+    ``InputError`` unless it is float64, of ``shape`` and shares no memory
+    with ``inputs``, the arrays the kernel reads after writing ``out``."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise InputError(f"output must be a float64 array of shape {shape}, "
+                         f"got {getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
+    for x in inputs:
+        if np.may_share_memory(out, x):
+            raise InputError("output overlaps an input that is read after it is written")
+    return out
+
+
 def _frozen_array(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 1:

@@ -9,26 +9,26 @@ lowers the (positive) untruncated symbol, so every Toeplitz and circulant
 eigenvalue exceeds the floor ``1/(2(K + 1))``, for any size.  The condition
 number, about ``2 sqrt(pi) sigma (K + 1)``, then sets the splitting
 iterations per solve.  ``embed_circulant`` embeds a band in the circulant
-of 5-smooth size ``next_fast_len(N + K)``, which carries the band and
-derives the step, and makes both the matrix-vector product and the
-resolvent ``(I + alpha C)^-1`` diagonal in the Fourier basis, so each costs
-one FFT pair.  ``apply_resolvent`` runs the pair as pocketfft's real
-halfcomplex transforms through scipy's binding, which caches their plans;
-those transforms have passes of their own for the factors 2, 3, 4 and 5
-only, hence the size.  ``toeplitz_from_resolvent`` reads the band's product
+of size ``scipy.fft.next_fast_len(N + K, real=True)``, the first 5-smooth
+size from ``N + K``, which carries the band and derives the step, and makes
+both the matrix-vector product and the resolvent ``(I + alpha C)^-1``
+diagonal in the Fourier basis, so each costs one FFT pair.
+``apply_resolvent`` runs the pair as pocketfft's real halfcomplex
+transforms through scipy's binding, which caches their plans; those
+transforms have passes of their own for the factors 2, 3, 4 and 5 only,
+hence the size.  ``toeplitz_from_resolvent`` reads the band's product
 off a resolvent instead of convolving.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InputError, NumericalError, check_int
+from .core import InputError, NumericalError, check_int, check_out
 
 __all__ = [
     "KernelSpec",
@@ -40,7 +40,6 @@ __all__ = [
     "apply_resolvent",
     "apply_toeplitz",
     "toeplitz_from_resolvent",
-    "next_fast_len",
 ]
 
 #: Truncation threshold of a ``KernelSpec`` that names none, and the default
@@ -118,25 +117,6 @@ class CirculantOperator:
         return recip
 
 
-def next_fast_len(target: int) -> int:
-    """Smallest size ``>= target`` with no prime factor above 5
-    (``scipy.fft.next_fast_len(target, real=True)``'s rule): pocketfft's real
-    transforms run a factor of 7 or 11 through a slower generic pass."""
-    if target < 1:
-        raise InputError(f"transform size must be >= 1, got {target}")
-    sizes = _smooth_sizes((target - 1).bit_length())
-    return sizes[bisect.bisect_left(sizes, target)]
-
-
-@functools.lru_cache(maxsize=None)
-def _smooth_sizes(bits: int) -> tuple[int, ...]:
-    """Sorted 5-smooth sizes up to ``2**bits``; one tuple per bit length in use."""
-    top, sizes = 1 << bits, [1]
-    for p in (2, 3, 5):
-        sizes = [s * p**e for s in sizes for e in range(bits + 1) if s * p**e <= top]
-    return tuple(sorted(sizes))
-
-
 def band_half_width(spec: KernelSpec) -> int:
     """Largest lag ``k`` with ``exp(-k^2 / sigma^2) >= tau`` in floats; 0 for ``tau = 1``."""
     def inside(j: int) -> bool:
@@ -180,13 +160,15 @@ def build_band(spec: KernelSpec, n: int) -> ToeplitzBand:
 def embed_circulant(band: ToeplitzBand) -> CirculantOperator:
     """Circulant extension whose top-left N x N block equals the Toeplitz band.
 
-    Its size is ``next_fast_len(N + K)``, the first size from ``N + K``, the
-    least that embeds the band, that its resolvent's real transforms run fast
-    (5-smooth); zeros fill the first row's middle, so every such size embeds
-    it exactly.
+    Its size is ``scipy.fft.next_fast_len(N + K, real=True)``, the first
+    size from ``N + K``, the least that embeds the band, that its
+    resolvent's real transforms run fast (5-smooth); zeros fill the first
+    row's middle, so every such size embeds it exactly.
     """
+    from scipy.fft import next_fast_len
+
     k = band.half_width
-    m = next_fast_len(band.n + k)
+    m = next_fast_len(band.n + k, real=True)
     row = np.zeros(m)
     row[: k + 1] = band.first_row
     if k > 0:
@@ -210,7 +192,7 @@ def load_fft():
 def apply_resolvent(op: CirculantOperator, v, out=None) -> np.ndarray:
     """Spectral solve ``(I + alpha C~)^-1 v`` at the operator's own step.
 
-    ``out`` (real, ``op.size``; ``v`` itself or disjoint from it, else
+    ``out`` (float64, ``op.size``; ``v`` itself or disjoint from it, else
     ``InputError``) receives the spectrum, then the result; given, a call
     allocates nothing but the FFT's own scratch.  The pair is pocketfft's
     halfcomplex transform and its inverse over 1/M, whose plans scipy's
@@ -221,14 +203,10 @@ def apply_resolvent(op: CirculantOperator, v, out=None) -> np.ndarray:
     """
     r2r = load_fft()
     v = np.asarray(v, dtype=float)
-    if out is None:
-        out = np.empty(op.size)
-    if v.shape != (op.size,) or out.shape != v.shape:
-        raise InputError(f"vector and output shapes {v.shape}, {out.shape} "
-                         f"do not match circulant size {op.size}")
-    if out is not v and np.may_share_memory(out, v):
-        # the forward transform would overwrite v while reading it
-        raise InputError("output overlaps the vector without being it")
+    if v.shape != (op.size,):
+        raise InputError(f"vector shape {v.shape} does not match circulant size {op.size}")
+    if out is not v:  # the forward transform would overwrite v while reading it
+        out = check_out(out, v.shape, v)
     r2r(v, (0,), True, True, 0, out)
     out *= op.multipliers
     return r2r(out, (0,), False, False, 2, out)
@@ -256,11 +234,13 @@ def toeplitz_from_resolvent(op: CirculantOperator, u, r, out=None) -> np.ndarray
     ``K`` (wrapping round to ``r[M-K:]``) have; subtracting those costs
     O(n + K^2) where the convolution costs O(nK).  The error is the
     resolvent's rounding over ``alpha``, of order ``eps * ||u|| / alpha``.
-    ``out`` (length ``n``) may be any buffer that overlaps neither input.
+    ``out`` (float64, length ``n``) may be any buffer, ``r[:n]`` or ``u[:n]``
+    included, but one that overlaps ``r[n:]``, which the corrections read
+    after ``out`` is written (``InputError``).
     """
     band = op.band
     n, k = band.n, band.half_width
-    cz = np.subtract(u[:n], r[:n], out=out)
+    cz = np.subtract(u[:n], r[:n], out=check_out(out, (n,), r[n:]))
     cz /= op.alpha
     if k:
         taps = band.first_row[:0:-1]  # c[K], ..., c[1]

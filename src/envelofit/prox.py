@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxConstraint, InputError
+from .core import BoxConstraint, InputError, check_out
 
 __all__ = ["ProxParams", "reflect_g"]
 
@@ -68,16 +68,17 @@ def reflect_g(t, p: ProxParams, out=None) -> np.ndarray:
     ``t + clip(off - k*t, lo, hi)``, the clip a ``maximum`` with ``lo`` then
     a ``minimum`` with ``hi`` (the bits of ``np.clip`` without its dispatch).
 
-    Written to ``out`` when given, so a call allocates nothing; ``out`` may
-    not overlap ``t``.  NaN in ``t`` passes through.  Where a side is
-    unbounded, ``t = +-inf`` gives NaN (``inf - inf``); only an overflowing
-    iterate makes one, and its gap reports it.  The tail block's prox is
-    the zero map, so its reflection, plain negation, is left to the caller.
+    Written to ``out`` when given, so a call allocates nothing; ``out``
+    must be float64 and may not overlap ``t`` (else ``InputError``).  NaN in
+    ``t`` passes through.  Where a side is unbounded, ``t = +-inf`` gives NaN
+    (``inf - inf``); only an overflowing iterate makes one, and its gap
+    reports it.  The tail block's prox is the zero map, so its reflection,
+    plain negation, is left to the caller.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != p.y.shape:
         raise InputError(f"t length {t.shape} != {p.y.shape}")
-    v = np.multiply(p.k, t, out=out)
+    v = np.multiply(p.k, t, out=check_out(out, t.shape, t))
     np.subtract(p.off, v, out=v)
     if p.lo is not None:
         np.maximum(v, p.lo, out=v)

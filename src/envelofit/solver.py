@@ -29,7 +29,8 @@ from typing import ClassVar
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import BoxConstraint, InputError, NumericalError, Signal, check_int, knob, project_box
+from .core import (BoxConstraint, InputError, NumericalError, Signal, check_int, check_out, knob,
+                   project_box)
 from .kernel import (
     CirculantOperator,
     KernelSpec,
@@ -154,8 +155,9 @@ def residual(z, p: SolveParams, cz=None, out=None) -> float:
     Zero exactly at the dual optimum; drives the convergence check.  ``cz``
     is ``C z`` when the caller has it; without it the band that
     ``p.circulant`` carries is convolved.  Every intermediate is written
-    into one n-long buffer: ``out`` when given (overlapping neither ``z``
-    nor ``cz``), so the loop's gap allocates nothing, otherwise a fresh one.
+    into one n-long buffer: ``out`` when given (float64 and overlapping
+    neither ``z`` nor ``cz``, else ``InputError``), so the loop's gap
+    allocates nothing, otherwise a fresh one.
     """
     z = np.asarray(z, dtype=float)
     n = len(p.y)
@@ -165,10 +167,7 @@ def residual(z, p: SolveParams, cz=None, out=None) -> float:
         cz = apply_toeplitz(p.circulant.band, z)
     elif np.shape(cz) != z.shape:
         raise InputError(f"C z length {np.shape(cz)} != {n}")
-    if out is None:
-        out = np.empty(n)
-    elif np.shape(out) != z.shape:
-        raise InputError(f"buffer length {np.shape(out)} != {n}")
+    out = check_out(out, z.shape, z, cz)
     # SolveParams holds len(box) == len(y), so the bounds match z here
     np.divide(z, p.lam, out=out)
     np.subtract(p.y.samples, out, out=out)

@@ -1,7 +1,8 @@
 """Importing the package loads numpy and no scipy module at all, nor
-``concurrent.futures``; the first solve loads scipy's pocketfft binding and
-``detect_peaks`` loads ``scipy.signal`` on its first call.  Private modules
-of numpy and scipy are named only where listed."""
+``concurrent.futures``; the first solve loads scipy's pocketfft binding, a
+first FIR filtering ``scipy.fft`` for its size rule, and ``detect_peaks``
+loads ``scipy.signal`` on its first call.  Private modules of numpy and
+scipy are named only where listed."""
 
 import ast
 import json
@@ -26,20 +27,39 @@ print(json.dumps({"at_import": loaded, "futures": futures, "after_solve": after_
                   "after_peaks": "scipy.signal" in sys.modules}))
 """
 
+FILTER_PROBE = """
+import json, sys
+import numpy as np
+import envelofit
+fir = envelofit.design_fir("lowpass", (0.45,), 10.0, 101)
+envelofit.filter_zero_delay(fir, envelofit.Signal(np.sin(np.arange(500) / 3.0), 10.0))
+print(json.dumps({m: m in sys.modules for m in ("scipy.fft", "scipy.signal")}))
+"""
 
-def test_import_loads_no_scipy():
+
+def run_probe(code: str) -> dict:
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    probe = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    probe = run_probe(PROBE)
     assert probe["at_import"] == []
     assert probe["futures"] is False
     # a solve loads scipy's FFT binding, and only detect_peaks scipy.signal
     assert probe["after_solve"] == {"scipy.fft._pocketfft.pypocketfft": True,
                                     "scipy.signal": False}
     assert probe["after_peaks"] is True
+
+
+def test_lone_filter_loads_scipy_fft_only():
+    # the FIR takes its size from scipy.fft.next_fast_len; numpy runs its transforms
+    assert run_probe(FILTER_PROBE) == {"scipy.fft": True, "scipy.signal": False}
 
 
 def private_uses():

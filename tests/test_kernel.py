@@ -21,7 +21,6 @@ from envelofit.kernel import (
     band_half_width,
     build_band,
     embed_circulant,
-    next_fast_len,
     toeplitz_from_resolvent,
 )
 
@@ -392,6 +391,13 @@ class TestBoundTransforms:
         with pytest.raises(InputError):
             apply_resolvent(op, np.ones(op.size + 1), np.empty(op.size))
 
+    def test_output_not_float64_rejected(self):
+        # pocketfft's own error for such a buffer is a RuntimeError, outside the taxonomy
+        op = op_reaching(65)
+        for dtype in (np.float32, np.complex128):
+            with pytest.raises(InputError):
+                apply_resolvent(op, np.ones(op.size), np.empty(op.size, dtype))
+
     def test_output_overlapping_the_vector_rejected(self):
         op = op_reaching(65)
         buf = np.random.default_rng(0).standard_normal(op.size + 1)
@@ -428,6 +434,22 @@ class TestToeplitzFromResolvent:
         bound = 16 * eps * (np.max(np.abs(u)) / alpha + row_sum * np.max(np.abs(z)))
         assert np.max(np.abs(out - apply_toeplitz(band, z))) <= bound
 
+    def test_output_may_be_the_head_but_not_the_tail(self):
+        """``r[:n]`` and ``u[:n]`` give the exact product; an ``out`` reaching
+        into ``r[n:]``, which the corrections read after ``out`` is written,
+        is rejected, as is one that is not float64."""
+        n = 200
+        op = embed_circulant(build_band(KernelSpec(sigma=3.0, tau=1e-3), n))
+        u = np.random.default_rng(2).standard_normal(op.size)
+        r = apply_resolvent(op, u)
+        want = toeplitz_from_resolvent(op, u, r)
+        r_own, u_own = r.copy(), u.copy()
+        assert np.array_equal(toeplitz_from_resolvent(op, u, r_own, r_own[:n]), want)
+        assert np.array_equal(toeplitz_from_resolvent(op, u_own, r, u_own[:n]), want)
+        for out in (r[1 : n + 1], r[-n:], np.empty(n, np.float32)):
+            with pytest.raises(InputError):
+                toeplitz_from_resolvent(op, u, r, out)
+
 
 class TestApplyToeplitz:
     def test_unit_vector_first_column(self):
@@ -462,16 +484,3 @@ class TestApplyToeplitz:
         padded = np.concatenate([z, np.zeros(op.size - 64)])
         via_fft = apply_circulant(op, padded)[:64]
         np.testing.assert_allclose(apply_toeplitz(band, z), via_fft, atol=1e-10)
-
-
-class TestNextFastLen:
-    def test_matches_scipy_up_to_2_18(self):
-        targets = range(1, 2**18 + 1)
-        got = [next_fast_len(t) for t in targets]
-        want = [scipy.fft.next_fast_len(t, real=True) for t in targets]
-        assert got == want
-
-    def test_rejects_nonpositive_target(self):
-        for target in (0, -5):
-            with pytest.raises(InputError):
-                next_fast_len(target)

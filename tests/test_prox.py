@@ -197,6 +197,25 @@ class TestReflectG:
             assert np.linalg.norm(v1 - v2) <= np.linalg.norm(t1 - t2) * (1 + 1e-10)
 
 
+    def test_output_overlapping_t_or_not_float64_rejected(self):
+        """With ``out = t``, ``k*t`` would overwrite ``t`` before ``v += t``
+        reads it; a float32 ``out`` would compute in float32, and numpy
+        raises its own ``ValueError`` for a misshapen one."""
+        rng = np.random.default_rng(5)
+        n = 200
+        y = rng.normal(size=n)
+        p = ProxParams(lam=2.0, alpha=0.7, y=y, box=BoxConstraint(y - 0.5, y + 0.5))
+        buf = rng.normal(scale=3.0, size=n + 1)
+        t = buf[:n]
+        want = reflect_g(t.copy(), p)
+        for out in (t, buf[1:], t[::-1], np.empty(n, np.float32), np.empty(n - 1)):
+            with pytest.raises(InputError):
+                reflect_g(t, p, out)
+        out = np.empty(n)
+        assert reflect_g(t, p, out) is out
+        assert np.array_equal(out, want)
+
+
 class TestReflectGMatchesSelect:
     """The in-place clipped prox against the ``np.select`` case table, bit for bit."""
 

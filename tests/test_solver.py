@@ -266,6 +266,26 @@ class TestResidual:
         with pytest.raises(InputError):
             residual(np.zeros(64), p, np.zeros(64), np.empty(63))
 
+    def test_buffer_sharing_an_input_or_not_float64_rejected(self):
+        """An ``out`` that is ``cz`` would take ``z/lam`` over it before
+        ``cz - out`` is formed and certify a gap of 0; one that is ``z``
+        would overwrite the caller's ``z``; a float32 one would compute the
+        gap in float32."""
+        rng = np.random.default_rng(7)
+        y = Signal(rng.normal(size=200), 10.0)
+        box = BoxConstraint(y.samples - 0.5, y.samples + 0.5)
+        p = SolveParams(y=y, lam=2.0, kernel=KernelSpec(3.0), box=box)
+        z = rng.normal(scale=3.0, size=200)
+        cz = apply_toeplitz(p.circulant.band, z)
+        gap = residual(z, p, cz)
+        assert gap > 1.0
+        for out in (cz, z, cz[::-1], np.empty(200, np.float32)):
+            before = z.copy(), cz.copy()
+            with pytest.raises(InputError):
+                residual(z, p, cz, out)
+            assert np.array_equal(z, before[0]) and np.array_equal(cz, before[1])
+        assert residual(z, p, cz, np.empty(200)) == gap
+
     def test_converged_below_tolerance(self):
         rng = np.random.default_rng(1)
         p = pd_instance(rng)
